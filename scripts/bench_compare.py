@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff the newest two BENCH_*.json aggregates and flag throughput regressions.
+"""Diff the two newest BENCH_PR*.json aggregates and flag throughput regressions.
 
 Each PR commits its measured numbers as BENCH_PRn.json (scripts/
 collect_bench.py). This script pairs the two most recent aggregates, matches
@@ -19,7 +19,7 @@ a slowdown visible in the build log instead of buried in a JSON diff.
 Standard library only; no third-party dependencies.
 
 Usage:
-    scripts/bench_compare.py                  # newest two BENCH_*.json
+    scripts/bench_compare.py                  # two highest-numbered BENCH_PR*.json
     scripts/bench_compare.py --threshold 0.5  # only flag >50% slowdowns
     scripts/bench_compare.py old.json new.json
 """
@@ -28,6 +28,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import sys
 
 
@@ -42,18 +43,35 @@ def load_aggregate(path):
     return records
 
 
+def pr_number(path):
+    """The n of BENCH_PRn.json; -1 for aggregates without a PR number."""
+    m = re.fullmatch(r"BENCH_PR(\d+)\.json", os.path.basename(path))
+    return int(m.group(1)) if m else -1
+
+
 def newest_two(repo):
+    # By PR number: a fresh checkout gives every file the same mtime, and
+    # file names sort BENCH_PR10 before BENCH_PR9.
     paths = glob.glob(os.path.join(repo, "BENCH_*.json"))
-    paths.sort(key=lambda p: (os.path.getmtime(p), p))
+    paths.sort(key=lambda p: (pr_number(p), p))
     return paths[-2:] if len(paths) >= 2 else []
+
+
+def fmt_ns(ns):
+    """A per-op time in the largest unit that keeps it at or above 1."""
+    for scale, unit in ((1e9, "s"), (1e6, "ms"), (1e3, "us")):
+        if ns >= scale:
+            return f"{ns / scale:.3f} {unit}"
+    return f"{ns:.3f} ns"
 
 
 def main():
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="*",
-                    help="explicit [old new] aggregates; default: newest two "
-                         "BENCH_*.json at the repository root by mtime")
+                    help="explicit [old new] aggregates; default: the two "
+                         "highest-numbered BENCH_PR*.json at the repository "
+                         "root")
     ap.add_argument("--threshold", type=float, default=0.20,
                     help="flag when ns_per_op grows by more than this "
                          "fraction (default: 0.20)")
@@ -97,7 +115,7 @@ def main():
     for (binary, name, backend), metric, before, after, ratio in regressions:
         if metric == "ns_per_op":
             print(f"  REGRESSION {binary} {name} [{backend}]: "
-                  f"{before / 1e6:.3f} -> {after / 1e6:.3f} ms/op "
+                  f"{fmt_ns(before)} -> {fmt_ns(after)}/op "
                   f"({ratio - 1.0:+.0%})")
         else:
             print(f"  REGRESSION {binary} {name} [{backend}]: "

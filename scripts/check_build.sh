@@ -404,7 +404,7 @@ echo "-- test_boundary_ring under TSan (two-thread SPSC stress)"
   || { echo "FAIL: test_boundary_ring under TSan"; exit 1; }
 echo "-- test_parallel_backend under TSan (threads substrate)"
 DFDBG_PARALLEL_SUBSTRATE=threads ./build-tsan/tests/test_parallel_backend \
-  --gtest_filter='ParallelWide.*:RelaxedSync.*:ParallelH264.TraceCsvRunToRunDeterministic:ParallelH264.WhenceRunToRunDeterministic:ParallelH264.Catchpoint*' \
+  --gtest_filter='ParallelWide.*:RelaxedSync.*:HostIoPlacement.*:ParallelH264.TraceCsvRunToRunDeterministic:ParallelH264.WhenceRunToRunDeterministic:ParallelH264.Catchpoint*' \
   >/dev/null \
   || { echo "FAIL: test_parallel_backend under TSan"; exit 1; }
 # The sharded fleet host is the other concurrent subsystem: cross-shard

@@ -22,6 +22,21 @@ std::uint64_t firing_of(const Actor& actor) {
     return static_cast<const Filter&>(actor).firings();
   return 0;
 }
+
+/// Host I/O that never calls Pe::execute — every sink, and a source with no
+/// inter-token host work. Nothing ever waits on such an actor's PE, so the
+/// co-PE partition constraint protects nothing for it.
+bool never_takes_pe(const Actor& a) {
+  if (a.kind() != ActorKind::kHostIo) return false;
+  const auto* src = dynamic_cast<const HostSource*>(&a);
+  return src == nullptr || src->period() == 0;
+}
+
+/// The actor at the other end of a host I/O actor's single link.
+const Actor& host_io_peer(const Actor& a) {
+  const Port& p = *a.ports().front();
+  return p.dir() == PortDir::kOut ? p.link()->dst()->owner() : p.link()->src()->owner();
+}
 }  // namespace
 
 Application::Application(sim::Platform& platform, std::string name)
@@ -441,7 +456,8 @@ void Application::prepare_partitions() {
   partition_of_.assign(actors_.size(), 0);
 
   // (1) Platform-derived defaults: one partition per cluster, folded onto
-  // the available workers. Host-mapped actors (no cluster) go to 0.
+  // the available workers. Host-mapped actors (no cluster) go to 0; step 3b
+  // moves those that never take their PE next to their data.
   for (Actor* a : actors_) {
     if (a->kind() == ActorKind::kModule) continue;
     int c = a->pe() != nullptr ? a->pe()->cluster_index() : -1;
@@ -510,11 +526,20 @@ void Application::prepare_partitions() {
     for (Actor* mem : unit) partition_of_[mem->id().value()] = want;
   }
 
+  // (3b) Host I/O that never takes its PE follows the actor at the other end
+  // of its link, so each lane's source and sink live with the lane's data
+  // instead of pinning every host endpoint to one partition. Overrides win.
+  for (Actor* a : actors_) {
+    if (!never_takes_pe(*a) || forced[a->id().value()] != 0) continue;
+    partition_of_[a->id().value()] = partition_of_[host_io_peer(*a).id().value()];
+  }
+
   // (4) Actors sharing a PE must share a partition: the PE's exclusivity
-  // event (busy/free) can only serve waiters from one partition.
+  // event (busy/free) can only serve waiters from one partition. Actors that
+  // never take their PE never wait on that event and are exempt.
   std::map<sim::Pe*, Actor*> pe_owner;
   for (Actor* a : actors_) {
-    if (a->kind() == ActorKind::kModule || a->pe() == nullptr) continue;
+    if (a->kind() == ActorKind::kModule || a->pe() == nullptr || never_takes_pe(*a)) continue;
     auto [it, fresh] = pe_owner.emplace(a->pe(), a);
     if (!fresh) {
       DFDBG_CHECK_MSG(
@@ -639,7 +664,8 @@ void Application::rebalance_partitions_adaptive(int workers) {
   if (profile.empty()) return;
   // Atomic placement units mirror the constraints steps 3–4 validate: a
   // module's controller and filters move together, and PE co-residents move
-  // together. Union-find over actor ids.
+  // together — except host I/O that never takes its PE, which joins the unit
+  // of its link peer (where step 3b places it). Union-find over actor ids.
   const std::size_t n = actors_.size();
   std::vector<std::size_t> parent(n);
   for (std::size_t i = 0; i < n; ++i) parent[i] = i;
@@ -658,6 +684,10 @@ void Application::rebalance_partitions_adaptive(int workers) {
   std::map<sim::Pe*, std::size_t> pe_first;
   for (Actor* a : actors_) {
     if (a->kind() == ActorKind::kModule || a->pe() == nullptr) continue;
+    if (never_takes_pe(*a)) {
+      unite(a->id().value(), host_io_peer(*a).id().value());
+      continue;
+    }
     auto [it, fresh] = pe_first.emplace(a->pe(), a->id().value());
     if (!fresh) unite(a->id().value(), it->second);
   }

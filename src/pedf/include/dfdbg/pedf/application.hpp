@@ -89,14 +89,17 @@ class Application {
   // --- partitioning (parallel kernel backend) --------------------------------
   // With a kParallel kernel, start() splits the graph's processes across the
   // kernel's partitions. The default map follows the platform: an actor's
-  // partition is its PE's cluster index modulo the worker count (host-mapped
-  // actors land in partition 0), mirroring how a P2012 functional simulator
-  // would parallelize per cluster. Constraints (validated at start, fatal on
-  // violation): a controller and the filters of its module form one
+  // partition is its PE's cluster index modulo the worker count, mirroring
+  // how a P2012 functional simulator would parallelize per cluster. Host I/O
+  // that never takes its PE (every HostSink, and a HostSource with period 0)
+  // lands in the partition of the actor at the other end of its link; other
+  // host-mapped actors land in partition 0. Constraints (validated at start,
+  // fatal on violation): a controller and the filters of its module form one
   // indivisible unit (controllers mutate their filters' scheduling state
   // directly), and actors sharing a PE must share a partition (the PE's
-  // exclusivity event can only serve one partition). Links whose endpoints
-  // end up in different partitions get a BoundaryChannel (see boundary.hpp).
+  // exclusivity event can only serve one partition) unless they never take
+  // that PE. Links whose endpoints end up in different partitions get a
+  // BoundaryChannel (see boundary.hpp).
 
   /// Overrides the partition of the actor at `path` (hierarchical path or
   /// unique short name; a module applies to its controller and filters).
@@ -108,7 +111,8 @@ class Application {
   enum class PartitionPolicy {
     kClusterModulo,  ///< default: PE cluster index modulo worker count
     /// Rebalances from a recorded dispatch profile: atomic units — module
-    /// controller+filters merged with PE co-residents — are weighted by
+    /// controller+filters merged with PE co-residents, and host I/O that
+    /// never takes its PE merged with its link peer — are weighted by
     /// observed load and placed greedily, heaviest first, onto the
     /// least-loaded partition (LPT). A time profile
     /// (set_partition_time_profile, typically dispatch_time_profile() of an
@@ -337,6 +341,8 @@ class HostSource : public Filter {
 
   /// Tokens pushed so far.
   [[nodiscard]] std::size_t produced() const { return produced_; }
+  /// Modelled host work per token; 0 means the source never takes its PE.
+  [[nodiscard]] sim::SimTime period() const { return period_; }
 
  private:
   std::vector<Value> stream_;

@@ -522,10 +522,10 @@ void Kernel::notify(Event& e) {
 //            (snapshot send indices, reclaim consumed slots, wake blocked
 //            producers). Effect-free rounds skip all of it
 //            (sim.barrier.elided_rounds); their journal records wait in the
-//            bounded shard rings for the next real barrier or run exit.
-//            Virtual-time advance, the registered full boundary drains
-//            (barrier tasks) and debug stops still take a full barrier at
-//            global quiescence.
+//            bounded shard rings for the next real barrier, time advance or
+//            run exit. Virtual-time advance (which merges journals first),
+//            the registered full boundary drains (barrier tasks) and debug
+//            stops still take a full barrier at global quiescence.
 //
 // Determinism: each shard's drain order is a function of its own queue
 // contents; eager-drain eligibility is bounded by the coordinator's
@@ -946,10 +946,10 @@ RunResult Kernel::run_parallel(SimTime until) {
       // Unpublished boundary movement, deferred notifies, or a debug stop.
       // Effect-free rounds skip the merge/flush/publish entirely; journal
       // records from purely-local rounds stay in their shard rings (bounded,
-      // like every journal window) until the next real barrier or run exit
-      // merges them in partition order. Every condition is a deterministic
-      // function of the schedule, so the elision pattern — and with it the
-      // merge schedule — is too.
+      // like every journal window) until the next real barrier, time
+      // advance or run exit merges them in partition order. Every condition
+      // is a deterministic function of the schedule, so the elision
+      // pattern — and with it the merge schedule — is too.
       bool effects = stop;
       if (!effects && boundary_hooks_.activity) effects = boundary_hooks_.activity();
       if (!effects)
@@ -1002,7 +1002,11 @@ RunResult Kernel::run_parallel(SimTime until) {
     // No shard can progress; a full barrier flush may still create work
     // (e.g. boundary tokens parked behind a link that just gained space).
     if (flush_barrier()) continue;
-    // Global quiescence at this virtual time: advance together.
+    // Global quiescence at this virtual time: advance together. Records
+    // parked in shard rings across elided rounds all carry the current time;
+    // merge them before the clock moves, or a later effectful round would
+    // merge them behind another shard's later-time records.
+    merge_shard_journals();
     SimTime t = kMaxSimTime;
     bool has_timed = false;
     for (auto& sh : shards_)
@@ -1010,14 +1014,11 @@ RunResult Kernel::run_parallel(SimTime until) {
         has_timed = true;
         if (sh->timed.top().when < t) t = sh->timed.top().when;
       }
-    if (!has_timed) {
-      merge_shard_journals();
+    if (!has_timed)
       return live_count_.load(std::memory_order_relaxed) == 0 ? RunResult::kFinished
                                                               : RunResult::kDeadlock;
-    }
     if (t > until) {
       now_ = until;
-      merge_shard_journals();
       return RunResult::kTimeLimit;
     }
     now_ = t;

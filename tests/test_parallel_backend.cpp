@@ -574,6 +574,15 @@ TEST(RelaxedSync, EagerDrainElisionAndSparseWakesFire) {
   EXPECT_TRUE(saw_elided);
   EXPECT_TRUE(saw_skipped);
   EXPECT_EQ(rec_eager, eager) << "record ring not evicted at this size";
+  // Elision parks journal records in shard rings, but never across a time
+  // advance: the merged journal stays in virtual-time order.
+  const obs::Journal& j = obs::Journal::global();
+  ASSERT_GT(j.size(), 0u);
+  ASSERT_EQ(j.dropped(), 0u);
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 1; i < j.size(); ++i)
+    if (j.at(i).time < j.at(i - 1).time) out_of_order++;
+  EXPECT_EQ(out_of_order, 0u) << "of " << j.size() << " merged events";
 }
 
 // Relaxing the barriers must not relax correctness: the same checksum and
@@ -586,6 +595,159 @@ TEST(RelaxedSync, DeterministicTranscriptAtK8) {
   std::string second = wide_journal_transcript(8);
   EXPECT_GT(first.size(), 0u);
   EXPECT_EQ(first, second);
+}
+
+// --- host I/O placement -------------------------------------------------------
+
+/// The benchmark's wide shape — 16 lanes on 4 workers, default map — with
+/// an optional partition override applied before start().
+std::unique_ptr<benchutil::WideWorld> run_wide16(const std::string& override_path = "",
+                                                 int override_partition = 0) {
+  WideGraphConfig cfg;
+  cfg.pipelines = 16;
+  cfg.stages = 2;
+  cfg.tokens = 32;
+  cfg.spin = 16;
+  auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, 4);
+  if (!override_path.empty()) w->app->set_partition(override_path, override_partition);
+  benchutil::run_wide_world(*w);
+  return w;
+}
+
+/// Post-start partition of the actor with short name or path `name`.
+int partition_of(const pedf::Application& app, const std::string& name) {
+  const pedf::Actor* a = app.actor_by_name(name);
+  if (a == nullptr) a = app.actor_by_path(name);
+  EXPECT_NE(a, nullptr) << name;
+  return a == nullptr ? -1 : app.actor_partition(*a);
+}
+
+// Host sources with no host work and the host sink never take their host
+// PE, so instead of all landing on partition 0 with that PE they follow the
+// actor at the other end of their link: every lane starts on its own worker
+// and only the lane -> merge links of lanes off partition 0 cross partitions.
+TEST(HostIoPlacement, SourcesAndSinkFollowTheirData) {
+  auto w = run_wide16();
+  for (int p = 0; p < 16; ++p) {
+    const std::string n = std::to_string(p);
+    EXPECT_EQ(partition_of(*w->app, "src" + n), partition_of(*w->app, "top.s" + n + "_0"))
+        << "lane " << n;
+    EXPECT_EQ(partition_of(*w->app, "src" + n), p % 4) << "lane " << n;
+    EXPECT_EQ(w->app->actor_by_name("src" + n)->port("out")->link()->outbox(), nullptr)
+        << "lane " << n;
+  }
+  EXPECT_EQ(partition_of(*w->app, "snk"), partition_of(*w->app, "top.merge"));
+  EXPECT_EQ(w->app->boundaries().size(), 12u);
+  EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
+}
+
+// Sources that never take their PE are exempt from the co-PE constraint, so
+// an explicit override on one of them is honoured rather than rejected for
+// sharing host1 with another source — including an override that puts the
+// source away from its data, which then feeds it through a boundary channel.
+TEST(HostIoPlacement, OverrideOnSourceIsHonoured) {
+  auto w = run_wide16("src3", 3);
+  EXPECT_EQ(partition_of(*w->app, "src3"), 3);
+  EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
+
+  auto away = run_wide16("src5", 0);
+  EXPECT_EQ(partition_of(*away->app, "src5"), 0);
+  EXPECT_EQ(partition_of(*away->app, "top.s5_0"), 1);
+  EXPECT_NE(away->app->actor_by_name("src5")->port("out")->link()->outbox(), nullptr);
+  EXPECT_EQ(benchutil::sink_checksum(*away), away->expected_checksum);
+}
+
+/// Two one-filter lanes on a K=2 kernel: lane p's filter sits on cluster p,
+/// and both host sources share PE host0 with `period` cycles of host work
+/// per token.
+struct TwoSourceWorld {
+  std::unique_ptr<sim::Kernel> kernel;
+  std::unique_ptr<sim::Platform> platform;
+  std::unique_ptr<pedf::Application> app;
+  std::vector<pedf::HostSink*> sinks;
+};
+
+std::unique_ptr<TwoSourceWorld> build_two_sources(sim::SimTime period) {
+  auto w = std::make_unique<TwoSourceWorld>();
+  w->kernel = std::make_unique<sim::Kernel>(sim::ProcessBackend::kParallel, 2);
+  sim::PlatformConfig pc;
+  pc.clusters = 2;
+  pc.pes_per_cluster = 1;
+  w->platform = std::make_unique<sim::Platform>(*w->kernel, pc);
+  w->app = std::make_unique<pedf::Application>(*w->platform, "two");
+  const pedf::TypeDesc u32{pedf::ScalarType::kU32};
+  auto root = std::make_unique<pedf::Module>("top");
+  for (int p = 0; p < 2; ++p) {
+    const std::string n = std::to_string(p);
+    root->add_port("in" + n, pedf::PortDir::kIn, u32);
+    root->add_port("out" + n, pedf::PortDir::kOut, u32);
+    auto f = std::make_unique<pedf::FnFilter>("f" + n, [](pedf::FilterContext& pedf) {
+      auto v = pedf.in("in").get_opt();
+      if (!v.has_value()) {
+        pedf.stop();
+        return;
+      }
+      pedf.out("out").put(*v);
+    });
+    f->add_port("in", pedf::PortDir::kIn, u32);
+    f->add_port("out", pedf::PortDir::kOut, u32);
+    f->set_free_running(true);
+    root->add_filter(std::move(f));
+    root->bind("this.in" + n, "f" + n + ".in");
+    root->bind("f" + n + ".out", "this.out" + n);
+  }
+  pedf::Application& app = *w->app;
+  app.set_root(std::move(root));
+  for (int p = 0; p < 2; ++p) {
+    const std::string n = std::to_string(p);
+    app.map_actor("top.f" + n, "c" + n + "p0");
+    app.add_host_source("src" + n, "top.in" + n, {pedf::Value::u32(1), pedf::Value::u32(2)},
+                        period);
+    app.map_actor("host.src" + n, "host0");
+    w->sinks.push_back(&app.add_host_sink("snk" + n, "top.out" + n, 2));
+  }
+  DFDBG_CHECK(app.elaborate().ok());
+  return w;
+}
+
+// A source with host work executes on its PE, so the co-PE constraint still
+// holds it: both timed sources stay with shared host0 on partition 0 even
+// though lane 1's filter runs on partition 1, while the sinks follow.
+TEST(HostIoPlacement, TimedSourcesStayWithTheirPe) {
+  auto w = build_two_sources(1);
+  w->app->start();
+  EXPECT_EQ(partition_of(*w->app, "src0"), 0);
+  EXPECT_EQ(partition_of(*w->app, "src1"), 0);
+  EXPECT_EQ(partition_of(*w->app, "f1"), 1);
+  EXPECT_EQ(partition_of(*w->app, "snk1"), 1);
+  w->kernel->run();
+  for (const pedf::HostSink* s : w->sinks) EXPECT_EQ(s->received().size(), 2u);
+}
+
+// Untimed sources on one PE take crossed overrides without complaint ...
+TEST(HostIoPlacement, UntimedSourcesOnOnePeAcceptConflictingOverrides) {
+  auto w = build_two_sources(0);
+  w->app->set_partition("src0", 1);
+  w->app->set_partition("src1", 0);
+  w->app->start();
+  EXPECT_EQ(partition_of(*w->app, "src0"), 1);
+  EXPECT_EQ(partition_of(*w->app, "src1"), 0);
+  w->kernel->run();
+  for (const pedf::HostSink* s : w->sinks) EXPECT_EQ(s->received().size(), 2u);
+}
+
+// ... but timed ones still panic: their PE's exclusivity event would be
+// waited on from two partitions.
+TEST(HostIoPlacementDeathTest, TimedSourcesOnOnePeRejectConflictingOverrides) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto w = build_two_sources(1);
+        w->app->set_partition("src0", 0);
+        w->app->set_partition("src1", 1);
+        w->app->start();
+      },
+      "share PE host0");
 }
 
 // --- adaptive partitioner -----------------------------------------------------
@@ -642,6 +804,12 @@ TEST(AdaptivePartition, DeterministicBalancedAndOrderPreserving) {
     // Re-placement must not break per-link FIFO: the sink checksum pins
     // every token transformed exactly once, in order, end to end.
     EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
+    // Host I/O that never takes its PE rides in its link peer's unit.
+    for (int p = 0; p < w->cfg.pipelines; ++p) {
+      const std::string n = std::to_string(p);
+      EXPECT_EQ(partition_of(*w->app, "src" + n), partition_of(*w->app, "top.s" + n + "_0"));
+    }
+    EXPECT_EQ(partition_of(*w->app, "snk"), partition_of(*w->app, "top.merge"));
     return partition_map_string(*w);
   };
   std::string first = run_adaptive();
