@@ -371,14 +371,18 @@ echo "ok: fleet gate (isolation, --session, v1 alias, idle eviction)"
 echo "== sanitizer gate (ASan+UBSan) =="
 # The token hot path (SBO Value, ring-buffer Link, batched push_n/pop_n) is
 # manual-lifetime code: build it under AddressSanitizer + UBSan and run the
-# tests that hammer it hardest. Threads backend only — the fibers backend
-# swaps ucontext stacks, which ASan's stack bookkeeping cannot follow.
+# tests that hammer it hardest. So is a debugger hook parked at a stop while
+# the session adds or removes hooks and deletes fired temporary rules: the
+# session and CLI suites drive those paths. Threads backend only — the
+# fibers backend swaps ucontext stacks, which ASan's stack bookkeeping
+# cannot follow.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
-cmake --build build-asan -j "$(nproc)" --target test_journal test_link_ring
-for t in test_link_ring test_journal; do
+cmake --build build-asan -j "$(nproc)" --target test_journal test_link_ring test_debug_session \
+  test_cli
+for t in test_link_ring test_journal test_debug_session test_cli; do
   echo "-- $t under ASan+UBSan (threads backend)"
   DFDBG_PROCESS_BACKEND=threads ASAN_OPTIONS=detect_leaks=0 \
     ./build-asan/tests/$t >/dev/null \

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "dfdbg/common/json.hpp"
 #include "dfdbg/common/strings.hpp"
@@ -62,68 +64,64 @@ Status Interpreter::execute(const std::string& line) {
   const std::string& cmd = words[0];
   std::vector<std::string> args(words.begin() + 1, words.end());
 
+  // Every command word and its handler; aliases repeat their verb's entry.
+  using Args = std::vector<std::string>;
+  using Verb = Status (*)(Interpreter&, const Args&);
+  static const std::unordered_map<std::string_view, Verb> kVerbs = {
+      {"run", [](Interpreter& i, const Args& a) { return i.cmd_run(a, false); }},
+      {"r", [](Interpreter& i, const Args& a) { return i.cmd_run(a, false); }},
+      {"continue", [](Interpreter& i, const Args& a) { return i.cmd_run(a, true); }},
+      {"c", [](Interpreter& i, const Args& a) { return i.cmd_run(a, true); }},
+      {"filter", [](Interpreter& i, const Args& a) { return i.cmd_filter(a); }},
+      {"iface", [](Interpreter& i, const Args& a) { return i.cmd_iface(a); }},
+      {"step_both", [](Interpreter& i, const Args& a) { return i.cmd_step_both(a); }},
+      {"step", [](Interpreter& i, const Args&) { return i.cmd_step(); }},
+      {"s", [](Interpreter& i, const Args&) { return i.cmd_step(); }},
+      {"break", [](Interpreter& i, const Args& a) { return i.cmd_break(a); }},
+      {"b", [](Interpreter& i, const Args& a) { return i.cmd_break(a); }},
+      {"watch", [](Interpreter& i, const Args& a) { return i.cmd_watch(a); }},
+      {"list", [](Interpreter& i, const Args& a) { return i.cmd_list(a); }},
+      {"l", [](Interpreter& i, const Args& a) { return i.cmd_list(a); }},
+      {"print", [](Interpreter& i, const Args& a) { return i.cmd_print(a); }},
+      {"p", [](Interpreter& i, const Args& a) { return i.cmd_print(a); }},
+      {"graph", [](Interpreter& i, const Args& a) { return i.cmd_graph(a); }},
+      {"info", [](Interpreter& i, const Args& a) { return i.cmd_info(a); }},
+      {"module", [](Interpreter& i, const Args& a) { return i.cmd_module(a); }},
+      {"tok", [](Interpreter& i, const Args& a) { return i.cmd_tok(a); }},
+      {"delete", [](Interpreter& i, const Args& a) { return i.cmd_delete(a); }},
+      {"ignore", [](Interpreter& i, const Args& a) { return i.cmd_ignore(a); }},
+      {"enable", [](Interpreter& i, const Args& a) { return i.cmd_enable(a, true); }},
+      {"disable", [](Interpreter& i, const Args& a) { return i.cmd_enable(a, false); }},
+      {"focus", [](Interpreter& i, const Args& a) { return i.cmd_focus(a); }},
+      {"unfocus", [](Interpreter& i, const Args&) { return i.cmd_unfocus(); }},
+      {"help", [](Interpreter& i, const Args&) { return i.cmd_help(); }},
+      {"h", [](Interpreter& i, const Args&) { return i.cmd_help(); }},
+      {"source", [](Interpreter& i, const Args& a) { return i.cmd_source(a); }},
+      {"save", [](Interpreter& i, const Args& a) { return i.cmd_save(a); }},
+      {"export", [](Interpreter& i, const Args& a) { return i.cmd_export(a); }},
+      {"stats", [](Interpreter& i, const Args& a) { return i.cmd_stats(a); }},
+      {"trace", [](Interpreter& i, const Args& a) { return i.cmd_trace(a); }},
+      {"profile", [](Interpreter& i, const Args& a) { return i.cmd_profile(a); }},
+      {"journal", [](Interpreter& i, const Args& a) { return i.cmd_journal(a); }},
+      {"whence", [](Interpreter& i, const Args& a) { return i.cmd_whence(a); }},
+  };
+  auto verb = kVerbs.find(cmd);
+  const bool known = verb != kVerbs.end();
+
   // Debugger self-profiling: per-command latency and per-command counts.
+  // Unknown words share one counter: the debug server's `exec` verb passes
+  // client text here, and a counter per word would grow without bound.
   auto& reg = obs::Registry::global();
   static obs::Histogram& cmd_ns = reg.histogram("cli.cmd_ns");
   static obs::Counter& cmd_count = reg.counter("cli.cmd");
   obs::ScopedTimer cmd_timer(cmd_ns);
   if (obs::enabled()) {
     cmd_count.add();
-    reg.counter("cli.cmd." + cmd).add();
+    reg.counter(known ? "cli.cmd." + cmd : "cli.cmd.unknown").add();
   }
 
-  Status s;
-  if (cmd == "run" || cmd == "r") s = cmd_run(args, /*is_continue=*/false);
-  else if (cmd == "continue" || cmd == "c") s = cmd_run(args, /*is_continue=*/true);
-  else if (cmd == "filter") s = cmd_filter(args);
-  else if (cmd == "iface") s = cmd_iface(args);
-  else if (cmd == "step_both") s = cmd_step_both(args);
-  else if (cmd == "step" || cmd == "s") {
-    s = session_.step_line();
-    if (s.ok()) s = cmd_run({}, /*is_continue=*/true);
-  }
-  else if (cmd == "break" || cmd == "b") s = cmd_break(args);
-  else if (cmd == "watch") s = cmd_watch(args);
-  else if (cmd == "list" || cmd == "l") s = cmd_list(args);
-  else if (cmd == "print" || cmd == "p") s = cmd_print(args);
-  else if (cmd == "graph") s = cmd_graph(args);
-  else if (cmd == "info") s = cmd_info(args);
-  else if (cmd == "module") s = cmd_module(args);
-  else if (cmd == "tok") s = cmd_tok(args);
-  else if (cmd == "delete") s = cmd_delete(args);
-  else if (cmd == "ignore") {
-    if (args.size() < 2) s = Status::error(ErrCode::kInvalidArgument, "usage: ignore <bp-id> <count>");
-    else s = session_.set_breakpoint_ignore(
-             dbg::BpId(static_cast<std::uint32_t>(std::strtoul(args[0].c_str(), nullptr, 0))),
-             std::strtoull(args[1].c_str(), nullptr, 0));
-  }
-  else if (cmd == "enable") s = cmd_enable(args, true);
-  else if (cmd == "disable") s = cmd_enable(args, false);
-  else if (cmd == "focus") s = cmd_focus(args);
-  else if (cmd == "help" || cmd == "h") {
-    console_.print(help_text());
-  } else if (cmd == "source") {
-    s = cmd_source(args);
-  } else if (cmd == "save") {
-    s = cmd_save(args);
-  } else if (cmd == "export") {
-    s = cmd_export(args);
-  } else if (cmd == "stats") {
-    s = cmd_stats(args);
-  } else if (cmd == "trace") {
-    s = cmd_trace(args);
-  } else if (cmd == "profile") {
-    s = cmd_profile(args);
-  } else if (cmd == "journal") {
-    s = cmd_journal(args);
-  } else if (cmd == "whence") {
-    s = cmd_whence(args);
-  } else if (cmd == "unfocus") {
-    session_.clear_selective_data_hooks();
-    console_.println("[Data-exchange breakpoints restored on every interface]");
-  } else {
-    s = Status::error(ErrCode::kInvalidArgument, "unknown command: " + cmd);
-  }
+  Status s = known ? verb->second(*this, args)
+                   : Status::error(ErrCode::kInvalidArgument, "unknown command: " + cmd);
   if (!s.ok()) console_.println("error: " + s.message());
   // Remember successful commands that create replayable debugger state, so
   // `save` can write a .gdbinit-style script.
@@ -166,6 +164,30 @@ Status Interpreter::cmd_run(const std::vector<std::string>& args, bool is_contin
   sim::SimTime until = sim::kMaxSimTime;
   if (!args.empty()) until = std::strtoull(args[0].c_str(), nullptr, 0);
   report_outcome(session_.run(until));
+  return Status{};
+}
+
+Status Interpreter::cmd_step() {
+  Status s = session_.step_line();
+  return s.ok() ? cmd_run({}, /*is_continue=*/true) : s;
+}
+
+Status Interpreter::cmd_ignore(const std::vector<std::string>& args) {
+  if (args.size() < 2)
+    return Status::error(ErrCode::kInvalidArgument, "usage: ignore <bp-id> <count>");
+  return session_.set_breakpoint_ignore(
+      dbg::BpId(static_cast<std::uint32_t>(std::strtoul(args[0].c_str(), nullptr, 0))),
+      std::strtoull(args[1].c_str(), nullptr, 0));
+}
+
+Status Interpreter::cmd_unfocus() {
+  session_.clear_selective_data_hooks();
+  console_.println("[Data-exchange breakpoints restored on every interface]");
+  return Status{};
+}
+
+Status Interpreter::cmd_help() {
+  console_.print(help_text());
   return Status{};
 }
 

@@ -97,6 +97,10 @@ class Interpreter {
   Status cmd_filter(const std::vector<std::string>& args);
   Status cmd_iface(const std::vector<std::string>& args);
   Status cmd_step_both(const std::vector<std::string>& args);
+  Status cmd_step();
+  Status cmd_ignore(const std::vector<std::string>& args);
+  Status cmd_unfocus();
+  Status cmd_help();
   Status cmd_break(const std::vector<std::string>& args);
   Status cmd_watch(const std::vector<std::string>& args);
   Status cmd_list(const std::vector<std::string>& args);

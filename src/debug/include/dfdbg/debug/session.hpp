@@ -155,6 +155,9 @@ class Session {
   Status set_breakpoint_enabled(BpId id, bool enabled);
   /// GDB-style ignore count: the next `count` triggers of `id` do not stop.
   Status set_breakpoint_ignore(BpId id, std::uint64_t count);
+  /// Every registered rule, oldest first. A temporary (step_both ends,
+  /// `step`) is deleted once it fires, as with GDB's tbreak: it is listed
+  /// until then, also while disabled.
   [[nodiscard]] std::vector<BreakpointInfo> breakpoints() const;
 
   // --- step-by-step over data dependencies ------------------------------------
@@ -276,11 +279,10 @@ class Session {
   /// Installs the per-statement source-line hook on first use (line
   /// breakpoints / watchpoints); unused sessions never pay for it.
   void ensure_line_hook();
-  /// Visits enabled rules by id snapshot: safe against rules being added,
-  /// removed or disabled while a visit stops the simulation.
+  /// Visits enabled, unfired rules by id snapshot: safe against rules being
+  /// added, removed or disabled while a visit stops the simulation.
   template <typename F>
   void scan_rules(F&& fn);
-  void remove_data_hooks();
   void resync_all_links();
   void trigger_stop(StopEvent ev, Rule* rule);
   void handle_push(const sim::Frame& frame);

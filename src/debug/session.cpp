@@ -61,6 +61,7 @@ struct Session::Rule {
   Type type = Type::kWork;
   bool enabled = true;
   bool temporary = false;
+  bool fired = false;  ///< temporary that has done its job; run() deletes it
   std::uint64_t hits = 0;
   std::string actor;       ///< short name
   std::string actor_path;  ///< resolved hierarchical path
@@ -98,7 +99,7 @@ void Session::scan_rules(F&& fn) {
   for (const auto& r : rules_) ids.push_back(r->id);
   for (BpId id : ids) {
     Rule* r = find_rule(id);
-    if (r != nullptr && r->enabled) fn(*r);
+    if (r != nullptr && r->enabled && !r->fired) fn(*r);
   }
 }
 
@@ -376,9 +377,9 @@ void Session::handle_push(const Frame& frame) {
       }
       case Rule::Type::kStepBothArm: {
         if (r.actor_path != actor_path) break;
-        // The armed filter just pushed: this identifies the link. Disable
+        // The armed filter just pushed: this identifies the link. Retire
         // the arm rule, plant the receive end, and report the send stop.
-        r.enabled = false;
+        r.fired = true;
         auto recv = std::make_unique<Rule>();
         recv->id = BpId(next_bp_++);
         recv->type = Rule::Type::kStepBothRecv;
@@ -535,6 +536,11 @@ void Session::sample_watchpoints(const std::string& filter_path) {
 // Stop machinery
 // ---------------------------------------------------------------------------
 
+// A stop parks the simulated process inside debug_break() below, deep in a
+// scan_rules() visit that holds `rule`. run() deletes fired temporaries
+// before it returns, so when the process resumes `rule` may be gone: nothing
+// may touch it after debug_break(), and the scan re-finds the rules it has
+// not visited yet by id.
 void Session::trigger_stop(StopEvent ev, Rule* rule) {
   if (rule != nullptr) {
     rule->hits++;
@@ -543,7 +549,7 @@ void Session::trigger_stop(StopEvent ev, Rule* rule) {
       rule->ignore--;  // GDB ignore count: counted but not stopped on
       return;
     }
-    if (rule->temporary) rule->enabled = false;
+    if (rule->temporary) rule->fired = true;
   }
   ev.time = app_.kernel().now();
   current_actor_ = ev.actor;
@@ -576,6 +582,9 @@ RunOutcome Session::run(sim::SimTime until) {
   obs::ScopedTimer wall(run_wall_ns);
   obs::ScopedDelta cycles(run_cycles, [this] { return app_.kernel().now(); });
   sim::RunResult r = app_.kernel().run(until);
+  // Like GDB's tbreak, a temporary is deleted once it fired (its stop event
+  // keeps the id), so the rule list does not grow with every step_both.
+  std::erase_if(rules_, [](const std::unique_ptr<Rule>& rule) { return rule->fired; });
   stops.add(pending_.size());
   RunOutcome out;
   out.result = r;

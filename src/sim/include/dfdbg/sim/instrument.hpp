@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -126,7 +127,12 @@ class Frame {
 };
 
 /// Hook callback. Runs synchronously on the simulated process that executed
-/// the framework function; may call Kernel::debug_break() to stop.
+/// the framework function; may call Kernel::debug_break() to stop, which
+/// parks that process inside the hook until the next run. While it is
+/// parked the debugger may add or remove hooks, this one included: the port
+/// keeps each callable alive and in place until its last running invocation
+/// returns, so registering a hook never moves a running one and removing a
+/// hook never frees one that is running.
 using Hook = std::function<void(Frame&)>;
 
 /// Registry of symbols and hooks. One per kernel.
@@ -224,7 +230,8 @@ class InstrumentPort {
     bool is_enter = true;
     bool enabled = true;
     bool removed = false;
-    Hook fn;
+    /// Shared with every running invocation (see Hook); reset on removal.
+    std::shared_ptr<const Hook> fn;
   };
   struct SymbolHooks {
     std::vector<std::uint32_t> enter;  // indexes into hooks_

@@ -73,8 +73,8 @@ std::vector<std::string> InstrumentPort::all_symbols() const { return symbol_nam
 HookId InstrumentPort::add_enter_hook(SymbolId symbol, Hook hook) {
   DFDBG_CHECK(symbol.valid() && symbol.value() < per_symbol_.size());
   auto id = HookId(static_cast<std::uint32_t>(hooks_.size()));
-  hooks_.push_back(HookRecord{symbol, /*is_enter=*/true, /*enabled=*/true,
-                              /*removed=*/false, std::move(hook)});
+  hooks_.push_back(HookRecord{symbol, /*is_enter=*/true, /*enabled=*/true, /*removed=*/false,
+                              std::make_shared<const Hook>(std::move(hook))});
   per_symbol_[symbol.value()].enter.push_back(id.value());
   return id;
 }
@@ -82,8 +82,8 @@ HookId InstrumentPort::add_enter_hook(SymbolId symbol, Hook hook) {
 HookId InstrumentPort::add_exit_hook(SymbolId symbol, Hook hook) {
   DFDBG_CHECK(symbol.valid() && symbol.value() < per_symbol_.size());
   auto id = HookId(static_cast<std::uint32_t>(hooks_.size()));
-  hooks_.push_back(HookRecord{symbol, /*is_enter=*/false, /*enabled=*/true,
-                              /*removed=*/false, std::move(hook)});
+  hooks_.push_back(HookRecord{symbol, /*is_enter=*/false, /*enabled=*/true, /*removed=*/false,
+                              std::make_shared<const Hook>(std::move(hook))});
   per_symbol_[symbol.value()].exit.push_back(id.value());
   return id;
 }
@@ -93,7 +93,7 @@ void InstrumentPort::remove_hook(HookId id) {
   HookRecord& rec = hooks_[id.value()];
   if (rec.removed) return;
   rec.removed = true;
-  rec.fn = nullptr;
+  rec.fn.reset();  // a running invocation holds its own reference
   auto& lists = per_symbol_[rec.symbol.value()];
   auto& list = rec.is_enter ? lists.enter : lists.exit;
   for (auto it = list.begin(); it != list.end(); ++it) {
@@ -144,12 +144,16 @@ void InstrumentPort::fire_list(Kernel& kernel, const std::vector<std::uint32_t>&
   std::vector<std::uint32_t> snapshot = list;
   per_symbol_[symbol.value()].hits += snapshot.size();
   for (std::uint32_t idx : snapshot) {
-    HookRecord& rec = hooks_[idx];
+    const HookRecord& rec = hooks_[idx];
     if (rec.removed || !rec.enabled) continue;
     hook_invocations_++;
     HookMetrics::get().invocations.add();
+    // The hook may stop the simulation and park here while the debugger
+    // adds hooks (reallocating hooks_) or removes this one: call through
+    // our own reference to the callable, never through `rec`.
+    std::shared_ptr<const Hook> fn = rec.fn;
     Frame frame(kernel, symbol, symbol_names_[symbol.value()], args, ret);
-    rec.fn(frame);
+    (*fn)(frame);
   }
 }
 

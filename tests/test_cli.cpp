@@ -2,8 +2,10 @@
 // output, value/expression handling, auto-completion, error reporting.
 #include <gtest/gtest.h>
 
+#include "dfdbg/common/strings.hpp"
 #include "dfdbg/dbgcli/cli.hpp"
 #include "dfdbg/h264/app.hpp"
+#include "dfdbg/obs/metrics.hpp"
 
 namespace dfdbg::cli {
 namespace {
@@ -52,6 +54,19 @@ TEST(Cli, UnknownCommandReported) {
   CliRig rig;
   EXPECT_FALSE(rig.gdb->execute("bogus").ok());
   EXPECT_NE(rig.gdb->console().take().find("unknown command"), std::string::npos);
+}
+
+TEST(Cli, UnknownCommandWordsShareOneCounter) {
+  CliRig rig;
+  obs::Registry& reg = obs::Registry::global();
+  const std::size_t before = reg.size();
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(rig.gdb->execute(strformat("bogus%04d", i)).ok());
+  EXPECT_LE(reg.size(), before + 1);
+  EXPECT_GE(reg.counter("cli.cmd.unknown").value(), 1000u);
+  // Known verbs keep a counter of their own.
+  const std::uint64_t infos = reg.counter("cli.cmd.info").value();
+  rig.exec("info breakpoints");
+  EXPECT_EQ(reg.counter("cli.cmd.info").value(), infos + 1);
 }
 
 TEST(Cli, CatchWorkTranscript) {
@@ -225,6 +240,31 @@ TEST(Cli, SourceBreakAndList) {
   EXPECT_NE(out.find("pedf.io.Add2Dblock_ipf_out"), std::string::npos);
   out = rig.exec("list");  // defaults to the current filter
   EXPECT_NE(out.find("ipred.c"), std::string::npos);
+}
+
+TEST(Cli, LineBreakpointSetWhileStoppedInAHook) {
+  // On the sequential backends the first stop parks the decoder inside
+  // pipe's WORK-entry hook, and `break` then registers the source-line hook.
+  // Resuming must run the parked hook intact: registering a hook may not
+  // move a running one.
+  H264AppConfig cfg = CliRig::make_config();
+  cfg.params.frame_count = 2;
+  CliRig rig(cfg);
+  rig.exec("filter pipe catch work");
+  EXPECT_NE(rig.exec("continue").find("[Stopped at WORK entry of filter `pipe']"),
+            std::string::npos);
+  EXPECT_NE(rig.exec("break ipred:221").find("Breakpoint"), std::string::npos);
+  int line_stops = 0;
+  for (;;) {
+    std::string out = rig.exec("continue");
+    if (out.find("[Application finished]") != std::string::npos) break;
+    if (out.find("[Breakpoint: filter `ipred' at line 221]") != std::string::npos) {
+      ++line_stops;
+    } else {
+      ASSERT_NE(out.find("[Stopped at WORK entry of filter `pipe']"), std::string::npos) << out;
+    }
+  }
+  EXPECT_GT(line_stops, 0);
 }
 
 TEST(Cli, WatchCommand) {

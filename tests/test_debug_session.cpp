@@ -341,6 +341,118 @@ TEST(Session, StepBothWithoutStopFails) {
   EXPECT_FALSE(s.step_both().ok());
 }
 
+TEST(Session, StepBothScriptKeepsItsStopsAndDeletesFiredTemporaries) {
+  // The paper's §VI pattern: `filter dbl catch work`, then `step_both` at
+  // every WORK stop, continued to the end.
+  TestApp t(6);
+  Session s(t.app);
+  s.attach();
+  t.elaborate_and_start();
+  auto bp = s.catch_work("dbl");
+  ASSERT_TRUE(bp.ok());
+  std::vector<std::string> stops;
+  for (;;) {
+    RunOutcome out = s.run();
+    for (const StopEvent& ev : out.stops)
+      stops.push_back(std::string(to_string(ev.kind)) + "|" + ev.actor + "|" + ev.iface + "|" +
+                      ev.message);
+    if (out.result != sim::RunResult::kStopped) break;
+    if (out.stops[0].kind == StopKind::kCatchWork) {
+      ASSERT_TRUE(s.step_both().ok());
+    }
+  }
+  std::vector<std::string> expected;
+  for (int step = 0; step < 6; ++step) {
+    expected.push_back("catch-work|dbl||[Stopped at WORK entry of filter `dbl']");
+    expected.push_back("token-sent|dbl|dbl::out|[Stopped after sending token on `dbl::out']");
+    expected.push_back(
+        "token-received|inc|inc::in|[Stopped after receiving token from `inc::in']");
+  }
+  expected.push_back("finished|||[Application finished]");
+  EXPECT_EQ(stops, expected);
+  // Like GDB's tbreak: the arm, send and receive ends of each step_both are
+  // gone once they fired; only the user's catchpoint is left.
+  std::vector<BreakpointInfo> list = s.breakpoints();
+  ASSERT_EQ(list.size(), 1u);
+  EXPECT_EQ(list[0].id, *bp);
+  EXPECT_EQ(list[0].hits, 6u);
+}
+
+TEST(Session, DisabledTemporaryStaysListedUntilItFires) {
+  TestApp t(6);
+  Session s(t.app);
+  s.attach();
+  t.elaborate_and_start();
+  auto pace = s.catch_work("inc");
+  ASSERT_TRUE(pace.ok());
+  ASSERT_TRUE(s.step_both_iface("dbl::out").ok());
+  std::vector<BreakpointInfo> list = s.breakpoints();
+  ASSERT_EQ(list.size(), 3u);
+  const BpId recv = list[1].id;
+  const BpId send = list[2].id;
+  ASSERT_TRUE(list[1].temporary && list[2].temporary);
+  ASSERT_TRUE(s.set_breakpoint_enabled(recv, false).ok());
+  ASSERT_TRUE(s.set_breakpoint_enabled(send, false).ok());
+
+  // Disabled before firing: neither end stops, and both stay listed.
+  RunOutcome out = s.run();
+  ASSERT_EQ(out.result, sim::RunResult::kStopped);
+  EXPECT_EQ(out.stops[0].breakpoint, *pace);
+  list = s.breakpoints();
+  ASSERT_EQ(list.size(), 3u);
+  EXPECT_FALSE(list[1].enabled);
+  EXPECT_FALSE(list[2].enabled);
+
+  // Re-enabled, the send end fires exactly once and then is gone.
+  ASSERT_TRUE(s.set_breakpoint_enabled(send, true).ok());
+  int send_stops = 0;
+  for (;;) {
+    out = s.run();
+    if (out.result != sim::RunResult::kStopped) break;
+    EXPECT_NE(out.stops[0].breakpoint, recv);
+    if (out.stops[0].breakpoint != send) continue;
+    ++send_stops;
+    EXPECT_EQ(out.stops[0].message, "[Stopped after sending token on `dbl::out']");
+    list = s.breakpoints();
+    ASSERT_EQ(list.size(), 2u);
+    EXPECT_EQ(list[0].id, *pace);
+    EXPECT_EQ(list[1].id, recv);
+    EXPECT_FALSE(list[1].enabled);
+  }
+  EXPECT_EQ(out.result, sim::RunResult::kFinished);
+  EXPECT_EQ(send_stops, 1);
+  EXPECT_EQ(s.breakpoints().size(), 2u);  // the never-fired receive end remains
+}
+
+TEST(Session, FiredTemporaryIdIsNotFound) {
+  TestApp t;
+  Session s(t.app);
+  s.attach();
+  t.elaborate_and_start();
+  auto line = s.break_source_line("dbl", 10);
+  ASSERT_TRUE(line.ok());
+  RunOutcome out = s.run();
+  ASSERT_EQ(out.result, sim::RunResult::kStopped);
+  ASSERT_TRUE(s.step_line().ok());                  // one-shot: dbl's next line
+  ASSERT_TRUE(s.step_both_iface("dbl::out").ok());  // send and receive ends
+  // The stop events still name the temporaries that fired...
+  std::vector<BpId> fired;
+  for (;;) {
+    out = s.run();
+    if (out.result != sim::RunResult::kStopped) break;
+    if (out.stops[0].breakpoint != *line) fired.push_back(out.stops[0].breakpoint);
+  }
+  ASSERT_EQ(fired.size(), 3u);
+  // ...but those ids no longer exist.
+  for (BpId id : fired) {
+    EXPECT_EQ(s.set_breakpoint_enabled(id, true).code(), ErrCode::kNotFound);
+    EXPECT_EQ(s.delete_breakpoint(id).code(), ErrCode::kNotFound);
+  }
+  std::vector<BreakpointInfo> list = s.breakpoints();
+  ASSERT_EQ(list.size(), 1u);
+  EXPECT_EQ(list[0].id, *line);
+}
+
 TEST(Session, RecordingAndPrint) {
   TestApp t;
   Session s(t.app);

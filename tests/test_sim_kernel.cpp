@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -389,6 +390,45 @@ TEST(Instrument, HookCanDebugBreak) {
   EXPECT_EQ(after, 0);  // frozen mid-call
   EXPECT_EQ(k.run(), RunResult::kFinished);
   EXPECT_EQ(after, 1);
+}
+
+TEST(Instrument, ParkedHookOutlivesRemovalAndRegistration) {
+  Kernel k;
+  auto& port = k.instrument();
+  port.set_enabled(true);
+  SymbolId s = port.intern("fn");
+  SymbolId other = port.intern("other");
+  // Sets a flag when the hook's closure, which owns the only copy, dies.
+  struct Sentinel {
+    explicit Sentinel(bool* destroyed) : destroyed_(destroyed) {}
+    ~Sentinel() { *destroyed_ = true; }
+    bool* destroyed_;
+  };
+  bool destroyed = false;
+  int resumed_with = 0;
+  auto sentinel = std::make_shared<Sentinel>(&destroyed);
+  HookId h = port.add_enter_hook(s, [&k, &resumed_with, sentinel, tag = 42](Frame&) {
+    k.debug_break();
+    resumed_with = tag;  // reads the closure's own state after the park
+  });
+  sentinel.reset();
+  k.spawn("p", [&] {
+    const ArgValue args[] = {ArgValue::of_i64("x", 1)};
+    InstrScope scope(k, s, args);
+  });
+  ASSERT_EQ(k.run(), RunResult::kStopped);
+  // While stopped: unregister the hook, and register enough hooks to move
+  // the hook table.
+  port.remove_hook(h);
+  for (int i = 0; i < 64; ++i) port.add_enter_hook(other, [](Frame&) {});
+  // Sequential backends park inside the hook, so its closure must still be
+  // alive. The parallel backend defers the break until the hook returned.
+  if (!k.parallel()) {
+    EXPECT_FALSE(destroyed);
+  }
+  EXPECT_EQ(k.run(), RunResult::kFinished);
+  EXPECT_EQ(resumed_with, 42);
+  EXPECT_TRUE(destroyed);  // released when its invocation returned
 }
 
 TEST(Instrument, HookAddedDuringFireDoesNotBreakIteration) {
