@@ -122,7 +122,7 @@ BENCHMARK(BM_JournalOverhead)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
 
 // The kernel's own intrusiveness: the same native decode on each process
 // backend. The thread backend pays two OS semaphore hops per dispatch; the
-// fiber backend a user-space swapcontext pair, which is what the paper's
+// fiber backend a pair of user-space stack switches, which is what the paper's
 // functional simulator (SystemC user-level threads) actually does.
 void BM_BackendIntrusiveness(benchmark::State& state) {
   const auto backend =

@@ -178,7 +178,7 @@ BENCHMARK(BM_StopsVsArmedCatchpoints)->Arg(0)->Arg(4)->Arg(16);
 // Raw scheduler dispatch rate, per process backend. Each of `procs`
 // processes yields `yields` times, so one run is ~procs*yields dispatches
 // of pure scheduling with trivial process bodies — the cost under the
-// microscope is the hand-over itself: two swapcontext calls (fibers) vs two
+// microscope is the hand-over itself: two fiber switches (fibers) vs two
 // semaphore hops through the OS scheduler (threads). The fiber backend is
 // the paper-faithful model (SystemC QuickThreads) and the acceptance bar is
 // >= 10x the thread backend's dispatches/sec on the same machine.
@@ -209,6 +209,36 @@ void BM_DispatchRate(benchmark::State& state) {
       dispatches > 0 ? secs * 1e9 / (2.0 * static_cast<double>(dispatches)) : 0;
 }
 BENCHMARK(BM_DispatchRate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The fiber switch alone, without the scheduler BM_DispatchRate wraps around
+// it: a bare ping-pong between a scheduler anchor and one fiber. Each round
+// trip is two FiberContext::switch_to calls.
+void BM_FiberSwitch(benchmark::State& state) {
+  struct PingPong {
+    sim::FiberContext anchor;
+    std::unique_ptr<sim::FiberContext> fiber;
+    static void entry(void* self) {
+      auto* pp = static_cast<PingPong*>(self);
+      for (;;) sim::FiberContext::switch_to(*pp->fiber, pp->anchor);
+    }
+  } pp;
+  // The fiber stays parked in its loop afterwards; its stack holds no
+  // objects, so unmapping it while parked is safe.
+  pp.fiber = std::make_unique<sim::FiberContext>(64 * 1024, &PingPong::entry, &pp);
+  const int round_trips = 1 << 16;
+  std::uint64_t switches = 0;
+  double secs = 0.0;
+  for (auto _ : state) {
+    secs += benchutil::time_s([&] {
+      for (int i = 0; i < round_trips; ++i) sim::FiberContext::switch_to(pp.anchor, *pp.fiber);
+    });
+    switches += 2 * round_trips;
+  }
+  state.counters["switches"] = static_cast<double>(switches);
+  state.counters["ns_per_switch"] =
+      switches > 0 ? secs * 1e9 / static_cast<double>(switches) : 0;
+}
+BENCHMARK(BM_FiberSwitch)->Unit(benchmark::kMillisecond);
 
 // The same dispatch-rate probe but through the full PEDF stack: the layered
 // pipeline of BM_ObservedRunVsTraffic, undebugged, per backend. Shows that

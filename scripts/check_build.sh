@@ -285,11 +285,13 @@ echo "== fleet gate (protocol v2, 8 sessions / 2 shards) =="
 # shards, run each to completion, and validate isolation (each session's
 # journal/token counts are its own; the default session records nothing),
 # the --session client flag, the v1 default-session alias, and clean idle
-# eviction (docs/PROTOCOL.md "Sessions").
+# eviction (docs/PROTOCOL.md "Sessions"). The 3 s idle timeout sits well
+# above the time the checks below take on a loaded host, so no session is
+# reaped before the eviction check asks for it.
 sock="build/dfdbg_fleet.sock"
 rm -f "$sock"
 ./build/tools/dfdbg-serve --unix "$sock" --shards 2 --max-sessions 32 \
-  --idle-evict-ms 200 >"build/serve_fleet.log" 2>&1 &
+  --idle-evict-ms 3000 >"build/serve_fleet.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 100); do
   [ -S "$sock" ] && break
@@ -309,6 +311,13 @@ out="build/fleet_check.txt"
   printf ':session_list\n'
 } | ./build/tools/dfdbg-client --unix "$sock" --raw >"$out" \
   || { echo "FAIL: fleet dfdbg-client exited non-zero"; cat "$out"; exit 1; }
+# --session attaches before the first command; the attached session answers.
+# Checked right after the creating client, while w3 is freshly detached.
+printf ':info_links\n' \
+  | ./build/tools/dfdbg-client --unix "$sock" --raw --session w3 >"build/fleet_session_flag.txt" \
+  || { echo "FAIL: dfdbg-client --session exited non-zero"; cat "build/fleet_session_flag.txt"; exit 1; }
+grep -q '"links"' "build/fleet_session_flag.txt" \
+  || { echo "FAIL: --session w3 got no links"; cat "build/fleet_session_flag.txt"; exit 1; }
 if [ "$have_python" -eq 1 ]; then
   python3 - "$out" <<'PYEOF'
 import json, sys
@@ -341,12 +350,6 @@ PYEOF
 else
   grep -q '"count":9' "$out" || { echo "FAIL: fleet session_list wrong"; cat "$out"; exit 1; }
 fi
-# --session attaches before the first command; the attached session answers.
-printf ':info_links\n' \
-  | ./build/tools/dfdbg-client --unix "$sock" --raw --session w3 >"build/fleet_session_flag.txt" \
-  || { echo "FAIL: dfdbg-client --session exited non-zero"; cat "build/fleet_session_flag.txt"; exit 1; }
-grep -q '"links"' "build/fleet_session_flag.txt" \
-  || { echo "FAIL: --session w3 got no links"; cat "build/fleet_session_flag.txt"; exit 1; }
 # v1 alias: a client that never mentions sessions is served by the default
 # H.264 session exactly as the single-session server answered.
 printf '%s\n' ':ping' ':info_links' \
@@ -356,9 +359,9 @@ grep -q '"pong":true' "build/fleet_v1.txt" || { echo "FAIL: v1 ping"; exit 1; }
 grep -q 'coeff_in' "build/fleet_v1.txt" \
   || { echo "FAIL: v1 info_links did not serve the default decoder session"; cat "build/fleet_v1.txt"; exit 1; }
 if grep -q '"error"' "build/fleet_v1.txt"; then echo "FAIL: v1 transcript has errors"; exit 1; fi
-# Clean eviction: with every client gone, the 200ms idle timeout reaps all 8
-# wide sessions; the default session is exempt.
-sleep 0.8
+# Clean eviction: with every client gone, the 3 s idle timeout (polled every
+# 100 ms) reaps all 8 wide sessions; the default session is exempt.
+sleep 4
 printf ':session_list\n:shutdown\n' \
   | ./build/tools/dfdbg-client --unix "$sock" --raw >"build/fleet_evict.txt" \
   || { echo "FAIL: evict-check client exited non-zero"; cat "build/fleet_evict.txt"; exit 1; }
@@ -374,8 +377,8 @@ echo "== sanitizer gate (ASan+UBSan) =="
 # tests that hammer it hardest. So is a debugger hook parked at a stop while
 # the session adds or removes hooks and deletes fired temporary rules: the
 # session and CLI suites drive those paths. Threads backend only — the
-# fibers backend swaps ucontext stacks, which ASan's stack bookkeeping
-# cannot follow.
+# fibers backend switches stacks in its own assembly routine, which ASan's
+# stack bookkeeping cannot follow.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
@@ -393,7 +396,7 @@ echo "== sanitizer gate (TSan, parallel backend) =="
 # The parallel backend's worker threads, boundary rings and barrier protocol
 # are the only genuinely concurrent code in the tree: build the parallel test
 # suite under ThreadSanitizer and run the multi-worker tests. The thread
-# substrate replaces fibers (TSan cannot follow raw swapcontext stacks), so
+# substrate replaces fibers (TSan cannot follow fiber stack switches), so
 # the two fibers-comparison tests are excluded — everything the workers do
 # concurrently is still exercised.
 cmake -B build-tsan -S . \

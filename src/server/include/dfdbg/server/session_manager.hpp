@@ -11,8 +11,9 @@
 // so a session destroyed concurrently by its owning shard can never dangle
 // under a cross-shard reader. The *worlds* are not shared — a session's
 // kernel, dbg::Session and interpreter may only be touched by the owning
-// shard, and create/destroy must run there too (ucontext fibers are created,
-// run and unwound on one thread); a cross-shard holder of a pin may read
+// shard, and create/destroy must run there too (a world is single-threaded
+// state: its fibers are created, run and unwound on one thread); a
+// cross-shard holder of a pin may read
 // only the immutable identity fields and the atomic stat mirrors, refreshed
 // by the owning shard after each verb.
 #pragma once

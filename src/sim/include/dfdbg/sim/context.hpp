@@ -2,19 +2,24 @@
 //
 // The paper debugs the P2012 *functional simulator*, whose actors run as
 // SystemC user-level cooperative threads (QuickThreads): switching between
-// them is a few dozen nanoseconds of register save/restore, invisible to the
-// OS and to a thread-level debugger. This file reproduces that substrate with
-// POSIX ucontext (`makecontext`/`swapcontext`): each fiber owns an `mmap`'d
-// stack with a PROT_NONE guard page below it, so a runaway recursion faults
-// deterministically instead of silently corrupting a neighbouring stack.
+// them is a register save/restore, invisible to the OS and to a thread-level
+// debugger. This file reproduces that substrate. On x86-64 a switch is a
+// small assembly routine that saves the callee-saved registers, MXCSR and
+// the x87 control word on the current stack, swaps the stack pointer and
+// restores the same set from the target stack: no system call, ~20 ns
+// (`BM_FiberSwitch`). Other targets fall back to POSIX ucontext
+// (`makecontext`/`swapcontext`, which also saves the signal mask with one
+// syscall per switch). Each fiber owns an `mmap`'d stack with a PROT_NONE
+// guard page below it, so a runaway recursion faults deterministically
+// instead of silently corrupting a neighbouring stack.
 //
 // The kernel keeps three interchangeable process backends:
 //   kFibers  (default) — dispatch is one user-space context switch each way;
 //                        no OS scheduling on the hot path.
 //   kThreads           — the original std::thread + two-semaphore handoff.
 //                        Slower by orders of magnitude, but sanitizer- and
-//                        valgrind-friendly (those tools do not follow raw
-//                        `swapcontext` stacks).
+//                        valgrind-friendly (those tools do not follow
+//                        hand-switched fiber stacks).
 //   kParallel          — the graph is partitioned into per-cluster sub-kernels,
 //                        each drained by its own worker thread (fibers inside a
 //                        partition, a conservative barrier between partitions).
@@ -24,16 +29,18 @@
 // API.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
+
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 namespace dfdbg::sim {
 
 /// How the kernel executes simulated processes. See file comment.
 enum class ProcessBackend {
   kThreads,   ///< one OS thread per process, semaphore handoff per dispatch
-  kFibers,    ///< user-level stackful contexts, swapcontext per dispatch
+  kFibers,    ///< user-level stackful contexts, two fiber switches per dispatch
   kParallel,  ///< partitioned sub-kernels on worker threads, barrier-synced
 };
 
@@ -54,7 +61,7 @@ const char* to_string(ProcessBackend b);
 /// Substrate simulated processes run on inside a kParallel partition: fibers
 /// (default) or parked OS threads when DFDBG_PARALLEL_SUBSTRATE=threads —
 /// the sanitizer-friendly variant ThreadSanitizer CI uses, since TSan does
-/// not follow raw swapcontext stacks. Scheduling is identical either way.
+/// not follow fiber stack switches. Scheduling is identical either way.
 [[nodiscard]] bool parallel_uses_thread_processes();
 
 /// Overrides the process-wide default (benchmarks flip this to measure both
@@ -68,6 +75,9 @@ void set_default_process_backend(ProcessBackend b);
 ///    first switch into it calls `entry(arg)`. `entry` must never return —
 ///    it hands control back by switching to another context (the kernel
 ///    switches out of a finished fiber and never re-enters it).
+/// A parked context may be resumed from any thread; nothing in a context is
+/// tied to the thread that saved it (but code running on a fiber that moves
+/// must not reuse a thread-local read from before the switch).
 class FiberContext {
  public:
   using Entry = void (*)(void*);
@@ -100,9 +110,16 @@ class FiberContext {
   [[nodiscard]] static std::size_t default_stack_bytes();
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
+  [[noreturn]] static void start(FiberContext* self);
 
+#if defined(__x86_64__)
+  /// Stack pointer saved by the last switch away from this context; the
+  /// saved registers sit just above it on the context's own stack.
+  void* sp_ = nullptr;
+#else
+  static void trampoline(unsigned hi, unsigned lo);
   ucontext_t uc_;
+#endif
   void* map_base_ = nullptr;   ///< mmap base (guard page included)
   std::size_t map_bytes_ = 0;  ///< total mapping size
   std::size_t stack_bytes_ = 0;

@@ -16,8 +16,9 @@
 // what gives the CLI its `continue` semantics.
 //
 // Execution backends: processes run either on stackful user-level fibers
-// (default — dispatch is a ~100 ns swapcontext, mirroring the SystemC
-// QuickThreads model the paper's simulator uses), on parked OS threads
+// (default — a dispatch is two register-only stack switches of ~20 ns each
+// on x86-64, mirroring the SystemC QuickThreads model the paper's simulator
+// uses), on parked OS threads
 // (legacy — sanitizer/valgrind friendly), or on the *parallel* backend: the
 // process set is partitioned into per-cluster sub-kernels, each drained to
 // quiescence by its own worker thread between conservative barriers, with

@@ -373,7 +373,7 @@ void Kernel::dispatch(Process* p) {
     m.dispatches.add();
     // Two control transfers per dispatch on either backend: one into the
     // process, one back to the scheduler when it yields. (Fibers: two
-    // swapcontext calls; threads: two semaphore handoffs.)
+    // FiberContext::switch_to calls; threads: two semaphore handoffs.)
     m.context_switches.add(2);
     // Depth observed when the process left the queue, i.e. the backlog it
     // waited behind.

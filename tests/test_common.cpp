@@ -1,6 +1,8 @@
 // Unit tests for the df_common utility library.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dfdbg/common/ids.hpp"
 #include "dfdbg/common/json.hpp"
 #include "dfdbg/common/prng.hpp"
@@ -72,6 +74,71 @@ TEST(RingBuffer, AtIndexesFromOldest) {
   EXPECT_EQ(rb.at(0), 2);
   EXPECT_EQ(rb.at(1), 3);
   EXPECT_EQ(rb.at(2), 4);
+}
+
+TEST(RingBuffer, CapacityBeforeAnyPush) {
+  RingBuffer<int> rb(1u << 17);
+  EXPECT_EQ(rb.capacity(), 1u << 17);
+  EXPECT_EQ(rb.size(), 0u);
+  EXPECT_TRUE(rb.empty());
+  EXPECT_EQ(rb.total_pushed(), 0u);
+}
+
+/// Counts its live instances; has no default constructor.
+struct Tracked {
+  int* live;
+  int v;
+  Tracked(int* l, int x) : live(l), v(x) { ++*live; }
+  Tracked(const Tracked& o) : live(o.live), v(o.v) { ++*live; }
+  Tracked& operator=(const Tracked&) = default;
+  ~Tracked() { --*live; }
+};
+
+/// No slot is constructed until an element is pushed into it: a ring needs
+/// neither a default constructor nor value-initialised storage.
+TEST(RingBuffer, SlotsAreOnlyConstructedByPushes) {
+  int live = 0;
+  {
+    RingBuffer<Tracked> rb(1000);
+    EXPECT_EQ(live, 0);
+    rb.push(Tracked(&live, 7));
+    EXPECT_EQ(live, 1);
+    EXPECT_EQ(rb.front().v, 7);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(RingBuffer, WrapsAndEvictsInPushOrder) {
+  RingBuffer<int> rb(4);
+  std::vector<bool> evicted;
+  for (int i = 0; i < 11; ++i) evicted.push_back(rb.push(i));
+  EXPECT_EQ(evicted, (std::vector<bool>{false, false, false, false, true, true, true, true, true,
+                                        true, true}));
+  ASSERT_EQ(rb.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(rb.at(i), 7 + static_cast<int>(i));
+  EXPECT_EQ(rb.front(), 7);
+  EXPECT_EQ(rb.back(), 10);
+  EXPECT_EQ(rb.total_pushed(), 11u);
+}
+
+TEST(RingBuffer, ClearAfterWrapThenRefill) {
+  RingBuffer<int> rb(3);
+  for (int i = 0; i < 5; ++i) rb.push(i);  // wrapped: holds 2, 3, 4
+  rb.clear();
+  EXPECT_TRUE(rb.empty());
+  EXPECT_EQ(rb.capacity(), 3u);
+  EXPECT_EQ(rb.total_pushed(), 5u);  // a lifetime count; clear() keeps it
+  EXPECT_FALSE(rb.push(10));
+  EXPECT_FALSE(rb.push(11));
+  ASSERT_EQ(rb.size(), 2u);
+  EXPECT_EQ(rb.front(), 10);
+  EXPECT_EQ(rb.back(), 11);
+  EXPECT_FALSE(rb.push(12));
+  EXPECT_TRUE(rb.push(13));  // full again: evicts 10, the oldest since clear()
+  ASSERT_EQ(rb.size(), 3u);
+  EXPECT_EQ(rb.at(0), 11);
+  EXPECT_EQ(rb.at(1), 12);
+  EXPECT_EQ(rb.at(2), 13);
 }
 
 TEST(Strings, Split) {

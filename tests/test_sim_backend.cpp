@@ -2,14 +2,23 @@
 // observationally identical — same dispatch/activation sequences, same
 // teardown-by-unwind behaviour, byte-identical trace output — so that every
 // golden file and replay recording is valid under either. Plus the fiber
-// backend's guard-page stack-overflow detection.
+// backend's guard-page stack-overflow detection and the fiber switch itself:
+// what it must preserve per context, the ABI alignment of a fresh fiber's
+// first frame, unwinding on fiber stacks and resumption on another thread.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dfdbg/common/prng.hpp"
+#include "dfdbg/common/strings.hpp"
 #include "dfdbg/h264/app.hpp"
 #include "dfdbg/sim/kernel.hpp"
 #include "dfdbg/trace/trace.hpp"
@@ -213,6 +222,187 @@ TEST(FiberStacks, GuardPageCatchesOverflowDeathTest) {
         k.run();
       },
       "");
+}
+
+// --- fiber switch ------------------------------------------------------------
+
+/// One fiber against a scheduler anchor, without a kernel: resume() runs the
+/// body until it yields or finishes. The entry never returns, so a finished
+/// body parks in a yield loop; its stack then holds no live objects.
+struct FiberRig {
+  FiberContext anchor;
+  std::unique_ptr<FiberContext> fiber;
+  std::function<void(FiberRig&)> body;
+  bool done = false;
+
+  explicit FiberRig(std::function<void(FiberRig&)> b) : body(std::move(b)) {
+    fiber = std::make_unique<FiberContext>(64 * 1024, &FiberRig::entry, this);
+  }
+  static void entry(void* self) {
+    auto* rig = static_cast<FiberRig*>(self);
+    rig->body(*rig);
+    rig->done = true;
+    for (;;) rig->yield();
+  }
+  void yield() { FiberContext::switch_to(*fiber, anchor); }
+  void resume() { FiberContext::switch_to(anchor, *fiber); }
+};
+
+/// 1/3 in the current SSE rounding mode (volatile operands: evaluated here,
+/// at run time, not folded at compile time).
+double sse_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+/// The rounding mode lives in the x87 control word and MXCSR, which the ABI
+/// makes callee-saved: each context keeps its own across switches.
+TEST(FiberSwitch, FloatingPointControlStateIsPerContext) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = sse_third();
+  double fiber_upward = 0.0;
+  int fiber_mode_after_resume = -1;
+  double fiber_third_after_resume = 0.0;
+  FiberRig rig([&](FiberRig& r) {
+    std::fesetround(FE_UPWARD);
+    fiber_upward = sse_third();
+    r.yield();
+    fiber_mode_after_resume = std::fegetround();
+    fiber_third_after_resume = sse_third();
+    std::fesetround(FE_TONEAREST);
+  });
+  rig.resume();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // x87 control word
+  EXPECT_EQ(sse_third(), nearest);             // MXCSR
+  EXPECT_NE(fiber_upward, nearest);
+  rig.resume();
+  ASSERT_TRUE(rig.done);
+  EXPECT_EQ(fiber_mode_after_resume, FE_UPWARD);
+  EXPECT_EQ(fiber_third_after_resume, fiber_upward);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+/// Six live 64-bit values per side force the compiler to keep state in every
+/// callee-saved register across each switch; a register the switch forgot
+/// would leak one side's values into the other's.
+std::uint64_t mix_steps(std::uint64_t seed, int steps, const std::function<void()>& between) {
+  std::uint64_t a = seed, b = seed * 3, c = seed * 5, d = seed * 7, e = seed * 11, f = seed * 13;
+  for (int i = 0; i < steps; ++i) {
+    a += b;
+    b ^= c << 1;
+    c += d * 3;
+    d ^= e >> 2;
+    e += f;
+    f += a * 7;
+    between();
+  }
+  return a ^ b ^ c ^ d ^ e ^ f;
+}
+
+TEST(FiberSwitch, CalleeSavedStateSurvivesSwitchesOnBothSides) {
+  const std::uint64_t want_fiber = mix_steps(2, 1000, [] {});
+  const std::uint64_t want_sched = mix_steps(1, 1000, [] {});
+  std::uint64_t got_fiber = 0;
+  FiberRig rig([&](FiberRig& r) { got_fiber = mix_steps(2, 1000, [&r] { r.yield(); }); });
+  const std::uint64_t got_sched = mix_steps(1, 1000, [&rig] { rig.resume(); });
+  rig.resume();
+  ASSERT_TRUE(rig.done);
+  EXPECT_EQ(got_fiber, want_fiber);
+  EXPECT_EQ(got_sched, want_sched);
+}
+
+/// Address of an over-aligned local. Kept out of line: a frame holding one
+/// is realigned by the compiler, which would hide a misaligned caller.
+__attribute__((noinline)) std::uintptr_t overaligned_local_address() {
+  alignas(32) volatile unsigned char v32[32] = {};
+  return reinterpret_cast<std::uintptr_t>(&v32[0]);
+}
+
+/// A fresh fiber's first frame must follow the ABI (rsp 16-byte aligned at
+/// each call); every deeper frame inherits that alignment. An alignas(16)
+/// local sits at a fixed offset from the incoming stack pointer, so it shows
+/// a misaligned entry directly; a varargs double goes through aligned vector
+/// spills (movaps), which fault on a misaligned stack.
+TEST(FiberSwitch, FirstFrameIsAbiAligned) {
+  std::uintptr_t addr16 = 1;
+  std::uintptr_t addr32 = 1;
+  std::string formatted;
+  FiberRig rig([&](FiberRig&) {
+    alignas(16) volatile unsigned char v16[16] = {};
+    addr16 = reinterpret_cast<std::uintptr_t>(&v16[0]);
+    volatile double x = 2.0 / 3.0;
+    formatted = strformat("%.3f", x);
+    addr32 = overaligned_local_address();
+  });
+  rig.resume();
+  ASSERT_TRUE(rig.done);
+  EXPECT_EQ(addr16 % 16, 0u);
+  EXPECT_EQ(addr32 % 32, 0u);
+  EXPECT_EQ(formatted, "0.667");
+}
+
+struct DtorCounter {
+  int* count;
+  ~DtorCounter() { ++*count; }
+};
+
+void yield_then_throw(FiberRig& r, int depth, int* dtors) {  // NOLINT(misc-no-recursion)
+  DtorCounter guard{dtors};
+  r.yield();
+  if (depth == 0) throw std::runtime_error("thrown after switching");
+  yield_then_throw(r, depth - 1, dtors);
+}
+
+/// Frames that were parked and resumed several times unwind normally: the
+/// handler in the same fiber catches, and every frame's destructor runs.
+TEST(FiberSwitch, ExceptionAfterSeveralSwitchesIsCaughtInTheFiber) {
+  std::string caught;
+  int dtors = 0;
+  FiberRig rig([&](FiberRig& r) {
+    try {
+      yield_then_throw(r, 4, &dtors);
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+  });
+  int resumes = 0;
+  while (!rig.done) {
+    rig.resume();
+    ++resumes;
+  }
+  EXPECT_EQ(resumes, 6);  // five yields, then the run that throws and finishes
+  EXPECT_EQ(caught, "thrown after switching");
+  EXPECT_EQ(dtors, 5);
+}
+
+/// The calling thread's id, read afresh on every call. pthread_self() is
+/// declared const, so two inline reads in one function may be merged across
+/// a switch that moved the fiber to another thread.
+__attribute__((noipa)) std::thread::id current_thread_id() { return std::this_thread::get_id(); }
+
+/// A parked fiber can be resumed from a different OS thread than the one it
+/// started on (parallel workers, ~Kernel teardown).
+TEST(FiberSwitch, FiberStartedOnOneThreadFinishesOnAnother) {
+  std::thread::id seen_first;
+  std::thread::id seen_second;
+  FiberRig rig([&](FiberRig& r) {
+    seen_first = current_thread_id();
+    r.yield();
+    seen_second = current_thread_id();
+  });
+  std::thread::id starter;
+  std::thread t([&] {
+    starter = std::this_thread::get_id();
+    rig.resume();
+  });
+  t.join();
+  ASSERT_FALSE(rig.done);
+  rig.resume();
+  ASSERT_TRUE(rig.done);
+  EXPECT_EQ(seen_first, starter);
+  EXPECT_EQ(seen_second, std::this_thread::get_id());
+  EXPECT_NE(seen_first, seen_second);
 }
 
 }  // namespace
