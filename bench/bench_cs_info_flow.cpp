@@ -96,8 +96,8 @@ void BM_ProvenanceWalk(benchmark::State& state) {
   std::uint64_t idx = 0;
   for (int hop = 0; hop < 64; ++hop) {
     std::uint32_t link = hop % 2 == 0 ? 0u : 1u;
-    const char* producer = hop % 2 == 0 ? "m.a" : "m.b";
-    const char* consumer = hop % 2 == 0 ? "m.b" : "m.a";
+    const std::uint32_t producer = hop % 2 == 0 ? 0 : 1;  // framework ids of m.a, m.b
+    const std::uint32_t consumer = 1 - producer;
     last = model.on_push(link, idx++, pedf::Value::u32(1), producer, 1);
     model.on_pop(link, consumer, 2);
   }

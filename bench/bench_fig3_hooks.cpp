@@ -79,8 +79,8 @@ static void BM_ModelTokenMirror(benchmark::State& state) {
   pedf::Value v = pedf::Value::u32(7);
   std::uint64_t idx = 0;
   for (auto _ : state) {
-    model.on_push(0, idx++, v, "m.a", 1);
-    model.on_pop(0, "m.b", 2);
+    model.on_push(0, idx++, v, /*actor=*/0, 1);
+    model.on_pop(0, /*actor=*/1, 2);
   }
   state.counters["tokens_observed"] = static_cast<double>(model.tokens_observed());
 }
@@ -103,8 +103,8 @@ static void BM_ModelMirrorStructTokens(benchmark::State& state) {
   pedf::Value v = pedf::Value::make_struct(st);
   std::uint64_t idx = 0;
   for (auto _ : state) {
-    model.on_push(0, idx++, v, "m.a", 1);
-    model.on_pop(0, "m.b", 2);
+    model.on_push(0, idx++, v, /*actor=*/0, 1);
+    model.on_pop(0, /*actor=*/1, 2);
   }
 }
 BENCHMARK(BM_ModelMirrorStructTokens)->Arg(3)->Arg(22);

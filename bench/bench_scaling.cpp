@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "dfdbg/debug/session.hpp"
+#include "dfdbg/h264/app.hpp"
 #include "dfdbg/mind/analyze.hpp"
 #include "dfdbg/mind/instantiate.hpp"
 #include "dfdbg/mind/parser.hpp"
@@ -338,27 +339,20 @@ void BM_LinkRing(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkRing)->Arg(1)->Arg(32);
 
-// The full framework stack on struct tokens: host source -> relay filter ->
-// host sink through the pedf__link_push/pop shims (fibers backend, latencies
-// off so token transport dominates). Arg = firing batch: 1 is the
-// paper-faithful token-at-a-time hook stream, >1 opts every endpoint into
-// the batched firing fast path (one instrumentation scope and one coalesced
-// notify per burst).
-void BM_TokenHotPath(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const auto saved = sim::default_process_backend();
-  sim::set_default_process_backend(sim::ProcessBackend::kFibers);
-  const std::size_t kTokens = 64 * 1024;  // multiple of every batch size
-  std::uint64_t tokens = 0;
-  std::uint64_t allocs = 0;
-  double secs = 0.0;
-  for (auto _ : state) {
-    sim::Kernel k;
-    sim::PlatformConfig pc;
-    pc.clusters = 1;
-    pc.pes_per_cluster = 4;
-    sim::Platform plat(k, pc);
-    pedf::Application app(plat, "bm");
+/// The full framework stack on struct tokens: host source -> relay filter ->
+/// host sink through the pedf__link_push/pop shims, latencies off so token
+/// transport dominates. `batch` is every endpoint's firing batch: 1 is the
+/// paper-faithful token-at-a-time hook stream, >1 opts into the batched
+/// firing fast path (one blocking check and one coalesced notify per burst).
+/// The kernel takes the default process backend.
+struct RelayWorld {
+  static constexpr std::size_t kTokens = 64 * 1024;  // multiple of every batch size
+
+  sim::Kernel k;
+  sim::Platform plat;
+  pedf::Application app;
+
+  explicit RelayWorld(std::size_t batch) : plat(k, platform_config()), app(plat, "bm") {
     app.set_model_latencies(false);
     const pedf::StructType* st = chroma_type(app.types());
     auto root = std::make_unique<pedf::Module>("top");
@@ -389,13 +383,33 @@ void BM_TokenHotPath(benchmark::State& state) {
     app.add_host_source("src", "top.min", std::move(stream)).set_fire_batch(batch);
     app.add_host_sink("snk", "top.mout", kTokens).set_fire_batch(batch);
     DFDBG_CHECK(app.elaborate().ok());
-    app.start();
+  }
+
+  static sim::PlatformConfig platform_config() {
+    sim::PlatformConfig pc;
+    pc.clusters = 1;
+    pc.pes_per_cluster = 4;
+    return pc;
+  }
+};
+
+// RelayWorld on the fibers backend. Arg = firing batch.
+void BM_TokenHotPath(benchmark::State& state) {
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  const auto saved = sim::default_process_backend();
+  sim::set_default_process_backend(sim::ProcessBackend::kFibers);
+  std::uint64_t tokens = 0;
+  std::uint64_t allocs = 0;
+  double secs = 0.0;
+  for (auto _ : state) {
+    RelayWorld w(batch);
+    w.app.start();
     {
       AllocWindow window;
-      secs += benchutil::time_s([&] { k.run(); });
+      secs += benchutil::time_s([&] { w.k.run(); });
       allocs += AllocWindow::count();
     }
-    tokens += kTokens * 2;  // each token crosses two links
+    tokens += RelayWorld::kTokens * 2;  // each token crosses two links
   }
   sim::set_default_process_backend(saved);
   state.counters["fire_batch"] = static_cast<double>(batch);
@@ -404,6 +418,95 @@ void BM_TokenHotPath(benchmark::State& state) {
       tokens > 0 ? static_cast<double>(allocs) / static_cast<double>(tokens) : 0;
 }
 BENCHMARK(BM_TokenHotPath)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// RelayWorld (fibers, firing batch 1) under an attached debugger Session with
+// nothing armed: every push and pop runs the mirror's data-exchange hooks and
+// every firing the WORK entry/exit hooks, the paper's per-event intrusiveness.
+// allocs_per_hook counts heap allocations per hook invocation over the run
+// (bar: <= 0.01, checked by scripts/check_build.sh); ns_per_hook is the run's
+// wall time per hook invocation, framework work included.
+void BM_AttachedHotPath(benchmark::State& state) {
+  const auto saved = sim::default_process_backend();
+  sim::set_default_process_backend(sim::ProcessBackend::kFibers);
+  std::uint64_t hooks = 0;
+  std::uint64_t tokens = 0;
+  std::uint64_t allocs = 0;
+  double secs = 0.0;
+  for (auto _ : state) {
+    RelayWorld w(1);
+    dbg::Session session(w.app);
+    session.attach();
+    w.app.start();
+    {
+      AllocWindow window;
+      secs += benchutil::time_s([&] {
+        while (session.run().result == sim::RunResult::kStopped) {
+        }
+      });
+      allocs += AllocWindow::count();
+    }
+    hooks += w.k.instrument().hook_invocations();
+    tokens += RelayWorld::kTokens;
+  }
+  sim::set_default_process_backend(saved);
+  const double h = static_cast<double>(hooks);
+  state.counters["hooks_per_token"] = tokens > 0 ? h / static_cast<double>(tokens) : 0;
+  state.counters["allocs_per_hook"] = hooks > 0 ? static_cast<double>(allocs) / h : 0;
+  state.counters["ns_per_hook"] = hooks > 0 ? secs * 1e9 / h : 0;
+}
+BENCHMARK(BM_AttachedHotPath)->Unit(benchmark::kMillisecond);
+
+// What attaching a debugger adds to a whole decode: the seed-1 128x128x16
+// H.264 stream (perfbench decode_debug's configuration), run plain (Arg 0)
+// or under a Session with nothing armed (Arg 1), obs off. allocs_per_push
+// is heap allocations over the run per link push; wide_per_push is the
+// share of pushes whose payload is wider than Value's inline words, each of
+// which the mirror snapshots with one allocation.
+void BM_AttachedDecode(benchmark::State& state) {
+  const bool attach = state.range(0) != 0;
+  h264::H264AppConfig cfg;
+  cfg.params.width = 128;
+  cfg.params.height = 128;
+  cfg.params.frame_count = 16;
+  cfg.seed = 1;
+  std::uint64_t pushes = 0;
+  std::uint64_t wide = 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    auto built = h264::H264App::build(cfg);
+    DFDBG_CHECK_MSG(built.ok(), built.status().message());
+    h264::H264App& app = **built;
+    std::unique_ptr<dbg::Session> session;
+    if (attach) {
+      session = std::make_unique<dbg::Session>(app.app());
+      session->attach();
+    }
+    app.start();
+    {
+      AllocWindow window;
+      if (session != nullptr) {
+        while (session->run().result == sim::RunResult::kStopped) {
+        }
+      } else {
+        app.kernel().run();
+      }
+      allocs += AllocWindow::count();
+    }
+    DFDBG_CHECK(app.decoded_matches_golden());
+    for (const auto& l : app.app().links()) {
+      pushes += l->push_index();
+      const pedf::StructType* st = l->type().struct_type();
+      if (st != nullptr && st->fields().size() > pedf::Value::kInlineFields)
+        wide += l->push_index();
+    }
+  }
+  const double p = static_cast<double>(pushes);
+  state.counters["attached"] = attach ? 1 : 0;
+  state.counters["pushes"] = p / static_cast<double>(state.iterations());
+  state.counters["allocs_per_push"] = pushes > 0 ? static_cast<double>(allocs) / p : 0;
+  state.counters["wide_per_push"] = pushes > 0 ? static_cast<double>(wide) / p : 0;
+}
+BENCHMARK(BM_AttachedDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- parallel backend scaling -----------------------------------------------
 

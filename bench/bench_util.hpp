@@ -78,7 +78,10 @@ inline double run_decoder_once(const h264::H264AppConfig& cfg, bool attach_debug
 ///
 /// `counters` are the benchmark's own state.counters; `metrics` is a
 /// snapshot of the obs registry's top-level counters (per-symbol and
-/// per-command instruments are elided to keep the line bounded).
+/// per-command instruments are elided to keep the line bounded). With
+/// --benchmark_repetitions the aggregate rows say which statistic they hold
+/// ("aggregate":"mean|median|stddev|cv"); a "cv" row is a ratio, not a time,
+/// so it carries "cv" (and ratio counters) in place of ns_per_op.
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:
   // OO_Tabular (no OO_Color): a hand-constructed ConsoleReporter ignores
@@ -96,10 +99,17 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
       line += std::string(",\"backend\":\"") + sim::to_string(sim::default_process_backend()) +
               "\"";
       line += ",\"iterations\":" + std::to_string(static_cast<long long>(run.iterations));
-      double ns_per_op = run.iterations > 0
-                             ? run.real_accumulated_time * 1e9 / static_cast<double>(run.iterations)
-                             : 0.0;
-      line += ",\"ns_per_op\":" + format_double(ns_per_op);
+      if (run.run_type == Run::RT_Aggregate)
+        line += ",\"aggregate\":\"" + json_escape(run.aggregate_name) + "\"";
+      if (run.run_type == Run::RT_Aggregate && run.aggregate_unit == benchmark::kPercentage) {
+        line += ",\"cv\":" + format_double(run.real_accumulated_time);
+      } else {
+        double ns_per_op =
+            run.iterations > 0
+                ? run.real_accumulated_time * 1e9 / static_cast<double>(run.iterations)
+                : 0.0;
+        line += ",\"ns_per_op\":" + format_double(ns_per_op);
+      }
       line += ",\"counters\":{";
       bool first = true;
       for (const auto& [name, counter] : run.counters) {

@@ -38,6 +38,8 @@ def load_aggregate(path):
     records = {}
     for binary, recs in doc.get("benchmarks", {}).items():
         for r in recs:
+            if "ns_per_op" not in r:
+                continue  # a non-time row (the "cv" aggregate of repetitions)
             key = (binary, r.get("name", "?"), r.get("backend", "?"))
             records[key] = r
     return records

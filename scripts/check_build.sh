@@ -376,16 +376,19 @@ echo "== sanitizer gate (ASan+UBSan) =="
 # manual-lifetime code: build it under AddressSanitizer + UBSan and run the
 # tests that hammer it hardest. So is a debugger hook parked at a stop while
 # the session adds or removes hooks and deletes fired temporary rules: the
-# session and CLI suites drive those paths. Threads backend only — the
-# fibers backend switches stacks in its own assembly routine, which ASan's
-# stack bookkeeping cannot follow.
+# session and CLI suites drive those paths. The instrumentation port keeps a
+# running hook's callable alive by a per-hook running count while hooks are
+# added, removed and symbols interned mid-fire: test_sim_kernel's
+# Instrument.* tests drive that. Threads backend only — the fibers backend
+# switches stacks in its own assembly routine, which ASan's stack
+# bookkeeping cannot follow.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
 cmake --build build-asan -j "$(nproc)" --target test_journal test_link_ring test_debug_session \
-  test_cli
-for t in test_link_ring test_journal test_debug_session test_cli; do
+  test_cli test_sim_kernel
+for t in test_link_ring test_journal test_debug_session test_cli test_sim_kernel; do
   echo "-- $t under ASan+UBSan (threads backend)"
   DFDBG_PROCESS_BACKEND=threads ASAN_OPTIONS=detect_leaks=0 \
     ./build-asan/tests/$t >/dev/null \
@@ -443,8 +446,36 @@ for ln in sys.stdin:
     json.loads(ln)' \
       || { echo "FAIL: $name emitted malformed BENCH_JSON"; exit 1; }
   fi
+  if [ "$name" = bench_scaling ] && [ "$have_python" -eq 1 ]; then
+    # An attached, unarmed debugger must not allocate per hook invocation.
+    printf '%s\n' "$out" | sed -n 's/^BENCH_JSON //p' | python3 -c 'import json,sys
+rows = [r for r in map(json.loads, sys.stdin) if r["name"] == "BM_AttachedHotPath"]
+assert rows, "BM_AttachedHotPath emitted no BENCH_JSON line"
+a = rows[0]["counters"]["allocs_per_hook"]
+assert a <= 0.01, f"BM_AttachedHotPath allocs_per_hook {a} > 0.01"
+print(f"ok: BM_AttachedHotPath allocs_per_hook {a:.6f} <= 0.01")' \
+      || { echo "FAIL: attached hook path allocates"; exit 1; }
+  fi
   echo "ok: $name ($lines BENCH_JSON lines)"
 done
+
+# Aggregate rows of repeated runs must say which statistic they hold, and
+# the cv row carries a ratio, never a time.
+if [ "$have_python" -eq 1 ]; then
+  ./build/bench/bench_scaling --benchmark_filter='^BM_FiberSwitch$' --benchmark_repetitions=2 \
+    --benchmark_min_time=0.01 --benchmark_color=false 2>/dev/null | sed -n 's/^BENCH_JSON //p' \
+    | python3 -c 'import json,sys
+rows = {r["name"]: r for r in map(json.loads, sys.stdin)}
+for stat in ("mean", "median", "stddev", "cv"):
+    r = rows[f"BM_FiberSwitch_{stat}"]
+    label = r.get("aggregate")
+    assert label == stat, f"{stat} row labelled {label}"
+    assert ("cv" in r) == (stat == "cv") and ("ns_per_op" in r) == (stat != "cv"), r
+assert 0 <= rows["BM_FiberSwitch_cv"]["cv"] < 1, rows["BM_FiberSwitch_cv"]
+assert "aggregate" not in rows["BM_FiberSwitch"]
+print("ok: repetition aggregates labelled (mean, median, stddev, cv)")' \
+    || { echo "FAIL: BENCH_JSON aggregate rows mislabelled"; exit 1; }
+fi
 
 echo "== bench regression report (non-fatal) =="
 # Diff the newest two committed BENCH_*.json aggregates and surface any

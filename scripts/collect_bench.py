@@ -103,7 +103,9 @@ def main():
             failures += 1
             continue
         for r in records:
-            print(f"   {r.get('name', '?')}: {r.get('ns_per_op', 0) / 1e6:.3f} ms/op")
+            if "ns_per_op" not in r:
+                continue  # a non-time row (the "cv" aggregate of repetitions)
+            print(f"   {r.get('name', '?')}: {r['ns_per_op'] / 1e6:.3f} ms/op")
         aggregate["benchmarks"][name] = records
 
     total = sum(len(v) for v in aggregate["benchmarks"].values())

@@ -61,8 +61,8 @@ std::string export_state_json(const Session& session) {
   js << "  \"links\": [\n";
   for (std::size_t i = 0; i < g.links().size(); ++i) {
     const DLink& l = g.links()[i];
-    js << "    {\"id\": " << l.id << ", \"src\": " << jstr(l.src_iface())
-       << ", \"dst\": " << jstr(l.dst_iface()) << ", \"type\": " << jstr(l.type)
+    js << "    {\"id\": " << l.id << ", \"src\": " << jstr(l.src_iface)
+       << ", \"dst\": " << jstr(l.dst_iface) << ", \"type\": " << jstr(l.type)
        << ", \"transport\": " << jstr(l.transport)
        << ", \"control\": " << (l.is_control ? "true" : "false")
        << ", \"occupancy\": " << l.queue.size() << ", \"pushes\": " << l.pushes

@@ -12,10 +12,17 @@
 // The model is built exclusively from instrumentation events (graph
 // registration during framework init, then push/pop/firing events), never by
 // modifying the framework.
+//
+// Registration names actors by path and resolves everything the runtime
+// events need once: the framework's dense actor id to the model actor, each
+// link's interface names and connection indexes, each module's filters.
+// Runtime updates then look actors, links and tokens up by dense id and
+// never build or hash a string.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,6 +72,49 @@ struct DToken {
   bool injected = false;        ///< created by the debugger, not the app
 };
 
+/// FIFO of token ids over a power-of-two ring that doubles when full and
+/// never shrinks, so steady push/pop traffic does not allocate.
+class TokenQueue {
+ public:
+  class const_iterator {
+   public:
+    const_iterator(const TokenQueue* q, std::size_t i) : q_(q), i_(i) {}
+    TokenId operator*() const { return (*q_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const TokenQueue* q_;
+    std::size_t i_;
+  };
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Element `i` counted from the front. Precondition: i < size().
+  TokenId operator[](std::size_t i) const { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+  [[nodiscard]] TokenId front() const { return (*this)[0]; }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size_}; }
+
+  void push_back(TokenId id);
+  /// Precondition: !empty().
+  void pop_front() {
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+  }
+  /// Removes element `i`, keeping the order of the others.
+  void erase(std::size_t i);
+  void clear() { head_ = size_ = 0; }
+
+ private:
+  std::vector<TokenId> slots_;  ///< empty or a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// One data-dependency endpoint of an actor.
 struct DConnection {
   std::string actor;  ///< short name
@@ -84,13 +134,39 @@ struct DLink {
   std::string type;
   std::string transport;
   std::string src_actor, src_port, dst_actor, dst_port;
+  std::string src_iface, dst_iface;     ///< "actor::port" of each end
+  std::uint32_t src_conn = UINT32_MAX;  ///< index into connections(), if known
+  std::uint32_t dst_conn = UINT32_MAX;
   bool is_control = false;  ///< one end is a controller (Fig. 4 dotted arcs)
-  std::deque<TokenId> queue;
+  TokenQueue queue;
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
+};
 
-  [[nodiscard]] std::string src_iface() const { return src_actor + "::" + src_port; }
-  [[nodiscard]] std::string dst_iface() const { return dst_actor + "::" + dst_port; }
+/// The most recent tokens an actor consumed, oldest first, in a fixed ring
+/// that drops the oldest when full: the window pipeline provenance pairs an
+/// actor's outputs with.
+class ConsumedWindow {
+ public:
+  static constexpr std::size_t kSize = 64;
+
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  void push(TokenId id) {
+    if (count_ == kSize) pop_front();
+    slots_[(head_ + count_++) % kSize] = id;
+  }
+  /// Removes and returns the oldest. Precondition: !empty().
+  TokenId pop_front() {
+    TokenId id = slots_[head_];
+    head_ = (head_ + 1) % kSize;
+    --count_;
+    return id;
+  }
+
+ private:
+  std::array<TokenId, kSize> slots_{};
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 /// One model actor.
@@ -103,6 +179,9 @@ struct DActor {
   std::string parent_path;
   std::vector<std::uint32_t> in_conns;   ///< indexes into connections()
   std::vector<std::uint32_t> out_conns;
+  /// Modules: their filters, as indexes into actors() in registration order
+  /// (a module registers before the actors it contains).
+  std::vector<std::uint32_t> filters;
   // scheduling (Contribution #2)
   SchedState sched = SchedState::kNotScheduled;
   std::uint64_t firings = 0;
@@ -112,7 +191,7 @@ struct DActor {
   ActorBehavior behavior = ActorBehavior::kUnknown;
   TokenId last_token_in;           ///< most recent token consumed
   TokenId last_token_out;          ///< most recent token produced
-  std::deque<TokenId> recent_consumed;  ///< bounded provenance window
+  ConsumedWindow recent_consumed;  ///< pipeline provenance window
 };
 
 /// The reconstructed application graph plus live token state.
@@ -133,27 +212,32 @@ class GraphModel {
   [[nodiscard]] bool ready() const { return ready_; }
 
   // --- updates from runtime events ------------------------------------------
+  //
+  // `actor`, `filter` and `module` are framework actor ids, the `id` each
+  // actor registered with; kNoActor names no actor (a debugger injection).
+
+  static constexpr std::uint32_t kNoActor = UINT32_MAX;
 
   /// A push completed: creates the token, applies provenance chaining.
   /// Returns the new token's id.
   TokenId on_push(std::uint32_t link, std::uint64_t index, const pedf::Value& value,
-                  const std::string& actor_path, sim::SimTime now, bool injected = false,
+                  std::uint32_t actor, sim::SimTime now, bool injected = false,
                   std::uint64_t uid = 0);
   /// A pop completed: marks the head token consumed. Returns its id (invalid
   /// if the model had no token to match, e.g. data hooks were disabled).
-  TokenId on_pop(std::uint32_t link, const std::string& actor_path, sim::SimTime now);
+  TokenId on_pop(std::uint32_t link, std::uint32_t actor, sim::SimTime now);
   /// The debugger removed queued slot `idx` from `link`.
   void on_remove(std::uint32_t link, std::size_t idx);
   /// The debugger replaced queued slot `idx` of `link`.
   void on_replace(std::uint32_t link, std::size_t idx, const pedf::Value& value);
 
-  void on_work_enter(const std::string& actor_path, std::uint64_t firing);
-  void on_work_exit(const std::string& actor_path);
-  void on_actor_start(const std::string& filter_path);
-  void on_step_begin(const std::string& module_path, std::uint64_t step);
-  void on_step_end(const std::string& module_path);
-  void on_wait_sync_done(const std::string& module_path);
-  void on_filter_line(const std::string& actor_path, int line);
+  void on_work_enter(std::uint32_t actor, std::uint64_t firing);
+  void on_work_exit(std::uint32_t actor);
+  void on_actor_start(std::uint32_t filter);
+  void on_step_begin(std::uint32_t module, std::uint64_t step);
+  void on_step_end(std::uint32_t module);
+  void on_wait_sync_done(std::uint32_t module);
+  void on_filter_line(std::uint32_t actor, int line);
 
   /// Drops in-flight token mirrors of every link and recreates anonymous
   /// tokens of size `occupancy(link)` — used after data-exchange hooks were
@@ -168,6 +252,8 @@ class GraphModel {
 
   [[nodiscard]] const DActor* actor_by_name(std::string_view name) const;
   [[nodiscard]] const DActor* actor_by_path(std::string_view path) const;
+  /// Actor by framework id (nullptr if none registered with it).
+  [[nodiscard]] const DActor* actor_by_id(std::uint32_t id) const;
   [[nodiscard]] DActor* actor_by_name_mut(std::string_view name);
   [[nodiscard]] const DLink* link(std::uint32_t id) const;
   /// Connection by "actor::port" (nullptr if unknown).
@@ -177,7 +263,7 @@ class GraphModel {
 
   [[nodiscard]] const DToken* token(TokenId id) const;
   /// Number of token objects currently retained.
-  [[nodiscard]] std::size_t token_count() const { return tokens_.size(); }
+  [[nodiscard]] std::size_t token_count() const { return live_tokens_; }
   /// Total tokens ever observed (including pruned ones).
   [[nodiscard]] std::uint64_t tokens_observed() const { return tokens_observed_; }
   /// Approximate bytes used by retained token objects.
@@ -205,21 +291,36 @@ class GraphModel {
   [[nodiscard]] std::string describe_token(TokenId id) const;
 
  private:
+  /// Token objects by id, in chunks of kTokenChunk that never move, so a
+  /// DToken* handed to a view stays valid until that token is pruned. A
+  /// chunk is freed once every token in it was issued and has been dropped.
+  static constexpr std::size_t kTokenChunk = 1024;
+  struct TokenChunk {
+    std::array<DToken, kTokenChunk> slots;  ///< a free slot has an invalid id
+    std::size_t live = 0;
+  };
+
   DActor* actor_by_path_mut(std::string_view path);
+  DActor* actor_by_id_mut(std::uint32_t id);
   DToken* token_mut(TokenId id);
+  /// Issues the next token id and returns its slot, holding only that id.
+  DToken& new_token();
+  void erase_token(TokenId id);
   void prune_history();
 
   std::vector<DActor> actors_;
   std::vector<DConnection> connections_;
   std::vector<DLink> links_;
-  std::unordered_map<TokenId::value_type, DToken> tokens_;
+  std::vector<std::unique_ptr<TokenChunk>> token_chunks_;
+  std::size_t live_tokens_ = 0;
   std::uint64_t next_token_ = 0;
   std::uint64_t tokens_observed_ = 0;
-  std::deque<TokenId> consumed_order_;  ///< pruning order
+  TokenQueue consumed_order_;  ///< pruning order
   std::size_t token_history_limit_ = 1u << 20;
   std::unordered_map<std::string, std::uint32_t> by_name_;
   std::unordered_map<std::string, std::uint32_t> by_path_;
   std::unordered_map<std::string, std::uint32_t> conn_by_iface_;
+  std::vector<std::uint32_t> index_by_id_;  ///< framework actor id -> actors_ index
   bool ready_ = false;
 };
 

@@ -279,15 +279,29 @@ class Session {
   /// Installs the per-statement source-line hook on first use (line
   /// breakpoints / watchpoints); unused sessions never pay for it.
   void ensure_line_hook();
-  /// Visits enabled, unfired rules by id snapshot: safe against rules being
-  /// added, removed or disabled while a visit stops the simulation.
+  /// Visits enabled, unfired rules in id order without copying the list:
+  /// safe against rules being added, removed or disabled while a visit stops
+  /// the simulation (rules added meanwhile wait for the next scan).
   template <typename F>
   void scan_rules(F&& fn);
+  /// Where the data-exchange hooks read their arguments.
+  struct LinkArgs {
+    sim::ArgPos link, index, actor_id;
+    sim::ArgPos value;  ///< pushes only
+  };
+
+  /// Position of argument `name` in `symbol`'s layout (see InstrumentPort).
+  [[nodiscard]] sim::ArgPos arg_pos(sim::SymbolId symbol, std::string_view name) const;
+  [[nodiscard]] LinkArgs link_args(sim::SymbolId symbol, bool push) const;
+  /// Plants the push (or pop) exit hook on `symbol`: link_push/link_pop or
+  /// one link's instance symbol.
+  sim::HookId add_data_hook(sim::SymbolId symbol, bool push);
   void resync_all_links();
   void trigger_stop(StopEvent ev, Rule* rule);
-  void handle_push(const sim::Frame& frame);
-  void handle_pop_exit(const sim::Frame& frame);
-  void sample_watchpoints(const std::string& filter_path);
+  void handle_push(const sim::Frame& frame, const LinkArgs& at);
+  void handle_pop_exit(const sim::Frame& frame, const LinkArgs& at);
+  /// Samples the watchpoints of the actor with framework id `actor`.
+  void sample_watchpoints(std::uint32_t actor);
   Rule* find_rule(BpId id);
   Result<const DLink*> resolve_link(const std::string& iface) const;
   pedf::Link* framework_link(const DLink& dl) const;

@@ -10,10 +10,6 @@
 
 namespace dfdbg::dbg {
 
-namespace {
-constexpr std::size_t kRecentConsumedWindow = 64;
-}
-
 const char* to_string(DActorKind k) {
   switch (k) {
     case DActorKind::kFilter: return "filter";
@@ -54,6 +50,29 @@ const char* to_string(SchedState s) {
 }
 
 // ---------------------------------------------------------------------------
+// TokenQueue
+// ---------------------------------------------------------------------------
+
+void TokenQueue::push_back(TokenId id) {
+  if (size_ == slots_.size()) {
+    // Full (or never used): unroll into a ring twice the size.
+    std::vector<TokenId> grown(slots_.empty() ? 16 : slots_.size() * 2);
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = (*this)[i];
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = id;
+  ++size_;
+}
+
+void TokenQueue::erase(std::size_t i) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = i; j + 1 < size_; ++j)
+    slots_[(head_ + j) & mask] = slots_[(head_ + j + 1) & mask];
+  --size_;
+}
+
+// ---------------------------------------------------------------------------
 // Registration (Contribution #1)
 // ---------------------------------------------------------------------------
 
@@ -67,6 +86,10 @@ void GraphModel::on_register_actor(DActorKind kind, std::string name, std::strin
   a.pe = std::move(pe);
   a.parent_path = std::move(parent);
   auto idx = static_cast<std::uint32_t>(actors_.size());
+  if (a.kind == DActorKind::kFilter) {
+    if (DActor* module = actor_by_path_mut(a.parent_path); module != nullptr)
+      module->filters.push_back(idx);
+  }
   by_path_[a.path] = idx;
   // Short-name aliases only when unambiguous (mirrors the framework rule).
   auto it = by_name_.find(a.name);
@@ -74,6 +97,10 @@ void GraphModel::on_register_actor(DActorKind kind, std::string name, std::strin
     by_name_[a.name] = idx;
   else
     it->second = UINT32_MAX;  // ambiguous
+  if (id != kNoActor) {
+    if (index_by_id_.size() <= id) index_by_id_.resize(id + 1, UINT32_MAX);
+    index_by_id_[id] = idx;
+  }
   actors_.push_back(std::move(a));
 }
 
@@ -107,14 +134,20 @@ void GraphModel::on_register_link(std::uint32_t id, std::string name,
   l.dst_actor = dst != nullptr ? dst->name : dst_actor_path;
   l.src_port = std::move(src_port);
   l.dst_port = std::move(dst_port);
+  l.src_iface = l.src_actor + "::" + l.src_port;
+  l.dst_iface = l.dst_actor + "::" + l.dst_port;
   l.is_control = (src != nullptr && src->kind == DActorKind::kController) ||
                  (dst != nullptr && dst->kind == DActorKind::kController);
   if (links_.size() <= id) links_.resize(id + 1);
   // Attach the link to its two connections.
-  if (auto it = conn_by_iface_.find(l.src_iface()); it != conn_by_iface_.end())
+  if (auto it = conn_by_iface_.find(l.src_iface); it != conn_by_iface_.end()) {
+    l.src_conn = it->second;
     connections_[it->second].link = id;
-  if (auto it = conn_by_iface_.find(l.dst_iface()); it != conn_by_iface_.end())
+  }
+  if (auto it = conn_by_iface_.find(l.dst_iface); it != conn_by_iface_.end()) {
+    l.dst_conn = it->second;
     connections_[it->second].link = id;
+  }
   links_[id] = std::move(l);
 }
 
@@ -125,13 +158,12 @@ void GraphModel::on_graph_ready() { ready_ = true; }
 // ---------------------------------------------------------------------------
 
 TokenId GraphModel::on_push(std::uint32_t link, std::uint64_t index, const pedf::Value& value,
-                            const std::string& actor_path, sim::SimTime now, bool injected,
+                            std::uint32_t actor, sim::SimTime now, bool injected,
                             std::uint64_t uid) {
   if (link >= links_.size()) return TokenId{};
   DLink& l = links_[link];
-  TokenId id(static_cast<std::uint32_t>(next_token_++));
-  DToken t;
-  t.id = id;
+  DToken& t = new_token();
+  const TokenId id = t.id;
   t.value = value;
   t.uid = uid;
   t.link = link;
@@ -141,7 +173,7 @@ TokenId GraphModel::on_push(std::uint32_t link, std::uint64_t index, const pedf:
   tokens_observed_++;
 
   // Provenance chaining through the producing actor's declared behaviour.
-  DActor* producer = actor_by_path_mut(actor_path);
+  DActor* producer = actor_by_id_mut(actor);
   if (producer != nullptr) {
     switch (producer->behavior) {
       case ActorBehavior::kSplitter:
@@ -149,10 +181,8 @@ TokenId GraphModel::on_push(std::uint32_t link, std::uint64_t index, const pedf:
         t.produced_from = producer->last_token_in;
         break;
       case ActorBehavior::kPipeline:
-        if (!producer->recent_consumed.empty()) {
-          t.produced_from = producer->recent_consumed.front();
-          producer->recent_consumed.pop_front();
-        }
+        if (!producer->recent_consumed.empty())
+          t.produced_from = producer->recent_consumed.pop_front();
         break;
       case ActorBehavior::kUnknown:
         break;
@@ -162,18 +192,15 @@ TokenId GraphModel::on_push(std::uint32_t link, std::uint64_t index, const pedf:
 
   l.queue.push_back(id);
   l.pushes++;
-  if (auto it = conn_by_iface_.find(l.src_iface()); it != conn_by_iface_.end())
-    connections_[it->second].tokens_seen++;
-  tokens_.emplace(id.value(), std::move(t));
+  if (l.src_conn != UINT32_MAX) connections_[l.src_conn].tokens_seen++;
   return id;
 }
 
-TokenId GraphModel::on_pop(std::uint32_t link, const std::string& actor_path, sim::SimTime now) {
+TokenId GraphModel::on_pop(std::uint32_t link, std::uint32_t actor, sim::SimTime now) {
   if (link >= links_.size()) return TokenId{};
   DLink& l = links_[link];
   l.pops++;
-  if (auto it = conn_by_iface_.find(l.dst_iface()); it != conn_by_iface_.end())
-    connections_[it->second].tokens_seen++;
+  if (l.dst_conn != UINT32_MAX) connections_[l.dst_conn].tokens_seen++;
   if (l.queue.empty()) return TokenId{};  // stale model (hooks were off)
   TokenId id = l.queue.front();
   l.queue.pop_front();
@@ -181,11 +208,9 @@ TokenId GraphModel::on_pop(std::uint32_t link, const std::string& actor_path, si
     t->consumed = true;
     t->popped_at = now;
   }
-  if (DActor* consumer = actor_by_path_mut(actor_path); consumer != nullptr) {
+  if (DActor* consumer = actor_by_id_mut(actor); consumer != nullptr) {
     consumer->last_token_in = id;
-    consumer->recent_consumed.push_back(id);
-    if (consumer->recent_consumed.size() > kRecentConsumedWindow)
-      consumer->recent_consumed.pop_front();
+    consumer->recent_consumed.push(id);
   }
   consumed_order_.push_back(id);
   prune_history();
@@ -197,8 +222,8 @@ void GraphModel::on_remove(std::uint32_t link, std::size_t idx) {
   DLink& l = links_[link];
   if (idx >= l.queue.size()) return;
   TokenId id = l.queue[idx];
-  l.queue.erase(l.queue.begin() + static_cast<std::ptrdiff_t>(idx));
-  tokens_.erase(id.value());
+  l.queue.erase(idx);
+  erase_token(id);
 }
 
 void GraphModel::on_replace(std::uint32_t link, std::size_t idx, const pedf::Value& value) {
@@ -208,54 +233,47 @@ void GraphModel::on_replace(std::uint32_t link, std::size_t idx, const pedf::Val
   if (DToken* t = token_mut(l.queue[idx]); t != nullptr) t->value = value;
 }
 
-void GraphModel::on_work_enter(const std::string& actor_path, std::uint64_t firing) {
-  if (DActor* a = actor_by_path_mut(actor_path); a != nullptr) {
+void GraphModel::on_work_enter(std::uint32_t actor, std::uint64_t firing) {
+  if (DActor* a = actor_by_id_mut(actor); a != nullptr) {
     a->sched = SchedState::kRunning;
     a->firings = firing;
   }
 }
 
-void GraphModel::on_work_exit(const std::string& actor_path) {
-  if (DActor* a = actor_by_path_mut(actor_path); a != nullptr) a->sched = SchedState::kFinished;
+void GraphModel::on_work_exit(std::uint32_t actor) {
+  if (DActor* a = actor_by_id_mut(actor); a != nullptr) a->sched = SchedState::kFinished;
 }
 
-void GraphModel::on_actor_start(const std::string& filter_path) {
-  if (DActor* a = actor_by_path_mut(filter_path); a != nullptr) a->sched = SchedState::kScheduled;
+void GraphModel::on_actor_start(std::uint32_t filter) {
+  if (DActor* a = actor_by_id_mut(filter); a != nullptr) a->sched = SchedState::kScheduled;
 }
 
-void GraphModel::on_step_begin(const std::string& module_path, std::uint64_t step) {
-  if (DActor* a = actor_by_path_mut(module_path); a != nullptr) a->step = step;
+void GraphModel::on_step_begin(std::uint32_t module, std::uint64_t step) {
+  if (DActor* a = actor_by_id_mut(module); a != nullptr) a->step = step;
 }
 
-void GraphModel::on_step_end(const std::string& module_path) {
-  DActor* m = actor_by_path_mut(module_path);
+void GraphModel::on_step_end(std::uint32_t module) {
+  DActor* m = actor_by_id_mut(module);
   if (m == nullptr) return;
   // A new step starts from a clean scheduling slate.
-  for (DActor& a : actors_) {
-    if (a.parent_path == m->path && a.kind == DActorKind::kFilter)
-      a.sched = SchedState::kNotScheduled;
-  }
+  for (std::uint32_t f : m->filters) actors_[f].sched = SchedState::kNotScheduled;
 }
 
-void GraphModel::on_wait_sync_done(const std::string& module_path) { on_step_end(module_path); }
+void GraphModel::on_wait_sync_done(std::uint32_t module) { on_step_end(module); }
 
-void GraphModel::on_filter_line(const std::string& actor_path, int line) {
-  if (DActor* a = actor_by_path_mut(actor_path); a != nullptr) a->current_line = line;
+void GraphModel::on_filter_line(std::uint32_t actor, int line) {
+  if (DActor* a = actor_by_id_mut(actor); a != nullptr) a->current_line = line;
 }
 
 void GraphModel::resync_link(std::uint32_t link, std::size_t occupancy) {
   if (link >= links_.size()) return;
   DLink& l = links_[link];
-  for (TokenId id : l.queue) tokens_.erase(id.value());
+  for (TokenId id : l.queue) erase_token(id);
   l.queue.clear();
   for (std::size_t i = 0; i < occupancy; ++i) {
-    TokenId id(static_cast<std::uint32_t>(next_token_++));
-    DToken t;
-    t.id = id;
-    t.link = link;
-    t.value = pedf::Value{};  // payload unknown: model was stale
-    tokens_.emplace(id.value(), std::move(t));
-    l.queue.push_back(id);
+    DToken& t = new_token();
+    t.link = link;  // payload unknown: model was stale
+    l.queue.push_back(t.id);
   }
 }
 
@@ -282,6 +300,15 @@ DActor* GraphModel::actor_by_path_mut(std::string_view path) {
   return const_cast<DActor*>(actor_by_path(path));
 }
 
+const DActor* GraphModel::actor_by_id(std::uint32_t id) const {
+  if (id >= index_by_id_.size() || index_by_id_[id] == UINT32_MAX) return nullptr;
+  return &actors_[index_by_id_[id]];
+}
+
+DActor* GraphModel::actor_by_id_mut(std::uint32_t id) {
+  return const_cast<DActor*>(actor_by_id(id));
+}
+
 const DLink* GraphModel::link(std::uint32_t id) const {
   return id < links_.size() ? &links_[id] : nullptr;
 }
@@ -299,15 +326,45 @@ const DLink* GraphModel::link_by_iface(std::string_view iface) const {
 
 const DToken* GraphModel::token(TokenId id) const {
   if (!id.valid()) return nullptr;
-  auto it = tokens_.find(id.value());
-  return it == tokens_.end() ? nullptr : &it->second;
+  const std::size_t c = id.value() / kTokenChunk;
+  if (c >= token_chunks_.size() || token_chunks_[c] == nullptr) return nullptr;
+  const DToken& t = token_chunks_[c]->slots[id.value() % kTokenChunk];
+  return t.id.valid() ? &t : nullptr;
 }
 
 DToken* GraphModel::token_mut(TokenId id) { return const_cast<DToken*>(token(id)); }
 
+DToken& GraphModel::new_token() {
+  TokenId id(static_cast<std::uint32_t>(next_token_++));
+  const std::size_t c = id.value() / kTokenChunk;
+  if (c >= token_chunks_.size()) token_chunks_.resize(c + 1);
+  if (token_chunks_[c] == nullptr) token_chunks_[c] = std::make_unique<TokenChunk>();
+  TokenChunk& chunk = *token_chunks_[c];
+  chunk.live++;
+  live_tokens_++;
+  DToken& t = chunk.slots[id.value() % kTokenChunk];
+  t.id = id;
+  return t;
+}
+
+void GraphModel::erase_token(TokenId id) {
+  DToken* t = token_mut(id);
+  if (t == nullptr) return;
+  *t = DToken{};  // frees a wide payload, marks the slot free
+  live_tokens_--;
+  const std::size_t c = id.value() / kTokenChunk;
+  // Free the chunk once all its ids were issued and all its tokens dropped.
+  if (--token_chunks_[c]->live == 0 && (c + 1) * kTokenChunk <= next_token_)
+    token_chunks_[c].reset();
+}
+
 std::size_t GraphModel::token_memory_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& [id, t] : tokens_) bytes += sizeof(DToken) + t.value.type().byte_size();
+  for (const auto& chunk : token_chunks_) {
+    if (chunk == nullptr) continue;
+    for (const DToken& t : chunk->slots)
+      if (t.id.valid()) bytes += sizeof(DToken) + t.value.type().byte_size();
+  }
   return bytes;
 }
 
@@ -333,7 +390,7 @@ void GraphModel::prune_history() {
   while (consumed_order_.size() > token_history_limit_) {
     TokenId victim = consumed_order_.front();
     consumed_order_.pop_front();
-    tokens_.erase(victim.value());
+    erase_token(victim);
   }
 }
 

@@ -63,8 +63,8 @@ struct Session::Rule {
   bool temporary = false;
   bool fired = false;  ///< temporary that has done its job; run() deletes it
   std::uint64_t hits = 0;
-  std::string actor;       ///< short name
-  std::string actor_path;  ///< resolved hierarchical path
+  std::string actor;  ///< short name
+  std::uint32_t actor_id = GraphModel::kNoActor;  ///< framework id of that actor
   std::string iface;
   std::uint32_t link = UINT32_MAX;
   bool match_src = false;
@@ -92,14 +92,25 @@ namespace {
 std::string bracket(const std::string& body) { return "[" + body + "]"; }
 }  // namespace
 
+// rules_ stays in id order (ids grow, rules are appended and only ever
+// erased), so the visit resumes after the last id it saw instead of copying
+// the ids up front: rules deleted meanwhile are skipped, rules added from
+// `end` on wait for the next scan.
 template <typename F>
 void Session::scan_rules(F&& fn) {
-  std::vector<BpId> ids;
-  ids.reserve(rules_.size());
-  for (const auto& r : rules_) ids.push_back(r->id);
-  for (BpId id : ids) {
-    Rule* r = find_rule(id);
-    if (r != nullptr && r->enabled && !r->fired) fn(*r);
+  const std::uint32_t end = next_bp_;
+  std::size_t pos = 0;
+  while (pos < rules_.size() && rules_[pos]->id.value() < end) {
+    const BpId id = rules_[pos]->id;
+    if (rules_[pos]->enabled && !rules_[pos]->fired) fn(*rules_[pos]);
+    pos = pos < rules_.size() && rules_[pos]->id == id
+              ? pos + 1
+              : static_cast<std::size_t>(
+                    std::upper_bound(rules_.begin(), rules_.end(), id,
+                                     [](BpId v, const std::unique_ptr<Rule>& r) {
+                                       return v < r->id;
+                                     }) -
+                    rules_.begin());
   }
 }
 
@@ -137,152 +148,208 @@ void Session::detach() {
   attached_ = false;
 }
 
+sim::ArgPos Session::arg_pos(sim::SymbolId symbol, std::string_view name) const {
+  return app_.kernel().instrument().param(symbol, name);
+}
+
 void Session::install_core_hooks() {
   auto& port = app_.kernel().instrument();
   const auto& syms = app_.syms();
   auto add = [&](sim::SymbolId sym, sim::Hook hook) {
     core_hooks_.push_back(port.add_enter_hook(sym, std::move(hook)));
   };
+  // Every hook reads its arguments at positions resolved here, once, from
+  // the symbol's declared layout.
 
   // Contribution #1: graph reconstruction during framework initialization.
-  add(syms.register_actor, [this](Frame& f) {
-    model_.on_register_actor(parse_actor_kind(f.arg("kind")->str), f.arg("name")->str,
-                             f.arg("path")->str, f.arg("pe")->str, f.arg("parent")->str,
-                             static_cast<std::uint32_t>(f.arg("id")->u64));
-  });
-  add(syms.register_port, [this](Frame& f) {
-    model_.on_register_port(f.arg("actor")->str, f.arg("port")->str,
-                            std::string_view(f.arg("dir")->str) == "in", f.arg("type")->str);
-  });
-  add(syms.register_link, [this](Frame& f) {
-    model_.on_register_link(static_cast<std::uint32_t>(f.arg("link")->u64), f.arg("name")->str,
-                            f.arg("src_actor")->str, f.arg("src_port")->str,
-                            f.arg("dst_actor")->str, f.arg("dst_port")->str, f.arg("type")->str,
-                            f.arg("transport")->str);
-  });
+  {
+    const sim::SymbolId s = syms.register_actor;
+    add(s, [this, kind = arg_pos(s, "kind"), name = arg_pos(s, "name"), path = arg_pos(s, "path"),
+             pe = arg_pos(s, "pe"), parent = arg_pos(s, "parent"),
+             id = arg_pos(s, "id")](Frame& f) {
+      model_.on_register_actor(parse_actor_kind(f.arg(kind).str), f.arg(name).str,
+                               f.arg(path).str, f.arg(pe).str, f.arg(parent).str,
+                               static_cast<std::uint32_t>(f.arg(id).u64));
+    });
+  }
+  {
+    const sim::SymbolId s = syms.register_port;
+    add(s, [this, actor = arg_pos(s, "actor"), port_name = arg_pos(s, "port"),
+             dir = arg_pos(s, "dir"), type = arg_pos(s, "type")](Frame& f) {
+      model_.on_register_port(f.arg(actor).str, f.arg(port_name).str,
+                              std::string_view(f.arg(dir).str) == "in", f.arg(type).str);
+    });
+  }
+  {
+    const sim::SymbolId s = syms.register_link;
+    add(s, [this, link = arg_pos(s, "link"), name = arg_pos(s, "name"),
+             src_actor = arg_pos(s, "src_actor"), src_port = arg_pos(s, "src_port"),
+             dst_actor = arg_pos(s, "dst_actor"), dst_port = arg_pos(s, "dst_port"),
+             type = arg_pos(s, "type"), transport = arg_pos(s, "transport")](Frame& f) {
+      model_.on_register_link(static_cast<std::uint32_t>(f.arg(link).u64), f.arg(name).str,
+                              f.arg(src_actor).str, f.arg(src_port).str, f.arg(dst_actor).str,
+                              f.arg(dst_port).str, f.arg(type).str, f.arg(transport).str);
+    });
+  }
   add(syms.graph_ready, [this](Frame&) { model_.on_graph_ready(); });
 
   // Contribution #2: scheduling monitoring.
-  add(syms.work_enter, [this](Frame& f) {
-    std::string path = f.arg("actor")->str;
-    model_.on_work_enter(path, f.arg("firing")->u64);
-    const DActor* a = model_.actor_by_path(path);
-    std::string name = a != nullptr ? a->name : path;
-    scan_rules([&](Rule& r) {
-      if (r.type == Rule::Type::kWork && r.actor_path == path) {
-        StopEvent ev;
-        ev.kind = StopKind::kCatchWork;
-        ev.actor = name;
-        ev.message = bracket("Stopped at WORK entry of filter `" + name + "'");
-        trigger_stop(std::move(ev), &r);
-      }
+  {
+    const sim::SymbolId s = syms.work_enter;
+    add(s, [this, path = arg_pos(s, "actor"), actor = arg_pos(s, "actor_id"),
+             firing = arg_pos(s, "firing")](Frame& f) {
+      const auto id = static_cast<std::uint32_t>(f.arg(actor).u64);
+      model_.on_work_enter(id, f.arg(firing).u64);
+      scan_rules([&](Rule& r) {
+        if (r.type == Rule::Type::kWork && r.actor_id == id) {
+          const DActor* a = model_.actor_by_id(id);
+          const std::string name = a != nullptr ? a->name : std::string(f.arg(path).str);
+          StopEvent ev;
+          ev.kind = StopKind::kCatchWork;
+          ev.actor = name;
+          ev.message = bracket("Stopped at WORK entry of filter `" + name + "'");
+          trigger_stop(std::move(ev), &r);
+        }
+      });
+      sample_watchpoints(id);
     });
-    sample_watchpoints(path);
-  });
-  add(syms.work_exit, [this](Frame& f) {
-    std::string path = f.arg("actor")->str;
-    model_.on_work_exit(path);
-    sample_watchpoints(path);
-  });
-  add(syms.actor_start, [this](Frame& f) {
-    std::string path = f.arg("filter")->str;
-    model_.on_actor_start(path);
-    scan_rules([&](Rule& r) {
-      if (r.type == Rule::Type::kSchedule && r.actor_path == path) {
-        StopEvent ev;
-        ev.kind = StopKind::kActorScheduled;
-        ev.actor = f.arg("name")->str;
-        ev.message = bracket("Stopped: controller scheduled filter `" + ev.actor +
-                             "' for execution (step " +
-                             std::to_string(f.arg("step")->u64) + ")");
-        trigger_stop(std::move(ev), &r);
-      }
+  }
+  {
+    const sim::SymbolId s = syms.work_exit;
+    add(s, [this, actor = arg_pos(s, "actor_id")](Frame& f) {
+      const auto id = static_cast<std::uint32_t>(f.arg(actor).u64);
+      model_.on_work_exit(id);
+      sample_watchpoints(id);
     });
-  });
-  add(syms.step_begin, [this](Frame& f) {
-    std::string path = f.arg("module")->str;
-    std::uint64_t step = f.arg("step")->u64;
-    model_.on_step_begin(path, step);
-    scan_rules([&](Rule& r) {
-      if (r.type == Rule::Type::kStepBegin && r.actor_path == path) {
-        StopEvent ev;
-        ev.kind = StopKind::kStepBegin;
-        ev.actor = r.actor;
-        ev.message = bracket("Stopped at beginning of step " + std::to_string(step) +
-                             " of module `" + r.actor + "'");
-        trigger_stop(std::move(ev), &r);
-      }
+  }
+  {
+    const sim::SymbolId s = syms.actor_start;
+    add(s, [this, filter = arg_pos(s, "filter_id"), name = arg_pos(s, "name"),
+             step = arg_pos(s, "step")](Frame& f) {
+      const auto id = static_cast<std::uint32_t>(f.arg(filter).u64);
+      model_.on_actor_start(id);
+      scan_rules([&](Rule& r) {
+        if (r.type == Rule::Type::kSchedule && r.actor_id == id) {
+          StopEvent ev;
+          ev.kind = StopKind::kActorScheduled;
+          ev.actor = f.arg(name).str;
+          ev.message = bracket("Stopped: controller scheduled filter `" + ev.actor +
+                               "' for execution (step " + std::to_string(f.arg(step).u64) +
+                               ")");
+          trigger_stop(std::move(ev), &r);
+        }
+      });
     });
-  });
-  add(syms.step_end, [this](Frame& f) {
-    std::string path = f.arg("module")->str;
-    std::uint64_t step = f.arg("step")->u64;
-    model_.on_step_end(path);
-    scan_rules([&](Rule& r) {
-      if (r.type == Rule::Type::kStepEnd && r.actor_path == path) {
-        StopEvent ev;
-        ev.kind = StopKind::kStepEnd;
-        ev.actor = r.actor;
-        ev.message = bracket("Stopped at end of step " + std::to_string(step) + " of module `" +
-                             r.actor + "'");
-        trigger_stop(std::move(ev), &r);
-      }
+  }
+  {
+    const sim::SymbolId s = syms.step_begin;
+    add(s, [this, module = arg_pos(s, "module_id"), step_pos = arg_pos(s, "step")](Frame& f) {
+      const auto id = static_cast<std::uint32_t>(f.arg(module).u64);
+      const std::uint64_t step = f.arg(step_pos).u64;
+      model_.on_step_begin(id, step);
+      scan_rules([&](Rule& r) {
+        if (r.type == Rule::Type::kStepBegin && r.actor_id == id) {
+          StopEvent ev;
+          ev.kind = StopKind::kStepBegin;
+          ev.actor = r.actor;
+          ev.message = bracket("Stopped at beginning of step " + std::to_string(step) +
+                               " of module `" + r.actor + "'");
+          trigger_stop(std::move(ev), &r);
+        }
+      });
     });
-  });
-  core_hooks_.push_back(port.add_exit_hook(syms.wait_actor_sync, [this](Frame& f) {
-    model_.on_wait_sync_done(f.arg("module")->str);
-  }));
-  core_hooks_.push_back(port.add_exit_hook(syms.predicate_eval, [this](Frame& f) {
-    std::string module_path = f.arg("module")->str;
-    std::string name = f.arg("name")->str;
-    bool result = f.ret() != nullptr && f.ret()->i64 != 0;
-    scan_rules([&](Rule& r) {
-      if (r.type == Rule::Type::kPredicate && r.actor_path == module_path &&
-          r.predicate_name == name) {
-        StopEvent ev;
-        ev.kind = StopKind::kPredicateEval;
-        ev.actor = r.actor;
-        ev.message = bracket("Stopped: predicate `" + name + "' of module `" + r.actor +
-                             "' evaluated to " + (result ? "true" : "false"));
-        trigger_stop(std::move(ev), &r);
-      }
+  }
+  {
+    const sim::SymbolId s = syms.step_end;
+    add(s, [this, module = arg_pos(s, "module_id"), step_pos = arg_pos(s, "step")](Frame& f) {
+      const auto id = static_cast<std::uint32_t>(f.arg(module).u64);
+      const std::uint64_t step = f.arg(step_pos).u64;
+      model_.on_step_end(id);
+      scan_rules([&](Rule& r) {
+        if (r.type == Rule::Type::kStepEnd && r.actor_id == id) {
+          StopEvent ev;
+          ev.kind = StopKind::kStepEnd;
+          ev.actor = r.actor;
+          ev.message = bracket("Stopped at end of step " + std::to_string(step) +
+                               " of module `" + r.actor + "'");
+          trigger_stop(std::move(ev), &r);
+        }
+      });
     });
-  }));
+  }
+  {
+    const sim::SymbolId s = syms.wait_actor_sync;
+    core_hooks_.push_back(
+        port.add_exit_hook(s, [this, module = arg_pos(s, "module_id")](Frame& f) {
+          model_.on_wait_sync_done(static_cast<std::uint32_t>(f.arg(module).u64));
+        }));
+  }
+  {
+    const sim::SymbolId s = syms.predicate_eval;
+    core_hooks_.push_back(port.add_exit_hook(s, [this, module = arg_pos(s, "module_id"),
+                                                 name_pos = arg_pos(s, "name")](Frame& f) {
+      const auto id = static_cast<std::uint32_t>(f.arg(module).u64);
+      const std::string_view name = f.arg(name_pos).str;
+      bool result = f.ret() != nullptr && f.ret()->i64 != 0;
+      scan_rules([&](Rule& r) {
+        if (r.type == Rule::Type::kPredicate && r.actor_id == id && r.predicate_name == name) {
+          StopEvent ev;
+          ev.kind = StopKind::kPredicateEval;
+          ev.actor = r.actor;
+          ev.message = bracket("Stopped: predicate `" + std::string(name) + "' of module `" +
+                               r.actor + "' evaluated to " + (result ? "true" : "false"));
+          trigger_stop(std::move(ev), &r);
+        }
+      });
+    }));
+  }
 
   // Two-level debugging: the source-line hook is installed lazily by
   // ensure_line_hook() — tracking every executed line is exactly the kind
   // of per-statement trap a real debugger only pays for when a line
   // breakpoint or watchpoint exists.
-  (void)0;
 
   // Debugger-initiated alterations are observable events too.
-  add(syms.debug_inject, [this](Frame& f) {
-    auto link = static_cast<std::uint32_t>(f.arg("link")->u64);
-    auto* v = static_cast<const pedf::Value*>(f.arg("value")->ptr);
-    pedf::Link* fl = app_.link_by_id(pedf::LinkId(link));
-    model_.on_push(link, f.arg("index")->u64, *v, "", app_.kernel().now(), /*injected=*/true,
-                   fl != nullptr ? fl->last_pushed_uid() : 0);
-  });
-  add(syms.debug_remove, [this](Frame& f) {
-    model_.on_remove(static_cast<std::uint32_t>(f.arg("link")->u64),
-                     static_cast<std::size_t>(f.arg("slot")->u64));
-  });
-  add(syms.debug_replace, [this](Frame& f) {
-    auto* v = static_cast<const pedf::Value*>(f.arg("value")->ptr);
-    model_.on_replace(static_cast<std::uint32_t>(f.arg("link")->u64),
-                      static_cast<std::size_t>(f.arg("slot")->u64), *v);
-  });
+  {
+    const sim::SymbolId s = syms.debug_inject;
+    add(s, [this, link_pos = arg_pos(s, "link"), value = arg_pos(s, "value"),
+             index = arg_pos(s, "index")](Frame& f) {
+      auto link = static_cast<std::uint32_t>(f.arg(link_pos).u64);
+      auto* v = static_cast<const pedf::Value*>(f.arg(value).ptr);
+      pedf::Link* fl = app_.link_by_id(pedf::LinkId(link));
+      model_.on_push(link, f.arg(index).u64, *v, GraphModel::kNoActor, app_.kernel().now(),
+                     /*injected=*/true, fl != nullptr ? fl->last_pushed_uid() : 0);
+    });
+  }
+  {
+    const sim::SymbolId s = syms.debug_remove;
+    add(s, [this, link = arg_pos(s, "link"), slot = arg_pos(s, "slot")](Frame& f) {
+      model_.on_remove(static_cast<std::uint32_t>(f.arg(link).u64),
+                       static_cast<std::size_t>(f.arg(slot).u64));
+    });
+  }
+  {
+    const sim::SymbolId s = syms.debug_replace;
+    add(s, [this, link = arg_pos(s, "link"), slot = arg_pos(s, "slot"),
+             value = arg_pos(s, "value")](Frame& f) {
+      auto* v = static_cast<const pedf::Value*>(f.arg(value).ptr);
+      model_.on_replace(static_cast<std::uint32_t>(f.arg(link).u64),
+                        static_cast<std::size_t>(f.arg(slot).u64), *v);
+    });
+  }
 }
 
 void Session::ensure_line_hook() {
   if (line_hook_.valid()) return;
   auto& port = app_.kernel().instrument();
-  line_hook_ = port.add_enter_hook(app_.syms().filter_line, [this](Frame& f) {
-    std::string path = f.arg("actor")->str;
-    int line = static_cast<int>(f.arg("line")->i64);
-    model_.on_filter_line(path, line);
+  const sim::SymbolId s = app_.syms().filter_line;
+  line_hook_ = port.add_enter_hook(s, [this, actor = arg_pos(s, "actor_id"),
+                                       line_pos = arg_pos(s, "line")](Frame& f) {
+    const auto id = static_cast<std::uint32_t>(f.arg(actor).u64);
+    int line = static_cast<int>(f.arg(line_pos).i64);
+    model_.on_filter_line(id, line);
     scan_rules([&](Rule& r) {
-      if (r.type == Rule::Type::kLine && r.actor_path == path && r.line == line) {
+      if (r.type == Rule::Type::kLine && r.actor_id == id && r.line == line) {
         StopEvent ev;
         ev.kind = StopKind::kSourceLine;
         ev.actor = r.actor;
@@ -290,7 +357,7 @@ void Session::ensure_line_hook() {
         ev.message = bracket("Breakpoint: filter `" + r.actor + "' at line " +
                              std::to_string(line));
         trigger_stop(std::move(ev), &r);
-      } else if (r.type == Rule::Type::kStepLine && r.actor_path == path) {
+      } else if (r.type == Rule::Type::kStepLine && r.actor_id == id) {
         StopEvent ev;
         ev.kind = StopKind::kSourceLine;
         ev.actor = r.actor;
@@ -300,28 +367,44 @@ void Session::ensure_line_hook() {
         trigger_stop(std::move(ev), &r);
       }
     });
-    sample_watchpoints(path);
+    sample_watchpoints(id);
   });
   core_hooks_.push_back(line_hook_);
 }
 
-void Session::install_data_hooks() {
+Session::LinkArgs Session::link_args(sim::SymbolId symbol, bool push) const {
+  LinkArgs at;
+  at.link = arg_pos(symbol, "link");
+  at.index = arg_pos(symbol, "index");
+  at.actor_id = arg_pos(symbol, "actor_id");
+  if (push) at.value = arg_pos(symbol, "value");
+  return at;
+}
+
+sim::HookId Session::add_data_hook(sim::SymbolId symbol, bool push) {
   auto& port = app_.kernel().instrument();
-  push_hook_ = port.add_exit_hook(app_.syms().link_push,
-                                  [this](Frame& f) { handle_push(f); });
-  pop_hook_ = port.add_exit_hook(app_.syms().link_pop,
-                                 [this](Frame& f) { handle_pop_exit(f); });
+  if (push) {
+    return port.add_exit_hook(
+        symbol, [this, at = link_args(symbol, true)](Frame& f) { handle_push(f, at); });
+  }
+  return port.add_exit_hook(
+      symbol, [this, at = link_args(symbol, false)](Frame& f) { handle_pop_exit(f, at); });
+}
+
+void Session::install_data_hooks() {
+  push_hook_ = add_data_hook(app_.syms().link_push, /*push=*/true);
+  pop_hook_ = add_data_hook(app_.syms().link_pop, /*push=*/false);
 }
 
 // ---------------------------------------------------------------------------
 // Data-exchange event handling (Contribution #3)
 // ---------------------------------------------------------------------------
 
-void Session::handle_push(const Frame& frame) {
-  auto link = static_cast<std::uint32_t>(frame.arg("link")->u64);
-  const auto* value = static_cast<const pedf::Value*>(frame.arg("value")->ptr);
-  std::uint64_t index = frame.ret() != nullptr ? frame.ret()->u64 : frame.arg("index")->u64;
-  std::string actor_path = frame.arg("actor")->str;
+void Session::handle_push(const Frame& frame, const LinkArgs& at) {
+  auto link = static_cast<std::uint32_t>(frame.arg(at.link).u64);
+  const auto* value = static_cast<const pedf::Value*>(frame.arg(at.value).ptr);
+  std::uint64_t index = frame.ret() != nullptr ? frame.ret()->u64 : frame.arg(at.index).u64;
+  const auto actor = static_cast<std::uint32_t>(frame.arg(at.actor_id).u64);
   sim::SimTime now = app_.kernel().now();
 
   // The exit hook runs synchronously in the pushing process, before any
@@ -329,10 +412,10 @@ void Session::handle_push(const Frame& frame) {
   // this very event.
   pedf::Link* fl = app_.link_by_id(pedf::LinkId(link));
   std::uint64_t uid = fl != nullptr ? fl->last_pushed_uid() : 0;
-  TokenId tok = model_.on_push(link, index, *value, actor_path, now, /*injected=*/false, uid);
+  TokenId tok = model_.on_push(link, index, *value, actor, now, /*injected=*/false, uid);
   const DLink* dl = model_.link(link);
   if (dl == nullptr) return;
-  recorder_.on_token(dl->src_iface(), index, *value, now, uid);
+  recorder_.on_token(dl->src_iface, index, *value, now, uid);
 
   scan_rules([&](Rule& r) {
     switch (r.type) {
@@ -342,9 +425,9 @@ void Session::handle_push(const Frame& frame) {
         StopEvent ev;
         ev.kind = StopKind::kTokenSent;
         ev.actor = dl->src_actor;
-        ev.iface = dl->src_iface();
+        ev.iface = dl->src_iface;
         ev.token = tok;
-        ev.message = bracket("Stopped after sending token on `" + dl->src_iface() + "'");
+        ev.message = bracket("Stopped after sending token on `" + dl->src_iface + "'");
         trigger_stop(std::move(ev), &r);
         break;
       }
@@ -354,21 +437,20 @@ void Session::handle_push(const Frame& frame) {
           StopEvent ev;
           ev.kind = StopKind::kTokenContent;
           ev.actor = dl->src_actor;
-          ev.iface = dl->src_iface();
+          ev.iface = dl->src_iface;
           ev.token = tok;
-          ev.message = bracket("Stopped: token on `" + dl->src_iface() + "' matched " + r.desc);
+          ev.message = bracket("Stopped: token on `" + dl->src_iface + "' matched " + r.desc);
           trigger_stop(std::move(ev), &r);
         }
         break;
       }
       case Rule::Type::kOccupancy: {
         if (r.link != link) break;
-        pedf::Link* fl = app_.link_by_id(pedf::LinkId(link));
         if (fl == nullptr || fl->occupancy() < r.threshold) break;
         StopEvent ev;
         ev.kind = StopKind::kLinkOccupancy;
         ev.actor = dl->dst_actor;
-        ev.iface = dl->dst_iface();
+        ev.iface = dl->dst_iface;
         ev.token = tok;
         ev.message = bracket(strformat("Stopped: link `%s' holds %zu token(s) (threshold %zu)",
                                        dl->name.c_str(), fl->occupancy(), r.threshold));
@@ -376,7 +458,7 @@ void Session::handle_push(const Frame& frame) {
         break;
       }
       case Rule::Type::kStepBothArm: {
-        if (r.actor_path != actor_path) break;
+        if (r.actor_id != actor) break;
         // The armed filter just pushed: this identifies the link. Retire
         // the arm rule, plant the receive end, and report the send stop.
         r.fired = true;
@@ -385,17 +467,17 @@ void Session::handle_push(const Frame& frame) {
         recv->type = Rule::Type::kStepBothRecv;
         recv->temporary = true;
         recv->link = link;
-        recv->iface = dl->dst_iface();
-        recv->desc = "step_both (receive end) on " + dl->dst_iface();
+        recv->iface = dl->dst_iface;
+        recv->desc = "step_both (receive end) on " + dl->dst_iface;
         rules_.push_back(std::move(recv));
         notes_.push_back(bracket("Temporary breakpoint inserted after input interface `" +
-                                 dl->dst_iface() + "'"));
+                                 dl->dst_iface + "'"));
         StopEvent ev;
         ev.kind = StopKind::kTokenSent;
         ev.actor = dl->src_actor;
-        ev.iface = dl->src_iface();
+        ev.iface = dl->src_iface;
         ev.token = tok;
-        ev.message = bracket("Stopped after sending token on `" + dl->src_iface() + "'");
+        ev.message = bracket("Stopped after sending token on `" + dl->src_iface + "'");
         trigger_stop(std::move(ev), &r);
         break;
       }
@@ -405,20 +487,20 @@ void Session::handle_push(const Frame& frame) {
   });
 }
 
-void Session::handle_pop_exit(const Frame& frame) {
-  auto link = static_cast<std::uint32_t>(frame.arg("link")->u64);
-  std::string actor_path = frame.arg("actor")->str;
+void Session::handle_pop_exit(const Frame& frame, const LinkArgs& at) {
+  auto link = static_cast<std::uint32_t>(frame.arg(at.link).u64);
+  const auto actor = static_cast<std::uint32_t>(frame.arg(at.actor_id).u64);
   sim::SimTime now = app_.kernel().now();
   const auto* value = frame.ret() != nullptr
                           ? static_cast<const pedf::Value*>(frame.ret()->ptr)
                           : nullptr;
 
-  TokenId tok = model_.on_pop(link, actor_path, now);
+  TokenId tok = model_.on_pop(link, actor, now);
   const DLink* dl = model_.link(link);
   if (dl == nullptr) return;
   if (value != nullptr) {
     pedf::Link* fl = app_.link_by_id(pedf::LinkId(link));
-    recorder_.on_token(dl->dst_iface(), frame.arg("index")->u64, *value, now,
+    recorder_.on_token(dl->dst_iface, frame.arg(at.index).u64, *value, now,
                        fl != nullptr ? fl->last_popped_uid() : 0);
   }
 
@@ -430,9 +512,9 @@ void Session::handle_pop_exit(const Frame& frame) {
         StopEvent ev;
         ev.kind = StopKind::kTokenReceived;
         ev.actor = dl->dst_actor;
-        ev.iface = dl->dst_iface();
+        ev.iface = dl->dst_iface;
         ev.token = tok;
-        ev.message = bracket("Stopped after receiving token from `" + dl->dst_iface() + "'");
+        ev.message = bracket("Stopped after receiving token from `" + dl->dst_iface + "'");
         trigger_stop(std::move(ev), &r);
         break;
       }
@@ -442,10 +524,10 @@ void Session::handle_pop_exit(const Frame& frame) {
           StopEvent ev;
           ev.kind = StopKind::kTokenContent;
           ev.actor = dl->dst_actor;
-          ev.iface = dl->dst_iface();
+          ev.iface = dl->dst_iface;
           ev.token = tok;
           ev.message =
-              bracket("Stopped: token from `" + dl->dst_iface() + "' matched " + r.desc);
+              bracket("Stopped: token from `" + dl->dst_iface + "' matched " + r.desc);
           trigger_stop(std::move(ev), &r);
         }
         break;
@@ -467,9 +549,9 @@ void Session::handle_pop_exit(const Frame& frame) {
         StopEvent ev;
         ev.kind = StopKind::kTokenProvenance;
         ev.actor = dl->dst_actor;
-        ev.iface = dl->dst_iface();
+        ev.iface = dl->dst_iface;
         ev.token = tok;
-        ev.message = bracket("Stopped: token received on `" + dl->dst_iface() +
+        ev.message = bracket("Stopped: token received on `" + dl->dst_iface +
                              "' derives from `" + r.from_actor + "'");
         trigger_stop(std::move(ev), &r);
         break;
@@ -507,9 +589,9 @@ void Session::handle_pop_exit(const Frame& frame) {
   });
 }
 
-void Session::sample_watchpoints(const std::string& filter_path) {
+void Session::sample_watchpoints(std::uint32_t actor) {
   scan_rules([&](Rule& r) {
-    if (r.type != Rule::Type::kWatch || r.actor_path != filter_path) return;
+    if (r.type != Rule::Type::kWatch || r.actor_id != actor) return;
     pedf::Filter* f = app_.filter_by_name(r.actor);
     if (f == nullptr) return;
     pedf::Value* v = r.var_kind == "attribute" ? f->attribute(r.var_name) : f->data(r.var_name);
@@ -661,7 +743,7 @@ Result<BpId> Session::catch_work(const std::string& filter) {
   r->id = BpId(next_bp_++);
   r->type = Rule::Type::kWork;
   r->actor = filter;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   r->desc = "filter " + filter + " catch work";
   BpId id = r->id;
   rules_.push_back(std::move(r));
@@ -676,7 +758,7 @@ Result<BpId> Session::catch_tokens(
   r->id = BpId(next_bp_++);
   r->type = Rule::Type::kTokenCounts;
   r->actor = filter;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   std::vector<std::string> parts;
   for (auto& [port, count] : port_counts) {
     std::string iface = filter + "::" + port;
@@ -811,7 +893,7 @@ Result<BpId> Session::break_on_predicate(const std::string& module,
   r->id = BpId(next_bp_++);
   r->type = Rule::Type::kPredicate;
   r->actor = a->name;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   r->predicate_name = predicate;
   r->desc = "stop when predicate " + module + "::" + predicate + " is evaluated";
   BpId id = r->id;
@@ -826,7 +908,7 @@ Result<BpId> Session::break_on_schedule(const std::string& filter) {
   r->id = BpId(next_bp_++);
   r->type = Rule::Type::kSchedule;
   r->actor = filter;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   r->desc = "stop when controller schedules " + filter;
   BpId id = r->id;
   rules_.push_back(std::move(r));
@@ -842,7 +924,7 @@ Result<BpId> Session::break_on_step(const std::string& module, bool at_end) {
   r->id = BpId(next_bp_++);
   r->type = at_end ? Rule::Type::kStepEnd : Rule::Type::kStepBegin;
   r->actor = a->name;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   r->desc = std::string("stop at step ") + (at_end ? "end" : "begin") + " of " + a->name;
   BpId id = r->id;
   rules_.push_back(std::move(r));
@@ -857,7 +939,7 @@ Result<BpId> Session::break_source_line(const std::string& filter, int line) {
   r->id = BpId(next_bp_++);
   r->type = Rule::Type::kLine;
   r->actor = filter;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   r->line = line;
   r->desc = "breakpoint at " + filter + ":" + std::to_string(line);
   BpId id = r->id;
@@ -880,7 +962,7 @@ Result<BpId> Session::watch_variable(const std::string& filter, const std::strin
   r->id = BpId(next_bp_++);
   r->type = Rule::Type::kWatch;
   r->actor = filter;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   r->var_kind = kind;
   r->var_name = name;
   r->has_last = true;
@@ -952,11 +1034,11 @@ Status Session::step_both_iface(const std::string& out_iface) {
   recv->type = Rule::Type::kStepBothRecv;
   recv->temporary = true;
   recv->link = c->link;
-  recv->iface = dl->dst_iface();
-  recv->desc = "step_both (receive end) on " + dl->dst_iface();
+  recv->iface = dl->dst_iface;
+  recv->desc = "step_both (receive end) on " + dl->dst_iface;
   rules_.push_back(std::move(recv));
   notes_.push_back(
-      bracket("Temporary breakpoint inserted after input interface `" + dl->dst_iface() + "'"));
+      bracket("Temporary breakpoint inserted after input interface `" + dl->dst_iface + "'"));
 
   auto send = std::make_unique<Rule>();
   send->id = BpId(next_bp_++);
@@ -981,7 +1063,7 @@ Status Session::step_both() {
   arm->type = Rule::Type::kStepBothArm;
   arm->temporary = true;
   arm->actor = a->name;
-  arm->actor_path = a->path;
+  arm->actor_id = a->id;
   arm->desc = "step_both (arming next send of " + a->name + ")";
   rules_.push_back(std::move(arm));
   notes_.push_back(bracket("step_both armed on next dataflow assignment of `" + a->name + "'"));
@@ -999,7 +1081,7 @@ Status Session::step_line() {
   r->type = Rule::Type::kStepLine;
   r->temporary = true;
   r->actor = a->name;
-  r->actor_path = a->path;
+  r->actor_id = a->id;
   r->desc = "single step in " + a->name;
   rules_.push_back(std::move(r));
   return Status{};
@@ -1131,13 +1213,8 @@ Status Session::use_selective_data_hooks(const std::vector<std::string>& ifaces)
     if (c == nullptr) return Status::error(ErrCode::kNotFound, "no such interface: " + iface);
     if (c->link == UINT32_MAX) return Status::error(ErrCode::kInvalidArgument, iface + " is not bound to a link");
     const pedf::LinkSymbols& ls = app_.link_syms(pedf::LinkId(c->link));
-    if (c->is_input) {
-      selective_hooks_.push_back(
-          port.add_exit_hook(ls.pop_iface, [this](Frame& f) { handle_pop_exit(f); }));
-    } else {
-      selective_hooks_.push_back(
-          port.add_exit_hook(ls.push_iface, [this](Frame& f) { handle_push(f); }));
-    }
+    selective_hooks_.push_back(c->is_input ? add_data_hook(ls.pop_iface, /*push=*/false)
+                                           : add_data_hook(ls.push_iface, /*push=*/true));
   }
   // Remove the global data-exchange breakpoints; the framework starts
   // reporting per-interface instance symbols instead, and only the chosen

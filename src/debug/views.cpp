@@ -103,8 +103,8 @@ Result<SchedView> Session::sched_view(const std::string& module) const {
   v.step = m->step;
   v.backend = sim::to_string(app_.kernel().backend());
   v.workers = app_.kernel().partition_count();
-  for (const DActor& a : model_.actors()) {
-    if (a.parent_path != m->path || a.kind != DActorKind::kFilter) continue;
+  for (std::uint32_t f : m->filters) {
+    const DActor& a = model_.actors()[f];
     v.rows.push_back(SchedRow{a.name, to_string(a.sched), a.firings});
   }
   return v;

@@ -272,26 +272,36 @@ void Application::assign_mapping() {
 }
 
 void Application::intern_symbols() {
+  // Each symbol with its argument layout: the names, in order, of the
+  // arguments its shim reports (what a debugger would read from DWARF).
   auto& port = platform_.kernel().instrument();
-  syms_.register_actor = port.intern(symbols::kRegisterActor);
-  syms_.register_port = port.intern(symbols::kRegisterPort);
-  syms_.register_link = port.intern(symbols::kRegisterLink);
-  syms_.graph_ready = port.intern(symbols::kGraphReady);
-  syms_.link_push = port.intern(symbols::kLinkPush);
-  syms_.link_pop = port.intern(symbols::kLinkPop);
-  syms_.work_enter = port.intern(symbols::kWorkEnter);
-  syms_.work_exit = port.intern(symbols::kWorkExit);
-  syms_.filter_line = port.intern(symbols::kFilterLine);
-  syms_.actor_start = port.intern(symbols::kActorStart);
-  syms_.actor_sync = port.intern(symbols::kActorSync);
-  syms_.wait_actor_init = port.intern(symbols::kWaitActorInit);
-  syms_.wait_actor_sync = port.intern(symbols::kWaitActorSync);
-  syms_.step_begin = port.intern(symbols::kStepBegin);
-  syms_.step_end = port.intern(symbols::kStepEnd);
-  syms_.predicate_eval = port.intern(symbols::kPredicateEval);
-  syms_.debug_inject = port.intern(symbols::kDebugInject);
-  syms_.debug_remove = port.intern(symbols::kDebugRemove);
-  syms_.debug_replace = port.intern(symbols::kDebugReplace);
+  syms_.register_actor =
+      port.intern(symbols::kRegisterActor, {"kind", "name", "path", "pe", "parent", "id"});
+  syms_.register_port = port.intern(symbols::kRegisterPort, {"actor", "port", "dir", "type"});
+  syms_.register_link =
+      port.intern(symbols::kRegisterLink, {"link", "name", "src_actor", "src_port", "dst_actor",
+                                           "dst_port", "type", "transport"});
+  syms_.graph_ready = port.intern(symbols::kGraphReady, {"app", "actors", "links"});
+  syms_.link_push =
+      port.intern(symbols::kLinkPush, {"link", "index", "value", "actor", "actor_id", "port"});
+  syms_.link_pop = port.intern(symbols::kLinkPop, {"link", "index", "actor", "actor_id", "port"});
+  syms_.work_enter = port.intern(symbols::kWorkEnter, {"actor", "actor_id", "step", "firing"});
+  syms_.work_exit = port.intern(symbols::kWorkExit, {"actor", "actor_id", "step", "firing"});
+  syms_.filter_line = port.intern(symbols::kFilterLine, {"actor", "actor_id", "line"});
+  syms_.actor_start =
+      port.intern(symbols::kActorStart, {"controller", "filter", "filter_id", "name", "step"});
+  syms_.actor_sync =
+      port.intern(symbols::kActorSync, {"controller", "filter", "filter_id", "name", "step"});
+  syms_.wait_actor_init = port.intern(symbols::kWaitActorInit, {"module", "module_id", "step"});
+  syms_.wait_actor_sync = port.intern(symbols::kWaitActorSync, {"module", "module_id", "step"});
+  syms_.step_begin =
+      port.intern(symbols::kStepBegin, {"module", "module_id", "controller", "step"});
+  syms_.step_end = port.intern(symbols::kStepEnd, {"module", "module_id", "controller", "step"});
+  syms_.predicate_eval =
+      port.intern(symbols::kPredicateEval, {"module", "module_id", "controller", "name"});
+  syms_.debug_inject = port.intern(symbols::kDebugInject, {"link", "index", "value"});
+  syms_.debug_remove = port.intern(symbols::kDebugRemove, {"link", "slot", "value"});
+  syms_.debug_replace = port.intern(symbols::kDebugReplace, {"link", "slot", "value"});
 }
 
 void Application::intern_link_symbols() {
@@ -300,10 +310,13 @@ void Application::intern_link_symbols() {
   link_syms_.reserve(links_.size());
   for (const auto& l : links_) {
     LinkSymbols ls;
-    ls.push_iface = port.intern(symbols::instance(
-        symbols::kLinkPush, l->src()->owner().name() + "::" + l->src()->name()));
-    ls.pop_iface = port.intern(symbols::instance(
-        symbols::kLinkPop, l->dst()->owner().name() + "::" + l->dst()->name()));
+    ls.push_iface = port.intern_instance(
+        symbols::instance(symbols::kLinkPush,
+                          l->src()->owner().name() + "::" + l->src()->name()),
+        syms_.link_push);
+    ls.pop_iface = port.intern_instance(
+        symbols::instance(symbols::kLinkPop, l->dst()->owner().name() + "::" + l->dst()->name()),
+        syms_.link_pop);
     link_syms_.push_back(ls);
   }
 }
@@ -833,6 +846,17 @@ void Application::model_transfer_cost(Link& link, std::size_t n) {
   }
 }
 
+sim::SymbolId Application::link_instance(const Link& link, bool push) const {
+  if (!cooperation_) return sim::SymbolId{};
+  const LinkSymbols& ls = link_syms_[link.id().value()];
+  return push ? ls.push_iface : ls.pop_iface;
+}
+
+bool Application::data_hook_armed(const Link& link, bool push) {
+  return kernel().instrument().armed(push ? syms_.link_push : syms_.link_pop,
+                                     link_instance(link, push));
+}
+
 void Application::rt_link_push(Actor& actor, Port& port, const Value& v) {
   Link* link = port.link();
   DFDBG_CHECK_MSG(link != nullptr, actor.path() + "." + port.name() + " is not bound");
@@ -847,11 +871,10 @@ void Application::rt_link_push(Actor& actor, Port& port, const Value& v) {
       ArgValue::of_u64("index", link->push_index()),
       ArgValue::of_ptr("value", const_cast<Value*>(&v)),
       ArgValue::of_str("actor", actor.path().c_str()),
+      ArgValue::of_u64("actor_id", actor.id().value()),
       ArgValue::of_str("port", port.name().c_str()),
   };
-  sim::SymbolId inst;
-  if (cooperation_) inst = link_syms_[link->id().value()].push_iface;
-  sim::InstrScope scope(kernel(), syms_.link_push, args, inst);
+  sim::InstrScope scope(kernel(), syms_.link_push, args, link_instance(*link, /*push=*/true));
   while (link->full()) {
     actor.set_blocked(BlockInfo{BlockInfo::Kind::kLinkFull, link});
     kernel().wait(link->space_avail());
@@ -887,11 +910,10 @@ void Application::rt_link_push_boundary(Actor& actor, Port& port, Link& link, co
       ArgValue::of_u64("index", ob.sent()),
       ArgValue::of_ptr("value", const_cast<Value*>(&v)),
       ArgValue::of_str("actor", actor.path().c_str()),
+      ArgValue::of_u64("actor_id", actor.id().value()),
       ArgValue::of_str("port", port.name().c_str()),
   };
-  sim::SymbolId inst;
-  if (cooperation_) inst = link_syms_[link.id().value()].push_iface;
-  sim::InstrScope scope(kernel(), syms_.link_push, args, inst);
+  sim::InstrScope scope(kernel(), syms_.link_push, args, link_instance(link, /*push=*/true));
   while (ob.full()) {
     actor.set_blocked(BlockInfo{BlockInfo::Kind::kLinkFull, &link});
     kernel().wait(ob.space_avail());
@@ -928,26 +950,17 @@ void Application::rt_link_push_n(Actor& actor, Port& port, const Value* vs, std:
   }
   Link* link = port.link();
   DFDBG_CHECK_MSG(link != nullptr, actor.path() + "." + port.name() + " is not bound");
+  if (link->outbox() != nullptr || data_hook_armed(*link, /*push=*/true)) {
+    // Partition-crossing link, or a debugger watches this exchange: degrade
+    // to token-at-a-time pushes, so the channel's journal/provenance stream
+    // and the hook stream are exactly n single pushes (the batch API is a
+    // fast path, never a semantic change).
+    for (std::size_t i = 0; i < n; ++i) rt_link_push(actor, port, vs[i]);
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i)
     DFDBG_CHECK_MSG(vs[i].type() == link->type(),
                     "type mismatch pushing " + vs[i].type().name() + " on " + link->name());
-  if (link->outbox() != nullptr) {
-    // Partition-crossing link: degrade to token-at-a-time sends so the
-    // channel's journal/provenance stream is exactly n single pushes (the
-    // batch API is a fast path, never a semantic change).
-    for (std::size_t i = 0; i < n; ++i) rt_link_push_boundary(actor, port, *link, vs[i]);
-    return;
-  }
-  const ArgValue args[] = {
-      ArgValue::of_u64("link", link->id().value()),
-      ArgValue::of_u64("index", link->push_index()),
-      ArgValue::of_u64("count", n),
-      ArgValue::of_str("actor", actor.path().c_str()),
-      ArgValue::of_str("port", port.name().c_str()),
-  };
-  sim::SymbolId inst;
-  if (cooperation_) inst = link_syms_[link->id().value()].push_iface;
-  sim::InstrScope scope(kernel(), syms_.link_push, args, inst);
   std::size_t done = 0;
   while (done < n) {
     while (link->full()) {
@@ -976,7 +989,6 @@ void Application::rt_link_push_n(Actor& actor, Port& port, const Value* vs, std:
     done += chunk;
     kernel().notify_if_waiting(link->data_avail());
   }
-  scope.set_return(ArgValue::of_u64("index", link->push_index() - 1));
 }
 
 std::optional<Value> Application::rt_link_pop(Actor& actor, Port& port) {
@@ -988,11 +1000,10 @@ std::optional<Value> Application::rt_link_pop(Actor& actor, Port& port) {
         ArgValue::of_u64("link", link->id().value()),
         ArgValue::of_u64("index", link->pop_index()),
         ArgValue::of_str("actor", actor.path().c_str()),
+        ArgValue::of_u64("actor_id", actor.id().value()),
         ArgValue::of_str("port", port.name().c_str()),
     };
-    sim::SymbolId inst;
-    if (cooperation_) inst = link_syms_[link->id().value()].pop_iface;
-    sim::InstrScope scope(kernel(), syms_.link_pop, args, inst);
+    sim::InstrScope scope(kernel(), syms_.link_pop, args, link_instance(*link, /*push=*/false));
     auto* as_filter =
         (actor.kind() == ActorKind::kFilter || actor.kind() == ActorKind::kHostIo)
             ? static_cast<Filter*>(&actor)
@@ -1035,16 +1046,16 @@ std::size_t Application::rt_link_pop_n(Actor& actor, Port& port, Value* out, std
   }
   Link* link = port.link();
   DFDBG_CHECK_MSG(link != nullptr, actor.path() + "." + port.name() + " is not bound");
-  const ArgValue args[] = {
-      ArgValue::of_u64("link", link->id().value()),
-      ArgValue::of_u64("index", link->pop_index()),
-      ArgValue::of_u64("count", n),
-      ArgValue::of_str("actor", actor.path().c_str()),
-      ArgValue::of_str("port", port.name().c_str()),
-  };
-  sim::SymbolId inst;
-  if (cooperation_) inst = link_syms_[link->id().value()].pop_iface;
-  sim::InstrScope scope(kernel(), syms_.link_pop, args, inst);
+  if (data_hook_armed(*link, /*push=*/false)) {
+    // A debugger watches this exchange: token-at-a-time pops (see push_n).
+    std::size_t done = 0;
+    while (done < n) {
+      std::optional<Value> v = rt_link_pop(actor, port);
+      if (!v.has_value()) break;
+      out[done++] = std::move(*v);
+    }
+    return done;
+  }
   auto* as_filter =
       (actor.kind() == ActorKind::kFilter || actor.kind() == ActorKind::kHostIo)
           ? static_cast<Filter*>(&actor)
@@ -1082,7 +1093,6 @@ std::size_t Application::rt_link_pop_n(Actor& actor, Port& port, Value* out, std
     done += chunk;
     kernel().notify_if_waiting(link->space_avail());
   }
-  scope.set_return(ArgValue::of_u64("count", done));
   return done;
 }
 
@@ -1093,6 +1103,7 @@ void Application::rt_work_enter(Filter& f) {
   f.firings_++;
   const ArgValue args[] = {
       ArgValue::of_str("actor", f.path().c_str()),
+      ArgValue::of_u64("actor_id", f.id().value()),
       ArgValue::of_u64("step", step),
       ArgValue::of_u64("firing", f.firings()),
   };
@@ -1118,6 +1129,7 @@ void Application::rt_work_exit(Filter& f) {
   f.step_state_ = f.free_running_ ? StepState::kIdle : StepState::kDone;
   const ArgValue args[] = {
       ArgValue::of_str("actor", f.path().c_str()),
+      ArgValue::of_u64("actor_id", f.id().value()),
       ArgValue::of_u64("step", m != nullptr ? m->step() : f.firings()),
       ArgValue::of_u64("firing", f.firings()),
   };
@@ -1143,6 +1155,7 @@ void Application::rt_filter_line(Filter& f, int line) {
   if (!kernel().instrument().armed(syms_.filter_line)) return;
   const ArgValue args[] = {
       ArgValue::of_str("actor", f.path().c_str()),
+      ArgValue::of_u64("actor_id", f.id().value()),
       ArgValue::of_i64("line", line),
   };
   kernel().instrument().fire_enter(kernel(), syms_.filter_line, args);
@@ -1155,6 +1168,7 @@ void Application::rt_actor_start(Controller& c, Filter& f) {
   const ArgValue args[] = {
       ArgValue::of_str("controller", c.path().c_str()),
       ArgValue::of_str("filter", f.path().c_str()),
+      ArgValue::of_u64("filter_id", f.id().value()),
       ArgValue::of_str("name", f.name().c_str()),
       ArgValue::of_u64("step", m.step()),
   };
@@ -1170,6 +1184,7 @@ void Application::rt_actor_sync(Controller& c, Filter& f) {
   const ArgValue args[] = {
       ArgValue::of_str("controller", c.path().c_str()),
       ArgValue::of_str("filter", f.path().c_str()),
+      ArgValue::of_u64("filter_id", f.id().value()),
       ArgValue::of_str("name", f.name().c_str()),
       ArgValue::of_u64("step", m.step()),
   };
@@ -1179,6 +1194,7 @@ void Application::rt_actor_sync(Controller& c, Filter& f) {
 
 void Application::rt_wait_actor_init(Controller& c, Module& m) {
   const ArgValue args[] = {ArgValue::of_str("module", m.path().c_str()),
+                           ArgValue::of_u64("module_id", m.id().value()),
                            ArgValue::of_u64("step", m.step())};
   sim::InstrScope scope(kernel(), syms_.wait_actor_init, args);
   while (m.started_count_ < m.sched_count_) {
@@ -1190,6 +1206,7 @@ void Application::rt_wait_actor_init(Controller& c, Module& m) {
 
 void Application::rt_wait_actor_sync(Controller& c, Module& m) {
   const ArgValue args[] = {ArgValue::of_str("module", m.path().c_str()),
+                           ArgValue::of_u64("module_id", m.id().value()),
                            ArgValue::of_u64("step", m.step())};
   sim::InstrScope scope(kernel(), syms_.wait_actor_sync, args);
   while (m.done_count_ < m.sched_count_) {
@@ -1209,6 +1226,7 @@ void Application::rt_step_begin(Controller& c, Module& m) {
   m.step_++;
   const ArgValue args[] = {
       ArgValue::of_str("module", m.path().c_str()),
+      ArgValue::of_u64("module_id", m.id().value()),
       ArgValue::of_str("controller", c.path().c_str()),
       ArgValue::of_u64("step", m.step()),
   };
@@ -1218,6 +1236,7 @@ void Application::rt_step_begin(Controller& c, Module& m) {
 void Application::rt_step_end(Controller& c, Module& m) {
   const ArgValue args[] = {
       ArgValue::of_str("module", m.path().c_str()),
+      ArgValue::of_u64("module_id", m.id().value()),
       ArgValue::of_str("controller", c.path().c_str()),
       ArgValue::of_u64("step", m.step()),
   };
@@ -1230,6 +1249,7 @@ bool Application::rt_predicate_eval(Controller& c, Module& m, std::string_view n
   std::string nm(name);
   const ArgValue args[] = {
       ArgValue::of_str("module", m.path().c_str()),
+      ArgValue::of_u64("module_id", m.id().value()),
       ArgValue::of_str("controller", c.path().c_str()),
       ArgValue::of_str("name", nm.c_str()),
   };

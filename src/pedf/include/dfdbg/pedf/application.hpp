@@ -245,13 +245,18 @@ class Application {
   /// BoundaryChannel and is delivered by the coordinator at the barrier.
   void rt_link_push_boundary(Actor& actor, Port& port, Link& link, const Value& v);
   std::optional<Value> rt_link_pop(Actor& actor, Port& port);
-  // Batch fast paths (the batched-fire option): one instrumentation scope,
-  // one blocking check and one coalesced notify per chunk instead of per
-  // token. Journal provenance is still recorded per token. Only reachable
-  // through FilterContext::{put_n,get_n}, so filters that never opt in see
-  // the token-at-a-time hook stream unchanged.
+  // Batch fast paths (the batched-fire option): one blocking check and one
+  // coalesced notify per chunk instead of per token. Journal provenance is
+  // still recorded per token. While a debugger watches the link (its push or
+  // pop symbol, or the link's instance symbol, is armed) they fall back to
+  // the token-at-a-time shims, so hooks see the same per-token stream and
+  // argument layout whether or not a filter opted into batching.
   void rt_link_push_n(Actor& actor, Port& port, const Value* vs, std::size_t n);
   std::size_t rt_link_pop_n(Actor& actor, Port& port, Value* out, std::size_t n);
+  /// The link's push/pop instance symbol while cooperation is on, else none.
+  [[nodiscard]] sim::SymbolId link_instance(const Link& link, bool push) const;
+  /// Whether a hook watches pushes (pops) on `link`.
+  [[nodiscard]] bool data_hook_armed(const Link& link, bool push);
   void rt_work_enter(Filter& f);
   void rt_work_exit(Filter& f);
   void rt_filter_line(Filter& f, int line);

@@ -9,10 +9,15 @@
 // Running everything in one host process, we cannot plant real INT3
 // breakpoints, so the simulator exposes this port instead: framework
 // functions report (symbol, raw argument values) at entry/exit, exactly the
-// data a breakpoint + DWARF parse would yield. The debugger attaches by
-// symbol name and registers enter hooks (function breakpoints) and exit
-// hooks (the paper's *finish breakpoints*). When nothing is attached the
-// fast path is a single branch, so the framework stays debugger-agnostic.
+// data a breakpoint + DWARF parse would yield. The framework declares each
+// symbol's argument layout when it interns the symbol (its "debug
+// information"). The debugger resolves the symbol by name and each argument
+// it needs to a position in that layout once, when it plants a hook, as GDB
+// resolves DWARF locations when it sets a breakpoint; a hook then reads its
+// arguments by index and never by name. Enter hooks are function
+// breakpoints, exit hooks the paper's *finish breakpoints*. When nothing is
+// attached the fast path is a single branch, so the framework stays
+// debugger-agnostic.
 //
 // "Framework cooperation" (§V, option 2 — left unimplemented in the paper,
 // built here as an extension): the framework can additionally report a
@@ -31,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dfdbg/common/assert.hpp"
 #include "dfdbg/common/ids.hpp"
 #include "dfdbg/common/strings.hpp"
 
@@ -100,6 +106,13 @@ struct ArgValue {
   }
 };
 
+/// Position of one argument in its symbol's declared layout: where a hook
+/// finds that argument, resolved once by InstrumentPort::param() when the
+/// hook is planted.
+struct ArgPos {
+  std::uint32_t index = 0;
+};
+
 /// The view a hook receives when its breakpoint triggers.
 class Frame {
  public:
@@ -112,7 +125,13 @@ class Frame {
   [[nodiscard]] std::string_view symbol_name() const { return symbol_name_; }
   [[nodiscard]] std::span<const ArgValue> args() const { return args_; }
 
-  /// Argument by name, nullptr if absent.
+  /// Argument at a position resolved when the hook was planted.
+  [[nodiscard]] const ArgValue& arg(ArgPos pos) const {
+    DFDBG_DCHECK(pos.index < args_.size());
+    return args_[pos.index];
+  }
+  /// Argument by name, nullptr if absent: a scan of the argument pack, for
+  /// consumers without resolved positions (TraceCollector, tests).
   [[nodiscard]] const ArgValue* arg(std::string_view name) const;
 
   /// Return value — non-null only in exit (finish-breakpoint) hooks.
@@ -130,9 +149,8 @@ class Frame {
 /// the framework function; may call Kernel::debug_break() to stop, which
 /// parks that process inside the hook until the next run. While it is
 /// parked the debugger may add or remove hooks, this one included: the port
-/// keeps each callable alive and in place until its last running invocation
-/// returns, so registering a hook never moves a running one and removing a
-/// hook never frees one that is running.
+/// keeps each callable on the heap, where registering more hooks never moves
+/// it, and frees a removed one only when its last running invocation returns.
 using Hook = std::function<void(Frame&)>;
 
 /// Registry of symbols and hooks. One per kernel.
@@ -140,14 +158,24 @@ class InstrumentPort {
  public:
   // --- symbol table (framework fills it during elaboration) ---------------
 
-  /// Interns `name`, returning a dense id (idempotent).
-  SymbolId intern(std::string name);
+  /// Interns `name`, returning a dense id (idempotent). A non-empty `params`
+  /// declares the symbol's argument layout: the names, in order, of the
+  /// arguments the framework reports when it fires the symbol.
+  SymbolId intern(std::string name, std::vector<std::string> params = {});
+  /// Interns `name` as an instance symbol of `base` (framework cooperation):
+  /// it reports base's arguments, so it shares base's declared layout.
+  SymbolId intern_instance(std::string name, SymbolId base);
   /// Id of `name` if interned, invalid id otherwise.
   [[nodiscard]] SymbolId lookup(std::string_view name) const;
   /// Name of an interned symbol.
   [[nodiscard]] const std::string& symbol_name(SymbolId id) const;
   /// All interned symbol names (the debugger's "symbol file").
   [[nodiscard]] std::vector<std::string> all_symbols() const;
+  /// Declared argument layout of `symbol` (empty if none was declared).
+  [[nodiscard]] const std::vector<std::string>& params(SymbolId symbol) const;
+  /// Position of argument `name` in `symbol`'s declared layout; panics if the
+  /// layout has no such argument. Debuggers call it when planting a hook.
+  [[nodiscard]] ArgPos param(SymbolId symbol, std::string_view name) const;
 
   // --- debugger side -------------------------------------------------------
 
@@ -230,18 +258,46 @@ class InstrumentPort {
     bool is_enter = true;
     bool enabled = true;
     bool removed = false;
-    /// Shared with every running invocation (see Hook); reset on removal.
-    std::shared_ptr<const Hook> fn;
+    /// Invocations that have not returned yet (a stopped process parks in
+    /// one). A removed hook's callable is freed when this drops to 0.
+    std::uint32_t running = 0;
+    /// On the heap, so growing hooks_ moves the record but not the callable.
+    std::unique_ptr<Hook> fn;
   };
   struct SymbolHooks {
-    std::vector<std::uint32_t> enter;  // indexes into hooks_
+    /// Indexes into hooks_, in registration order and therefore ascending.
+    std::vector<std::uint32_t> enter;
     std::vector<std::uint32_t> exit;
+    std::uint32_t layout = kNoLayout;  ///< index into layouts_
     std::uint64_t hits = 0;
   };
+  /// Counts one invocation of hooks_[idx] as running for its lifetime, also
+  /// when the invocation unwinds.
+  class RunningInvocation {
+   public:
+    RunningInvocation(InstrumentPort& port, std::uint32_t idx);
+    ~RunningInvocation();
+    RunningInvocation(const RunningInvocation&) = delete;
+    RunningInvocation& operator=(const RunningInvocation&) = delete;
 
+   private:
+    InstrumentPort& port_;
+    std::uint32_t idx_;
+  };
+
+  static constexpr std::uint32_t kNoLayout = UINT32_MAX;
+
+  /// Index of `name` in the symbol table, interning it if new.
+  std::uint32_t intern_index(std::string name);
   [[nodiscard]] bool has_any_hook(SymbolId s) const;
-  void fire_list(Kernel& kernel, const std::vector<std::uint32_t>& list, SymbolId symbol,
-                 std::span<const ArgValue> args, const ArgValue* ret, bool is_enter);
+  HookId add_hook(SymbolId symbol, Hook hook, bool is_enter);
+  [[nodiscard]] const std::vector<std::uint32_t>& hook_list(SymbolId symbol,
+                                                            bool is_enter) const {
+    const SymbolHooks& h = per_symbol_[symbol.value()];
+    return is_enter ? h.enter : h.exit;
+  }
+  void fire_list(Kernel& kernel, SymbolId symbol, bool is_enter, std::span<const ArgValue> args,
+                 const ArgValue* ret);
   /// Registry counter "hook.sym.<name>.enter|exit", interned on first fire.
   obs::Counter& symbol_counter(SymbolId symbol, bool is_enter);
 
@@ -256,6 +312,8 @@ class InstrumentPort {
   std::unordered_map<std::string, std::uint32_t, TransparentStringHash, std::equal_to<>>
       symbol_index_;
   std::vector<SymbolHooks> per_symbol_;
+  /// Declared argument layouts; instance symbols share their base's.
+  std::vector<std::vector<std::string>> layouts_;
   std::vector<HookRecord> hooks_;
   std::uint64_t enter_fired_ = 0;
   std::uint64_t exit_fired_ = 0;

@@ -1,5 +1,6 @@
 #include "dfdbg/sim/instrument.hpp"
 
+#include <algorithm>
 #include <exception>
 
 #include "dfdbg/common/assert.hpp"
@@ -48,13 +49,36 @@ const ArgValue* Frame::arg(std::string_view name) const {
   return nullptr;
 }
 
-SymbolId InstrumentPort::intern(std::string name) {
-  auto it = symbol_index_.find(name);
-  if (it != symbol_index_.end()) return SymbolId(it->second);
+std::uint32_t InstrumentPort::intern_index(std::string name) {
+  if (auto it = symbol_index_.find(name); it != symbol_index_.end()) return it->second;
   auto idx = static_cast<std::uint32_t>(symbol_names_.size());
   symbol_index_.emplace(name, idx);
   symbol_names_.push_back(std::move(name));
   per_symbol_.emplace_back();
+  return idx;
+}
+
+SymbolId InstrumentPort::intern(std::string name, std::vector<std::string> params) {
+  const std::uint32_t idx = intern_index(std::move(name));
+  if (params.empty()) return SymbolId(idx);
+  std::uint32_t& layout = per_symbol_[idx].layout;
+  if (layout != kNoLayout) {
+    DFDBG_CHECK_MSG(layouts_[layout] == params,
+                    "conflicting argument layouts for " + symbol_names_[idx]);
+  } else {
+    layout = static_cast<std::uint32_t>(layouts_.size());
+    layouts_.push_back(std::move(params));
+  }
+  return SymbolId(idx);
+}
+
+SymbolId InstrumentPort::intern_instance(std::string name, SymbolId base) {
+  DFDBG_CHECK(base.valid() && base.value() < per_symbol_.size());
+  const std::uint32_t idx = intern_index(std::move(name));
+  std::uint32_t& layout = per_symbol_[idx].layout;
+  DFDBG_CHECK_MSG(layout == kNoLayout || layout == per_symbol_[base.value()].layout,
+                  "conflicting argument layouts for " + symbol_names_[idx]);
+  layout = per_symbol_[base.value()].layout;
   return SymbolId(idx);
 }
 
@@ -70,22 +94,37 @@ const std::string& InstrumentPort::symbol_name(SymbolId id) const {
 
 std::vector<std::string> InstrumentPort::all_symbols() const { return symbol_names_; }
 
-HookId InstrumentPort::add_enter_hook(SymbolId symbol, Hook hook) {
+const std::vector<std::string>& InstrumentPort::params(SymbolId symbol) const {
+  static const std::vector<std::string> kUndeclared;
+  DFDBG_CHECK(symbol.valid() && symbol.value() < per_symbol_.size());
+  const std::uint32_t layout = per_symbol_[symbol.value()].layout;
+  return layout == kNoLayout ? kUndeclared : layouts_[layout];
+}
+
+ArgPos InstrumentPort::param(SymbolId symbol, std::string_view name) const {
+  const std::vector<std::string>& layout = params(symbol);
+  for (std::size_t i = 0; i < layout.size(); ++i)
+    if (layout[i] == name) return ArgPos{static_cast<std::uint32_t>(i)};
+  panic(__FILE__, __LINE__,
+        symbol_names_[symbol.value()] + " declares no argument '" + std::string(name) + "'");
+}
+
+HookId InstrumentPort::add_hook(SymbolId symbol, Hook hook, bool is_enter) {
   DFDBG_CHECK(symbol.valid() && symbol.value() < per_symbol_.size());
   auto id = HookId(static_cast<std::uint32_t>(hooks_.size()));
-  hooks_.push_back(HookRecord{symbol, /*is_enter=*/true, /*enabled=*/true, /*removed=*/false,
-                              std::make_shared<const Hook>(std::move(hook))});
-  per_symbol_[symbol.value()].enter.push_back(id.value());
+  hooks_.push_back(HookRecord{symbol, is_enter, /*enabled=*/true, /*removed=*/false,
+                              /*running=*/0, std::make_unique<Hook>(std::move(hook))});
+  SymbolHooks& lists = per_symbol_[symbol.value()];
+  (is_enter ? lists.enter : lists.exit).push_back(id.value());
   return id;
 }
 
+HookId InstrumentPort::add_enter_hook(SymbolId symbol, Hook hook) {
+  return add_hook(symbol, std::move(hook), /*is_enter=*/true);
+}
+
 HookId InstrumentPort::add_exit_hook(SymbolId symbol, Hook hook) {
-  DFDBG_CHECK(symbol.valid() && symbol.value() < per_symbol_.size());
-  auto id = HookId(static_cast<std::uint32_t>(hooks_.size()));
-  hooks_.push_back(HookRecord{symbol, /*is_enter=*/false, /*enabled=*/true, /*removed=*/false,
-                              std::make_shared<const Hook>(std::move(hook))});
-  per_symbol_[symbol.value()].exit.push_back(id.value());
-  return id;
+  return add_hook(symbol, std::move(hook), /*is_enter=*/false);
 }
 
 void InstrumentPort::remove_hook(HookId id) {
@@ -93,7 +132,7 @@ void InstrumentPort::remove_hook(HookId id) {
   HookRecord& rec = hooks_[id.value()];
   if (rec.removed) return;
   rec.removed = true;
-  rec.fn.reset();  // a running invocation holds its own reference
+  if (rec.running == 0) rec.fn.reset();  // else the last invocation frees it
   auto& lists = per_symbol_[rec.symbol.value()];
   auto& list = rec.is_enter ? lists.enter : lists.exit;
   for (auto it = list.begin(); it != list.end(); ++it) {
@@ -131,29 +170,53 @@ obs::Counter& InstrumentPort::symbol_counter(SymbolId symbol, bool is_enter) {
   return *cache[idx];
 }
 
-void InstrumentPort::fire_list(Kernel& kernel, const std::vector<std::uint32_t>& list,
-                               SymbolId symbol, std::span<const ArgValue> args,
-                               const ArgValue* ret, bool is_enter) {
-  if (list.empty()) return;
+InstrumentPort::RunningInvocation::RunningInvocation(InstrumentPort& port, std::uint32_t idx)
+    : port_(port), idx_(idx) {
+  port_.hooks_[idx_].running++;
+}
+
+InstrumentPort::RunningInvocation::~RunningInvocation() {
+  HookRecord& rec = port_.hooks_[idx_];  // re-indexed: hooks_ may have grown
+  if (--rec.running == 0 && rec.removed) rec.fn.reset();
+}
+
+void InstrumentPort::fire_list(Kernel& kernel, SymbolId symbol, bool is_enter,
+                               std::span<const ArgValue> args, const ArgValue* ret) {
+  if (hook_list(symbol, is_enter).empty()) return;
   // Per-symbol dispatch count plus the wall-clock cost of running the hooks
   // — the debugger's own overhead, measured from inside (see OBSERVABILITY.md).
   obs::ScopedTimer timer(HookMetrics::get().dispatch_ns);
   if (obs::enabled()) symbol_counter(symbol, is_enter).add();
-  // Hooks may add/remove hooks while running (temporary breakpoints), so
-  // iterate over a snapshot of the registration list.
-  std::vector<std::uint32_t> snapshot = list;
-  per_symbol_[symbol.value()].hits += snapshot.size();
-  for (std::uint32_t idx : snapshot) {
-    const HookRecord& rec = hooks_[idx];
-    if (rec.removed || !rec.enabled) continue;
-    hook_invocations_++;
-    HookMetrics::get().invocations.add();
-    // The hook may stop the simulation and park here while the debugger
-    // adds hooks (reallocating hooks_) or removes this one: call through
-    // our own reference to the callable, never through `rec`.
-    std::shared_ptr<const Hook> fn = rec.fn;
-    Frame frame(kernel, symbol, symbol_names_[symbol.value()], args, ret);
-    (*fn)(frame);
+  per_symbol_[symbol.value()].hits += hook_list(symbol, is_enter).size();
+  // Walk the live list, not a copy. Hooks may add or remove hooks while they
+  // run (temporary breakpoints), and may intern symbols, which moves the
+  // lists: so fetch the list again after every call and resume after the id
+  // that just ran. Ids grow with registration and a list keeps that order,
+  // so a hook removed mid-fire has left the list before the walk reaches it,
+  // and a hook registered mid-fire (id >= end) first runs on the next fire.
+  const auto end = static_cast<std::uint32_t>(hooks_.size());
+  std::size_t pos = 0;
+  for (;;) {
+    const std::vector<std::uint32_t>& list = hook_list(symbol, is_enter);
+    if (pos >= list.size() || list[pos] >= end) break;
+    const std::uint32_t idx = list[pos];
+    HookRecord& rec = hooks_[idx];
+    if (rec.enabled) {
+      hook_invocations_++;
+      HookMetrics::get().invocations.add();
+      // The hook may stop the simulation and park here while the debugger
+      // adds hooks (moving `rec`) or removes this one: call through the
+      // heap-stable callable, kept alive by the running count.
+      Hook& fn = *rec.fn;
+      RunningInvocation running(*this, idx);
+      Frame frame(kernel, symbol, symbol_names_[symbol.value()], args, ret);
+      fn(frame);
+    }
+    const std::vector<std::uint32_t>& now = hook_list(symbol, is_enter);
+    pos = pos < now.size() && now[pos] == idx
+              ? pos + 1
+              : static_cast<std::size_t>(std::upper_bound(now.begin(), now.end(), idx) -
+                                         now.begin());
   }
 }
 
@@ -164,9 +227,9 @@ void InstrumentPort::fire_enter(Kernel& kernel, SymbolId symbol, std::span<const
   enter_fired_++;
   HookMetrics::get().enter_fired.add();
   if (symbol.valid() && symbol.value() < per_symbol_.size())
-    fire_list(kernel, per_symbol_[symbol.value()].enter, symbol, args, nullptr, true);
+    fire_list(kernel, symbol, /*is_enter=*/true, args, nullptr);
   if (instance.valid() && instance.value() < per_symbol_.size())
-    fire_list(kernel, per_symbol_[instance.value()].enter, instance, args, nullptr, true);
+    fire_list(kernel, instance, /*is_enter=*/true, args, nullptr);
 }
 
 void InstrumentPort::fire_exit(Kernel& kernel, SymbolId symbol, std::span<const ArgValue> args,
@@ -176,9 +239,9 @@ void InstrumentPort::fire_exit(Kernel& kernel, SymbolId symbol, std::span<const 
   exit_fired_++;
   HookMetrics::get().exit_fired.add();
   if (symbol.valid() && symbol.value() < per_symbol_.size())
-    fire_list(kernel, per_symbol_[symbol.value()].exit, symbol, args, ret, false);
+    fire_list(kernel, symbol, /*is_enter=*/false, args, ret);
   if (instance.valid() && instance.value() < per_symbol_.size())
-    fire_list(kernel, per_symbol_[instance.value()].exit, instance, args, ret, false);
+    fire_list(kernel, instance, /*is_enter=*/false, args, ret);
 }
 
 std::uint64_t InstrumentPort::symbol_hits(SymbolId symbol) const {

@@ -4,12 +4,16 @@
 // breakpoints, and PEDF rate control (actor_fire_n).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "dfdbg/common/strings.hpp"
 #include "dfdbg/dbgcli/cli.hpp"
 #include "dfdbg/dbgcli/render.hpp"
 #include "dfdbg/debug/session.hpp"
 #include "dfdbg/h264/app.hpp"
 #include "dfdbg/pedf/application.hpp"
+#include "dfdbg/pedf/symbols.hpp"
 
 namespace dfdbg {
 namespace {
@@ -342,6 +346,100 @@ TEST(RateControl, ActorFireNRunsNTimes) {
   ASSERT_EQ(sink.received().size(), 12u);
   pedf::Filter* f = app.filter_by_name("fast");
   EXPECT_EQ(f->firings(), 12u);  // 4 firings x 3 steps
+}
+
+// --- declared argument layouts ---------------------------------------------
+
+// Hooks read arguments at positions resolved from each symbol's declared
+// layout, so every shim must report exactly that layout. Plants a checking
+// hook at entry and exit of every symbol of a port and records which fired.
+struct LayoutChecker {
+  std::set<std::string> fired;
+
+  void plant(sim::InstrumentPort& port) {
+    for (const std::string& name : port.all_symbols()) {
+      const sim::SymbolId s = port.lookup(name);
+      ASSERT_FALSE(port.params(s).empty()) << name << " declares no layout";
+      auto check = [this, &port](sim::Frame& f) {
+        const std::vector<std::string>& layout = port.params(f.symbol());
+        ASSERT_EQ(f.args().size(), layout.size()) << f.symbol_name();
+        for (std::size_t i = 0; i < layout.size(); ++i)
+          EXPECT_EQ(f.args()[i].name, layout[i]) << f.symbol_name() << " argument " << i;
+        fired.insert(std::string(f.symbol_name()));
+      };
+      port.add_enter_hook(s, check);
+      port.add_exit_hook(s, check);
+    }
+  }
+};
+
+// Checks every fire across a decode with predicates, line markers and
+// alterations (with cooperation on, instance symbols too) and a
+// registration replay, plus a controller that waits for actor init, which
+// the decoder's controllers never do.
+TEST(ArgLayout, EveryShimReportsItsDeclaredLayout) {
+  LayoutChecker checker;
+  {
+    Rig rig(small_config());
+    pedf::Application& app = rig.app->app();
+    sim::InstrumentPort& port = app.kernel().instrument();
+    checker.plant(port);
+    app.set_cooperation(true);
+    ASSERT_TRUE(rig.session->break_on_predicate("pred", "mb_is_intra").ok());
+    ASSERT_TRUE(rig.session->break_source_line("ipred", 221).ok());
+    ASSERT_TRUE(rig.session->catch_work("pipe").ok());
+    ASSERT_EQ(rig.session->run().result, sim::RunResult::kStopped);
+    // Alter a queued link and undo it: inject, replace, remove.
+    for (const auto& l : app.links()) {
+      if (l->occupancy() == 0 || l->full()) continue;
+      const std::string iface = l->dst()->owner().name() + "::" + l->dst()->name();
+      const pedf::Value v = l->peek(0);
+      ASSERT_TRUE(rig.session->inject_token(iface, v).ok());
+      ASSERT_TRUE(rig.session->replace_token(iface, 0, v).ok());
+      ASSERT_TRUE(rig.session->remove_token(iface, l->occupancy() - 1).ok());
+      break;
+    }
+    for (const dbg::BreakpointInfo& bp : rig.session->breakpoints())
+      ASSERT_TRUE(rig.session->delete_breakpoint(bp.id).ok());
+    while (rig.session->run().result == sim::RunResult::kStopped) {
+    }
+    rig.session->detach();  // the replay below must not reach the session
+    port.set_enabled(true);
+    app.replay_registration();
+  }
+  {
+    sim::Kernel kernel;
+    sim::Platform platform(kernel, sim::PlatformConfig{});
+    pedf::Application app(platform, "init");
+    auto mod = std::make_unique<pedf::Module>("m");
+    mod->add_filter(std::make_unique<pedf::FnFilter>("f", [](pedf::FilterContext&) {}));
+    mod->set_controller(
+        std::make_unique<pedf::FnController>("ctl", [](pedf::ControllerContext& ctx) {
+          ctx.next_step();
+          ctx.actor_start("f");
+          ctx.wait_for_actor_init();
+          ctx.actor_sync("f");
+          ctx.wait_for_actor_sync();
+        }));
+    app.set_root(std::move(mod));
+    kernel.instrument().set_enabled(true);
+    checker.plant(kernel.instrument());
+    ASSERT_TRUE(app.elaborate().ok());
+    app.start();
+    EXPECT_EQ(kernel.run(), sim::RunResult::kFinished);
+  }
+  for (const char* name :
+       {pedf::symbols::kRegisterActor, pedf::symbols::kRegisterPort, pedf::symbols::kRegisterLink,
+        pedf::symbols::kGraphReady, pedf::symbols::kLinkPush, pedf::symbols::kLinkPop,
+        pedf::symbols::kWorkEnter, pedf::symbols::kWorkExit, pedf::symbols::kFilterLine,
+        pedf::symbols::kActorStart, pedf::symbols::kActorSync, pedf::symbols::kWaitActorInit,
+        pedf::symbols::kWaitActorSync, pedf::symbols::kStepBegin, pedf::symbols::kStepEnd,
+        pedf::symbols::kPredicateEval, pedf::symbols::kDebugInject,
+        pedf::symbols::kDebugRemove, pedf::symbols::kDebugReplace})
+    EXPECT_EQ(checker.fired.count(name), 1u) << name << " never fired";
+  EXPECT_TRUE(std::any_of(checker.fired.begin(), checker.fired.end(), [](const std::string& n) {
+    return n.find('@') != std::string::npos;
+  })) << "no instance symbol fired";
 }
 
 }  // namespace

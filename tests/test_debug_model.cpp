@@ -8,14 +8,17 @@
 namespace dfdbg::dbg {
 namespace {
 
+// Framework actor ids of the fixture's actors, as registered below.
+constexpr std::uint32_t kPred = 0, kBh = 1, kRed = 2, kPipe = 3;
+
 class ModelFixture : public ::testing::Test {
  protected:
   // A tiny bh -> red -> pipe chain (the §VI-D provenance example).
   void SetUp() override {
-    m.on_register_actor(DActorKind::kModule, "pred", "pred", "", "", 0);
-    m.on_register_actor(DActorKind::kFilter, "bh", "front.bh", "c0p0", "front", 1);
-    m.on_register_actor(DActorKind::kFilter, "red", "pred.red", "c0p1", "pred", 2);
-    m.on_register_actor(DActorKind::kFilter, "pipe", "pred.pipe", "c1p0", "pred", 3);
+    m.on_register_actor(DActorKind::kModule, "pred", "pred", "", "", kPred);
+    m.on_register_actor(DActorKind::kFilter, "bh", "front.bh", "c0p0", "front", kBh);
+    m.on_register_actor(DActorKind::kFilter, "red", "pred.red", "c0p1", "pred", kRed);
+    m.on_register_actor(DActorKind::kFilter, "pipe", "pred.pipe", "c1p0", "pred", kPipe);
     m.on_register_port("front.bh", "bh2red_out", false, "U32");
     m.on_register_port("pred.red", "bh_in", true, "U32");
     m.on_register_port("pred.red", "Red2PipeCbMB_out", false, "CbCrMB_t");
@@ -55,11 +58,11 @@ TEST_F(ModelFixture, ConnectionAndLinkLookup) {
 }
 
 TEST_F(ModelFixture, PushPopMirrorsTokens) {
-  TokenId t = m.on_push(0, 0, pedf::Value::u32(127), "front.bh", 10);
+  TokenId t = m.on_push(0, 0, pedf::Value::u32(127), kBh, 10);
   ASSERT_TRUE(t.valid());
   EXPECT_EQ(m.link(0)->queue.size(), 1u);
   EXPECT_EQ(m.link(0)->pushes, 1u);
-  TokenId popped = m.on_pop(0, "pred.red", 20);
+  TokenId popped = m.on_pop(0, kRed, 20);
   EXPECT_EQ(popped, t);
   EXPECT_TRUE(m.token(t)->consumed);
   EXPECT_EQ(m.token(t)->popped_at, 20u);
@@ -69,14 +72,14 @@ TEST_F(ModelFixture, PushPopMirrorsTokens) {
 
 TEST_F(ModelFixture, SplitterProvenanceChains) {
   // bh -> red token, consumed; then red (a splitter) produces to pipe.
-  TokenId t1 = m.on_push(0, 0, pedf::Value::u32(127), "front.bh", 1);
-  m.on_pop(0, "pred.red", 2);
+  TokenId t1 = m.on_push(0, 0, pedf::Value::u32(127), kBh, 1);
+  m.on_pop(0, kRed, 2);
   m.set_behavior("red", ActorBehavior::kSplitter);
-  TokenId t2 = m.on_push(1, 0, pedf::Value::u32(999), "pred.red", 3);
+  TokenId t2 = m.on_push(1, 0, pedf::Value::u32(999), kRed, 3);
   ASSERT_TRUE(t2.valid());
   EXPECT_EQ(m.token(t2)->produced_from, t1);
   // The paper's `info last_token` walk: pipe consumed t2 <- t1.
-  m.on_pop(1, "pred.pipe", 4);
+  m.on_pop(1, kPipe, 4);
   auto path = m.token_path(m.actor_by_name("pipe")->last_token_in, 8);
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(path[0]->id, t2);
@@ -84,63 +87,63 @@ TEST_F(ModelFixture, SplitterProvenanceChains) {
 }
 
 TEST_F(ModelFixture, UnknownBehaviorBreaksChain) {
-  TokenId t1 = m.on_push(0, 0, pedf::Value::u32(1), "front.bh", 1);
+  TokenId t1 = m.on_push(0, 0, pedf::Value::u32(1), kBh, 1);
   (void)t1;
-  m.on_pop(0, "pred.red", 2);
-  TokenId t2 = m.on_push(1, 0, pedf::Value::u32(2), "pred.red", 3);
+  m.on_pop(0, kRed, 2);
+  TokenId t2 = m.on_push(1, 0, pedf::Value::u32(2), kRed, 3);
   EXPECT_FALSE(m.token(t2)->produced_from.valid());  // not configured
 }
 
 TEST_F(ModelFixture, PipelineProvenanceIsOneToOne) {
   m.set_behavior("red", ActorBehavior::kPipeline);
-  TokenId a = m.on_push(0, 0, pedf::Value::u32(1), "front.bh", 1);
-  TokenId b = m.on_push(0, 1, pedf::Value::u32(2), "front.bh", 1);
-  m.on_pop(0, "pred.red", 2);
-  m.on_pop(0, "pred.red", 2);
-  TokenId out1 = m.on_push(1, 0, pedf::Value::u32(10), "pred.red", 3);
-  TokenId out2 = m.on_push(1, 1, pedf::Value::u32(20), "pred.red", 3);
+  TokenId a = m.on_push(0, 0, pedf::Value::u32(1), kBh, 1);
+  TokenId b = m.on_push(0, 1, pedf::Value::u32(2), kBh, 1);
+  m.on_pop(0, kRed, 2);
+  m.on_pop(0, kRed, 2);
+  TokenId out1 = m.on_push(1, 0, pedf::Value::u32(10), kRed, 3);
+  TokenId out2 = m.on_push(1, 1, pedf::Value::u32(20), kRed, 3);
   EXPECT_EQ(m.token(out1)->produced_from, a);
   EXPECT_EQ(m.token(out2)->produced_from, b);
 }
 
 TEST_F(ModelFixture, SplitterReusesLastConsumed) {
   m.set_behavior("red", ActorBehavior::kSplitter);
-  TokenId a = m.on_push(0, 0, pedf::Value::u32(1), "front.bh", 1);
-  m.on_pop(0, "pred.red", 2);
-  TokenId out1 = m.on_push(1, 0, pedf::Value::u32(10), "pred.red", 3);
-  TokenId out2 = m.on_push(1, 1, pedf::Value::u32(20), "pred.red", 3);
+  TokenId a = m.on_push(0, 0, pedf::Value::u32(1), kBh, 1);
+  m.on_pop(0, kRed, 2);
+  TokenId out1 = m.on_push(1, 0, pedf::Value::u32(10), kRed, 3);
+  TokenId out2 = m.on_push(1, 1, pedf::Value::u32(20), kRed, 3);
   // One consumed token fans out to every produced token.
   EXPECT_EQ(m.token(out1)->produced_from, a);
   EXPECT_EQ(m.token(out2)->produced_from, a);
 }
 
 TEST_F(ModelFixture, DescribeTokenTranscriptFormat) {
-  TokenId t = m.on_push(0, 0, pedf::Value::u32(127), "front.bh", 1);
+  TokenId t = m.on_push(0, 0, pedf::Value::u32(127), kBh, 1);
   EXPECT_EQ(m.describe_token(t), "bh -> red (U32) 127");
 }
 
 TEST_F(ModelFixture, SchedulingStatesTracked) {
-  m.on_actor_start("pred.pipe");
+  m.on_actor_start(kPipe);
   EXPECT_EQ(m.actor_by_name("pipe")->sched, SchedState::kScheduled);
-  m.on_work_enter("pred.pipe", 1);
+  m.on_work_enter(kPipe, 1);
   EXPECT_EQ(m.actor_by_name("pipe")->sched, SchedState::kRunning);
   EXPECT_EQ(m.actor_by_name("pipe")->firings, 1u);
-  m.on_work_exit("pred.pipe");
+  m.on_work_exit(kPipe);
   EXPECT_EQ(m.actor_by_name("pipe")->sched, SchedState::kFinished);
-  m.on_step_begin("pred", 3);
+  m.on_step_begin(kPred, 3);
   EXPECT_EQ(m.actor_by_name("pred")->step, 3u);
-  m.on_step_end("pred");
+  m.on_step_end(kPred);
   EXPECT_EQ(m.actor_by_name("pipe")->sched, SchedState::kNotScheduled);
 }
 
 TEST_F(ModelFixture, FilterLineTracked) {
-  m.on_filter_line("pred.pipe", 221);
+  m.on_filter_line(kPipe, 221);
   EXPECT_EQ(m.actor_by_name("pipe")->current_line, 221);
 }
 
 TEST_F(ModelFixture, RemoveAndReplaceMirrored) {
-  m.on_push(1, 0, pedf::Value::u32(1), "pred.red", 1);
-  TokenId b = m.on_push(1, 1, pedf::Value::u32(2), "pred.red", 1);
+  m.on_push(1, 0, pedf::Value::u32(1), kRed, 1);
+  TokenId b = m.on_push(1, 1, pedf::Value::u32(2), kRed, 1);
   m.on_remove(1, 0);
   EXPECT_EQ(m.link(1)->queue.size(), 1u);
   EXPECT_EQ(m.link(1)->queue.front(), b);
@@ -150,13 +153,13 @@ TEST_F(ModelFixture, RemoveAndReplaceMirrored) {
 
 TEST_F(ModelFixture, StaleModelPopReturnsInvalid) {
   // Hooks were off: the framework pushed unseen; now a pop arrives.
-  TokenId t = m.on_pop(1, "pred.pipe", 5);
+  TokenId t = m.on_pop(1, kPipe, 5);
   EXPECT_FALSE(t.valid());
   EXPECT_EQ(m.link(1)->pops, 1u);  // counter still advances
 }
 
 TEST_F(ModelFixture, ResyncRebuildsAnonymousTokens) {
-  m.on_push(1, 0, pedf::Value::u32(1), "pred.red", 1);
+  m.on_push(1, 0, pedf::Value::u32(1), kRed, 1);
   m.resync_link(1, 5);
   EXPECT_EQ(m.link(1)->queue.size(), 5u);
   // Anonymous tokens have no meaningful payload but keep occupancy honest.
@@ -166,8 +169,8 @@ TEST_F(ModelFixture, ResyncRebuildsAnonymousTokens) {
 TEST_F(ModelFixture, HistoryPruning) {
   m.set_token_history_limit(3);
   for (int i = 0; i < 10; ++i) {
-    m.on_push(0, static_cast<std::uint64_t>(i), pedf::Value::u32(0), "front.bh", 1);
-    m.on_pop(0, "pred.red", 2);
+    m.on_push(0, static_cast<std::uint64_t>(i), pedf::Value::u32(0), kBh, 1);
+    m.on_pop(0, kRed, 2);
   }
   EXPECT_EQ(m.tokens_observed(), 10u);
   EXPECT_LE(m.token_count(), 3u);
@@ -175,7 +178,7 @@ TEST_F(ModelFixture, HistoryPruning) {
 
 TEST_F(ModelFixture, TokenMemoryAccounting) {
   EXPECT_EQ(m.token_memory_bytes(), 0u);
-  m.on_push(0, 0, pedf::Value::u32(1), "front.bh", 1);
+  m.on_push(0, 0, pedf::Value::u32(1), kBh, 1);
   EXPECT_GT(m.token_memory_bytes(), 0u);
 }
 
@@ -186,8 +189,8 @@ TEST_F(ModelFixture, CompletionNamesIncludeActorsAndIfaces) {
 }
 
 TEST_F(ModelFixture, DotWithTokenCounts) {
-  m.on_push(1, 0, pedf::Value::u32(1), "pred.red", 1);
-  m.on_push(1, 1, pedf::Value::u32(2), "pred.red", 1);
+  m.on_push(1, 0, pedf::Value::u32(1), kRed, 1);
+  m.on_push(1, 1, pedf::Value::u32(2), kRed, 1);
   std::string dot = m.to_dot(/*with_tokens=*/true);
   EXPECT_NE(dot.find("\"red\" -> \"pipe\""), std::string::npos);
   EXPECT_NE(dot.find("[2]"), std::string::npos);  // occupancy annotation
@@ -196,7 +199,8 @@ TEST_F(ModelFixture, DotWithTokenCounts) {
 }
 
 TEST_F(ModelFixture, InjectedTokensFlagged) {
-  TokenId t = m.on_push(1, 0, pedf::Value::u32(1), "", 1, /*injected=*/true);
+  TokenId t = m.on_push(1, 0, pedf::Value::u32(1), GraphModel::kNoActor, 1,
+                        /*injected=*/true);
   EXPECT_TRUE(m.token(t)->injected);
 }
 

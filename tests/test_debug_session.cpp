@@ -687,6 +687,124 @@ TEST(Session, DetachAndReattachMidRun) {
   ASSERT_EQ(t.sink->received().size(), 4u);
 }
 
+// A stop parks the process inside the rule scan of one event; the scan then
+// resumes after the rule that stopped, even though run() deleted that rule
+// (a fired temporary) in between. (The parallel backend defers the park
+// until the hook returns, so there both stops arrive from one run.)
+TEST(Session, RuleAfterAFiredTemporarySeesTheSameEvent) {
+  TestApp t;
+  Session s(t.app);
+  s.attach();
+  t.elaborate_and_start();
+  ASSERT_TRUE(s.step_both_iface("dbl::out").ok());
+  auto send = s.break_on_send("dbl::out");
+  ASSERT_TRUE(send.ok());
+  std::vector<StopEvent> stops;
+  while (stops.size() < 2) {
+    RunOutcome out = s.run();  // first: the step_both send end fires and is deleted
+    ASSERT_EQ(out.result, sim::RunResult::kStopped);
+    stops.insert(stops.end(), out.stops.begin(), out.stops.end());
+  }
+  EXPECT_NE(stops[0].breakpoint, *send);
+  EXPECT_EQ(stops[1].breakpoint, *send);
+  EXPECT_EQ(stops[1].token, stops[0].token);  // same push, next rule
+}
+
+// A rule planted while a scan is parked at a stop starts with the next
+// event, not the one the scan is visiting.
+TEST(Session, RuleAddedAtAStopStartsWithTheNextEvent) {
+  TestApp t;
+  Session s(t.app);
+  s.attach();
+  t.elaborate_and_start();
+  ASSERT_TRUE(s.break_on_send("dbl::out").ok());
+  RunOutcome first = s.run();
+  ASSERT_EQ(first.result, sim::RunResult::kStopped);
+  auto later = s.break_on_send("dbl::out");
+  ASSERT_TRUE(later.ok());
+  RunOutcome next = s.run();
+  ASSERT_EQ(next.result, sim::RunResult::kStopped);
+  EXPECT_NE(next.stops[0].token, first.stops[0].token);
+  EXPECT_NE(next.stops[0].breakpoint, *later);
+}
+
+/// src -> relay -> snk over U32 tokens, every endpoint firing in bursts of
+/// `batch` through FilterContext::put_n/get_n.
+struct BatchRelayApp {
+  static constexpr std::size_t kTokens = 256;
+  sim::Kernel kernel;
+  sim::Platform platform;
+  pedf::Application app;
+  pedf::HostSink* sink = nullptr;
+
+  explicit BatchRelayApp(std::size_t batch)
+      : platform(kernel, TestApp::config()), app(platform, "relay") {
+    auto root = std::make_unique<pedf::Module>("top");
+    auto relay = std::make_unique<pedf::FnFilter>(
+        "relay", [buf = std::vector<Value>()](FilterContext& ctx) mutable {
+          buf.resize(ctx.fire_batch());
+          const std::size_t got = ctx.in("in").get_n(buf.data(), buf.size());
+          if (got > 0) ctx.out("out").put_n(buf.data(), got);
+          if (got < buf.size()) ctx.stop();
+        });
+    relay->add_port("in", PortDir::kIn, TypeDesc());
+    relay->add_port("out", PortDir::kOut, TypeDesc());
+    relay->set_free_running(true);
+    relay->set_fire_batch(batch);
+    root->add_filter(std::move(relay));
+    root->add_port("min", PortDir::kIn, TypeDesc());
+    root->add_port("mout", PortDir::kOut, TypeDesc());
+    root->bind("this.min", "relay.in");
+    root->bind("relay.out", "this.mout");
+    app.set_root(std::move(root));
+    std::vector<Value> stream;
+    for (std::size_t i = 0; i < kTokens; ++i)
+      stream.push_back(Value::u32(static_cast<std::uint32_t>(i)));
+    app.add_host_source("src", "top.min", std::move(stream)).set_fire_batch(batch);
+    sink = &app.add_host_sink("snk", "top.mout", kTokens);
+    sink->set_fire_batch(batch);
+  }
+};
+
+// Batched firing under an attached debugger: the batch shims fall back to
+// token-at-a-time pushes and pops while the data-exchange hooks are armed,
+// so the mirror sees every token (this used to crash in handle_push, whose
+// frame had a token count where the token belongs).
+TEST(Session, BatchedFiringIsMirroredTokenByToken) {
+  BatchRelayApp r(32);
+  ASSERT_TRUE(r.app.elaborate().ok());
+  Session s(r.app);
+  s.attach();
+  r.app.start();
+  auto bp = s.break_on_send("relay::out");
+  ASSERT_TRUE(bp.ok());
+  RunOutcome out = s.run();
+  ASSERT_EQ(out.result, sim::RunResult::kStopped);
+  EXPECT_EQ(out.stops[0].kind, StopKind::kTokenSent);
+  // The token just sent is queued on relay -> snk: whence traces it.
+  auto chain = s.whence_chain("relay::out", 0);
+  ASSERT_TRUE(chain.ok()) << chain.status().message();
+  ASSERT_EQ(chain->hops.size(), 1u);
+  EXPECT_NE(chain->hops[0].desc.find("relay -> snk"), std::string::npos) << chain->hops[0].desc;
+  EXPECT_TRUE(chain->has_source);
+  EXPECT_EQ(chain->source_actor, "relay");
+
+  ASSERT_TRUE(s.delete_breakpoint(*bp).ok());
+  out = s.run();
+  // The stream is done; the free-running relay waits for input forever.
+  EXPECT_EQ(out.result, sim::RunResult::kDeadlock);
+  ASSERT_EQ(r.sink->received().size(), BatchRelayApp::kTokens);
+  for (std::size_t i = 0; i < BatchRelayApp::kTokens; ++i)
+    EXPECT_EQ(r.sink->received()[i].as_u64(), i);
+  for (const auto& l : r.app.links()) {
+    const DLink* dl = s.graph().link(l->id().value());
+    ASSERT_NE(dl, nullptr);
+    EXPECT_EQ(dl->pushes, l->push_index()) << dl->name;
+    EXPECT_EQ(dl->pops, l->pop_index()) << dl->name;
+    EXPECT_EQ(dl->pushes, BatchRelayApp::kTokens) << dl->name;
+  }
+}
+
 TEST(DebugInfo, SymbolTableMatchesPaperMangling) {
   TestApp t;
   ASSERT_TRUE(t.app.elaborate().ok());

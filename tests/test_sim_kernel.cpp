@@ -447,5 +447,102 @@ TEST(Instrument, HookAddedDuringFireDoesNotBreakIteration) {
   EXPECT_EQ(calls, 102);
 }
 
+// fire_list walks the live hook list instead of a copy; these pin down what
+// a hook may do to that list while it runs.
+
+TEST(Instrument, HookRemovedMidFireDoesNotRun) {
+  Kernel k;
+  auto& port = k.instrument();
+  port.set_enabled(true);
+  SymbolId s = port.intern("fn");
+  std::vector<std::string> log;
+  HookId a = port.add_enter_hook(s, [&](Frame&) { log.push_back("a"); });
+  HookId c;
+  port.add_enter_hook(s, [&](Frame&) {
+    log.push_back("b");
+    port.remove_hook(a);  // already ran: the walk must not skip or repeat
+    port.remove_hook(c);  // not yet run: must not run
+  });
+  c = port.add_enter_hook(s, [&](Frame&) { log.push_back("c"); });
+  port.add_enter_hook(s, [&](Frame&) { log.push_back("d"); });
+  port.fire_enter(k, s, {});
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "d"}));
+  log.clear();
+  port.fire_enter(k, s, {});
+  EXPECT_EQ(log, (std::vector<std::string>{"b", "d"}));
+}
+
+TEST(Instrument, HookInterningSymbolsMidFireKeepsTheWalk) {
+  Kernel k;
+  auto& port = k.instrument();
+  port.set_enabled(true);
+  SymbolId s = port.intern("fn");
+  std::vector<std::string> log;
+  port.add_enter_hook(s, [&](Frame&) {
+    log.push_back("first");
+    // Grows the symbol table, moving every symbol's hook list.
+    for (int i = 0; i < 64; ++i) port.intern("grown" + std::to_string(i));
+  });
+  port.add_enter_hook(s, [&](Frame&) { log.push_back("second"); });
+  port.add_enter_hook(s, [&](Frame&) { log.push_back("third"); });
+  port.fire_enter(k, s, {});
+  EXPECT_EQ(log, (std::vector<std::string>{"first", "second", "third"}));
+  EXPECT_EQ(port.hook_invocations(), 3u);
+}
+
+TEST(Instrument, HookReplacingItselfMidFireRunsReplacementNextFire) {
+  Kernel k;
+  auto& port = k.instrument();
+  port.set_enabled(true);
+  SymbolId s = port.intern("fn");
+  std::vector<std::string> log;
+  HookId self;
+  self = port.add_enter_hook(s, [&](Frame&) {
+    log.push_back("original");
+    port.remove_hook(self);
+    port.add_enter_hook(s, [&](Frame&) { log.push_back("replacement"); });
+  });
+  port.add_enter_hook(s, [&](Frame&) { log.push_back("other"); });
+  port.fire_enter(k, s, {});
+  EXPECT_EQ(log, (std::vector<std::string>{"original", "other"}));
+  log.clear();
+  port.fire_enter(k, s, {});
+  EXPECT_EQ(log, (std::vector<std::string>{"other", "replacement"}));
+}
+
+TEST(Instrument, RemovingAnIdleHookFreesItsCallable) {
+  Kernel k;
+  auto& port = k.instrument();
+  port.set_enabled(true);
+  SymbolId s = port.intern("fn");
+  auto owned = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = owned;
+  HookId h = port.add_enter_hook(s, [owned](Frame&) {});
+  owned.reset();
+  port.fire_enter(k, s, {});
+  EXPECT_FALSE(watch.expired());  // the port owns the only copy
+  port.remove_hook(h);
+  EXPECT_TRUE(watch.expired());  // not running: freed at once
+}
+
+TEST(Instrument, ArgumentsResolvedByDeclaredLayout) {
+  Kernel k;
+  auto& port = k.instrument();
+  port.set_enabled(true);
+  SymbolId s = port.intern("fn", {"x", "y"});
+  EXPECT_EQ(port.intern("fn"), s);  // re-interning keeps the layout
+  ASSERT_EQ(port.params(s), (std::vector<std::string>{"x", "y"}));
+  const ArgPos y = port.param(s, "y");
+  EXPECT_EQ(y.index, 1u);
+  std::int64_t seen = 0;
+  port.add_enter_hook(s, [&, y](Frame& f) { seen = f.arg(y).i64; });
+  const ArgValue args[] = {ArgValue::of_i64("x", 1), ArgValue::of_i64("y", 2)};
+  port.fire_enter(k, s, args);
+  EXPECT_EQ(seen, 2);
+  EXPECT_TRUE(port.params(port.intern("bare")).empty());
+  // An instance symbol reports its base's arguments.
+  EXPECT_EQ(port.params(port.intern_instance("fn@a", s)), port.params(s));
+}
+
 }  // namespace
 }  // namespace dfdbg::sim
