@@ -120,36 +120,6 @@ void BM_JournalOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalOverhead)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
 
-// The kernel's own intrusiveness: the same native decode on each process
-// backend. The thread backend pays two OS semaphore hops per dispatch; the
-// fiber backend a pair of user-space stack switches, which is what the paper's
-// functional simulator (SystemC user-level threads) actually does.
-void BM_BackendIntrusiveness(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? sim::ProcessBackend::kThreads : sim::ProcessBackend::kFibers;
-  const auto saved = sim::default_process_backend();
-  sim::set_default_process_backend(backend);
-  h264::H264AppConfig cfg = benchutil::decoder_config(2, 2, 2);
-  std::uint64_t dispatches = 0;
-  double secs = 0.0;
-  for (auto _ : state) {
-    std::uint64_t d = 0;
-    secs += benchutil::run_decoder_once(cfg, /*attach_debugger=*/false, nullptr, nullptr,
-                                        nullptr, &d);
-    dispatches += d;
-  }
-  sim::set_default_process_backend(saved);
-  state.SetLabel(sim::to_string(backend));
-  state.counters["backend_fibers"] = backend == sim::ProcessBackend::kFibers ? 1 : 0;
-  state.counters["dispatches"] = static_cast<double>(dispatches);
-  state.counters["dispatches_per_sec"] = secs > 0 ? static_cast<double>(dispatches) / secs : 0;
-  state.counters["ns_per_dispatch"] =
-      dispatches > 0 ? secs * 1e9 / static_cast<double>(dispatches) : 0;
-  state.counters["ns_per_context_switch"] =
-      dispatches > 0 ? secs * 1e9 / (2.0 * static_cast<double>(dispatches)) : 0;
-}
-BENCHMARK(BM_BackendIntrusiveness)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -176,22 +176,18 @@ void BM_StopsVsArmedCatchpoints(benchmark::State& state) {
 }
 BENCHMARK(BM_StopsVsArmedCatchpoints)->Arg(0)->Arg(4)->Arg(16);
 
-// Raw scheduler dispatch rate, per process backend. Each of `procs`
+// Raw scheduler dispatch rate on the fibers backend. Each of `procs`
 // processes yields `yields` times, so one run is ~procs*yields dispatches
 // of pure scheduling with trivial process bodies — the cost under the
-// microscope is the hand-over itself: two fiber switches (fibers) vs two
-// semaphore hops through the OS scheduler (threads). The fiber backend is
-// the paper-faithful model (SystemC QuickThreads) and the acceptance bar is
-// >= 10x the thread backend's dispatches/sec on the same machine.
+// microscope is the hand-over itself: two fiber switches plus the
+// scheduler's own work around them.
 void BM_DispatchRate(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? sim::ProcessBackend::kThreads : sim::ProcessBackend::kFibers;
   const int procs = 64;
   const int yields = 256;
   std::uint64_t dispatches = 0;
   double secs = 0.0;
   for (auto _ : state) {
-    sim::Kernel k(backend);
+    sim::Kernel k(sim::ProcessBackend::kFibers);
     for (int i = 0; i < procs; ++i)
       k.spawn("y" + std::to_string(i), [&k, yields] {
         for (int j = 0; j < yields; ++j) k.advance(0);
@@ -199,8 +195,6 @@ void BM_DispatchRate(benchmark::State& state) {
     secs += benchutil::time_s([&] { DFDBG_CHECK(k.run() == sim::RunResult::kFinished); });
     dispatches += k.dispatch_count();
   }
-  state.SetLabel(sim::to_string(backend));
-  state.counters["backend_fibers"] = backend == sim::ProcessBackend::kFibers ? 1 : 0;
   state.counters["dispatches"] = static_cast<double>(dispatches);
   state.counters["dispatches_per_sec"] = secs > 0 ? static_cast<double>(dispatches) / secs : 0;
   // A dispatch is two context switches (in and out of the process).
@@ -209,7 +203,7 @@ void BM_DispatchRate(benchmark::State& state) {
   state.counters["ns_per_context_switch"] =
       dispatches > 0 ? secs * 1e9 / (2.0 * static_cast<double>(dispatches)) : 0;
 }
-BENCHMARK(BM_DispatchRate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DispatchRate)->Unit(benchmark::kMillisecond);
 
 // The fiber switch alone, without the scheduler BM_DispatchRate wraps around
 // it: a bare ping-pong between a scheduler anchor and one fiber. Each round
@@ -242,13 +236,11 @@ void BM_FiberSwitch(benchmark::State& state) {
 BENCHMARK(BM_FiberSwitch)->Unit(benchmark::kMillisecond);
 
 // The same dispatch-rate probe but through the full PEDF stack: the layered
-// pipeline of BM_ObservedRunVsTraffic, undebugged, per backend. Shows that
-// the fiber win survives real token-pushing workloads, not just empty yields.
+// pipeline of BM_ObservedRunVsTraffic, undebugged, on the fibers backend —
+// dispatch cost under real token-pushing workloads, not just empty yields.
 void BM_PipelineBackend(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? sim::ProcessBackend::kThreads : sim::ProcessBackend::kFibers;
   const auto saved = sim::default_process_backend();
-  sim::set_default_process_backend(backend);
+  sim::set_default_process_backend(sim::ProcessBackend::kFibers);
   std::uint64_t dispatches = 0;
   double secs = 0.0;
   std::uint64_t allocs = 0;
@@ -267,8 +259,6 @@ void BM_PipelineBackend(benchmark::State& state) {
     for (const auto* snk : w->sinks) tokens += snk->received().size() * 5;
   }
   sim::set_default_process_backend(saved);
-  state.SetLabel(sim::to_string(backend));
-  state.counters["backend_fibers"] = backend == sim::ProcessBackend::kFibers ? 1 : 0;
   state.counters["dispatches"] = static_cast<double>(dispatches);
   state.counters["dispatches_per_sec"] = secs > 0 ? static_cast<double>(dispatches) / secs : 0;
   state.counters["ns_per_dispatch"] =
@@ -276,7 +266,7 @@ void BM_PipelineBackend(benchmark::State& state) {
   state.counters["allocs_per_token"] =
       tokens > 0 ? static_cast<double>(allocs) / static_cast<double>(tokens) : 0;
 }
-BENCHMARK(BM_PipelineBackend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelineBackend)->Unit(benchmark::kMillisecond);
 
 // --- token hot path ---------------------------------------------------------
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the full test suite under ALL
-# process backends (fibers + threads must be observationally identical, and
-# the parallel backend must preserve per-link token order and goldens; see
-# docs/KERNEL.md), then gate on the observability layer's acceptance checks
-# and a benchmark smoke pass (every bench binary must still emit well-formed
-# BENCH_JSON lines). Faster than scripts/check.sh, which additionally sweeps
+# Tier-1 verification: configure, build, run the full test suite under both
+# process backends (the parallel backend must preserve per-link token order
+# and goldens; see docs/KERNEL.md), then gate on the observability layer's
+# acceptance checks and a benchmark smoke pass (every bench binary must still
+# emit well-formed BENCH_JSON lines). Faster than scripts/check.sh, which additionally sweeps
 # every benchmark at full length and every example.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,7 +11,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 
-for backend in fibers threads parallel; do
+for backend in fibers parallel; do
   echo "== ctest under DFDBG_PROCESS_BACKEND=$backend =="
   (cd build && DFDBG_PROCESS_BACKEND=$backend ctest --output-on-failure -j "$(nproc)")
 done
@@ -26,12 +25,10 @@ have_python=0
 command -v python3 >/dev/null 2>&1 && have_python=1
 
 echo "== flight-recorder gate =="
-# The journal must behave identically on both process backends (token ids
-# come from the deterministic kernel, not from scheduling accidents).
-for backend in fibers threads; do
-  echo "-- test_journal under DFDBG_PROCESS_BACKEND=$backend"
-  DFDBG_PROCESS_BACKEND=$backend ./build/tests/test_journal
-done
+# Token ids come from the deterministic kernel, not from scheduling
+# accidents: the journal suite runs again here so a filter in the main sweep
+# cannot mask it.
+./build/tests/test_journal
 
 # End-to-end flow-event export: drive the REPL through a full decode, dump
 # the journal and the profile overlay, then validate both files are loadable
@@ -64,37 +61,35 @@ fi
 echo "== debug-server gate =="
 # Start dfdbg-serve on a unix socket, drive it end-to-end with dfdbg-client
 # (structured verbs + CLI-compat exec), and validate the responses are
-# schema-correct JSON-RPC. Run on both process backends: the protocol sits
-# on top of the deterministic kernel and must answer identically.
-for backend in fibers threads; do
-  echo "-- dfdbg-serve/dfdbg-client round trip ($backend backend)"
-  sock="build/dfdbg_check_$backend.sock"
-  rm -f "$sock"
-  DFDBG_PROCESS_BACKEND=$backend ./build/tools/dfdbg-serve --unix "$sock" \
-    >"build/serve_$backend.log" 2>&1 &
-  serve_pid=$!
-  for _ in $(seq 1 100); do
-    [ -S "$sock" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { echo "FAIL: dfdbg-serve died"; cat "build/serve_$backend.log"; exit 1; }
-    sleep 0.05
-  done
-  [ -S "$sock" ] || { echo "FAIL: dfdbg-serve never listened"; exit 1; }
-  grep -q '^LISTENING unix=' "build/serve_$backend.log" \
-    || { echo "FAIL: no LISTENING line"; cat "build/serve_$backend.log"; exit 1; }
-  out="build/server_check_$backend.txt"
-  printf '%s\n' \
-    ':ping' \
-    ':capabilities' \
-    ':catch_work {"filter":"pipe"}' \
-    ':run' \
-    'info links' \
-    ':whence {"iface":"pipe::coeff_in"}' \
-    ':shutdown' \
-    | ./build/tools/dfdbg-client --unix "$sock" --raw >"$out" \
-    || { echo "FAIL: dfdbg-client exited non-zero"; cat "$out"; exit 1; }
-  wait "$serve_pid" || { echo "FAIL: dfdbg-serve exited non-zero"; exit 1; }
-  if [ "$have_python" -eq 1 ]; then
-    python3 - "$out" <<'PYEOF'
+# schema-correct JSON-RPC.
+echo "-- dfdbg-serve/dfdbg-client round trip"
+sock="build/dfdbg_check.sock"
+rm -f "$sock"
+DFDBG_PROCESS_BACKEND=fibers ./build/tools/dfdbg-serve --unix "$sock" \
+  >"build/serve.log" 2>&1 &
+serve_pid=$!
+for _ in $(seq 1 100); do
+  [ -S "$sock" ] && break
+  kill -0 "$serve_pid" 2>/dev/null || { echo "FAIL: dfdbg-serve died"; cat "build/serve.log"; exit 1; }
+  sleep 0.05
+done
+[ -S "$sock" ] || { echo "FAIL: dfdbg-serve never listened"; exit 1; }
+grep -q '^LISTENING unix=' "build/serve.log" \
+  || { echo "FAIL: no LISTENING line"; cat "build/serve.log"; exit 1; }
+out="build/server_check.txt"
+printf '%s\n' \
+  ':ping' \
+  ':capabilities' \
+  ':catch_work {"filter":"pipe"}' \
+  ':run' \
+  'info links' \
+  ':whence {"iface":"pipe::coeff_in"}' \
+  ':shutdown' \
+  | ./build/tools/dfdbg-client --unix "$sock" --raw >"$out" \
+  || { echo "FAIL: dfdbg-client exited non-zero"; cat "$out"; exit 1; }
+wait "$serve_pid" || { echo "FAIL: dfdbg-serve exited non-zero"; exit 1; }
+if [ "$have_python" -eq 1 ]; then
+  python3 - "$out" <<'PYEOF'
 import json, sys
 frames = [json.loads(ln) for ln in open(sys.argv[1]) if ln.strip()]
 assert len(frames) == 7, f"expected 7 response frames, got {len(frames)}"
@@ -112,47 +107,44 @@ assert "pipe::coeff_in" in whence["result"]["link"], f"whence on wrong link: {wh
 assert isinstance(whence["result"]["hops"], list) and whence["result"]["hops"]
 print(f"ok: {len(frames)} schema-valid frames")
 PYEOF
-  else
-    grep -q '"result"' "$out" || { echo "FAIL: no result frames"; exit 1; }
-    if grep -q '"error"' "$out"; then echo "FAIL: error frame in transcript"; exit 1; fi
-  fi
-  rm -f "$sock"
-done
+else
+  grep -q '"result"' "$out" || { echo "FAIL: no result frames"; exit 1; }
+  if grep -q '"error"' "$out"; then echo "FAIL: error frame in transcript"; exit 1; fi
+fi
+rm -f "$sock"
 
 echo "== subscription gate =="
 # Server push: subscribe to all four streams over a unix socket, run a full
 # decode, and validate the pushed notification frames (docs/PROTOCOL.md
 # "Subscriptions"). --drain keeps dfdbg-client printing pushed frames after
-# stdin closes, until `shutdown` drops the connection. Both backends: the
-# journal stream rides the deterministic kernel.
-for backend in fibers threads; do
-  echo "-- subscribe/notify round trip ($backend backend)"
-  sock="build/dfdbg_sub_$backend.sock"
-  rm -f "$sock"
-  DFDBG_PROCESS_BACKEND=$backend ./build/tools/dfdbg-serve --unix "$sock" \
-    >"build/serve_sub_$backend.log" 2>&1 &
-  serve_pid=$!
-  for _ in $(seq 1 100); do
-    [ -S "$sock" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { echo "FAIL: dfdbg-serve died"; cat "build/serve_sub_$backend.log"; exit 1; }
-    sleep 0.05
-  done
-  [ -S "$sock" ] || { echo "FAIL: dfdbg-serve never listened"; exit 1; }
-  out="build/subscribe_check_$backend.txt"
-  printf '%s\n' \
-    ':subscribe {"stream":"journal"}' \
-    ':subscribe {"stream":"info_flow"}' \
-    ':subscribe {"stream":"stats"}' \
-    ':subscribe {"stream":"run_events"}' \
-    ':subscribe {"stream":"shard_rounds"}' \
-    ':run' \
-    ':unsubscribe' \
-    ':shutdown' \
-    | ./build/tools/dfdbg-client --unix "$sock" --raw --drain >"$out" \
-    || { echo "FAIL: dfdbg-client exited non-zero"; cat "$out"; exit 1; }
-  wait "$serve_pid" || { echo "FAIL: dfdbg-serve exited non-zero"; exit 1; }
-  if [ "$have_python" -eq 1 ]; then
-    python3 - "$out" <<'PYEOF'
+# stdin closes, until `shutdown` drops the connection.
+echo "-- subscribe/notify round trip"
+sock="build/dfdbg_sub.sock"
+rm -f "$sock"
+DFDBG_PROCESS_BACKEND=fibers ./build/tools/dfdbg-serve --unix "$sock" \
+  >"build/serve_sub.log" 2>&1 &
+serve_pid=$!
+for _ in $(seq 1 100); do
+  [ -S "$sock" ] && break
+  kill -0 "$serve_pid" 2>/dev/null || { echo "FAIL: dfdbg-serve died"; cat "build/serve_sub.log"; exit 1; }
+  sleep 0.05
+done
+[ -S "$sock" ] || { echo "FAIL: dfdbg-serve never listened"; exit 1; }
+out="build/subscribe_check.txt"
+printf '%s\n' \
+  ':subscribe {"stream":"journal"}' \
+  ':subscribe {"stream":"info_flow"}' \
+  ':subscribe {"stream":"stats"}' \
+  ':subscribe {"stream":"run_events"}' \
+  ':subscribe {"stream":"shard_rounds"}' \
+  ':run' \
+  ':unsubscribe' \
+  ':shutdown' \
+  | ./build/tools/dfdbg-client --unix "$sock" --raw --drain >"$out" \
+  || { echo "FAIL: dfdbg-client exited non-zero"; cat "$out"; exit 1; }
+wait "$serve_pid" || { echo "FAIL: dfdbg-serve exited non-zero"; exit 1; }
+if [ "$have_python" -eq 1 ]; then
+  python3 - "$out" <<'PYEOF'
 import json, sys
 frames = [json.loads(ln) for ln in open(sys.argv[1]) if ln.strip()]
 streams = {"journal.delta", "flow.snapshot", "stats.delta", "run.event",
@@ -186,11 +178,10 @@ assert any(n["method"] == "run.event" for n in notifs), "no run.event pushed"
 print(f"ok: {len(notifs)} notifications ({events} journal events, "
       f"{len(deltas)} deltas)")
 PYEOF
-  else
-    grep -q '"journal.delta"' "$out" || { echo "FAIL: no journal.delta frames"; exit 1; }
-  fi
-  rm -f "$sock"
-done
+else
+  grep -q '"journal.delta"' "$out" || { echo "FAIL: no journal.delta frames"; exit 1; }
+fi
+rm -f "$sock"
 
 echo "== shard-profile gate (parallel backend) =="
 # The shard_rounds stream only carries data under the parallel backend: one
@@ -371,7 +362,7 @@ grep -q '"count":1' "build/fleet_evict.txt" \
 rm -f "$sock"
 echo "ok: fleet gate (isolation, --session, v1 alias, idle eviction)"
 
-echo "== sanitizer gate (ASan+UBSan) =="
+echo "== sanitizer gate (ASan+UBSan, fibers) =="
 # The token hot path (SBO Value, ring-buffer Link, batched push_n/pop_n) is
 # manual-lifetime code: build it under AddressSanitizer + UBSan and run the
 # tests that hammer it hardest. So is a debugger hook parked at a stop while
@@ -379,52 +370,49 @@ echo "== sanitizer gate (ASan+UBSan) =="
 # session and CLI suites drive those paths. The instrumentation port keeps a
 # running hook's callable alive by a per-hook running count while hooks are
 # added, removed and symbols interned mid-fire: test_sim_kernel's
-# Instrument.* tests drive that. Threads backend only — the fibers backend
-# switches stacks in its own assembly routine, which ASan's stack
-# bookkeeping cannot follow.
+# Instrument.* tests drive that. Everything runs on the fibers that ship:
+# FiberContext announces each stack switch to ASan, test_sim_backend's
+# FiberSwitch.* tests drive those annotations without a kernel, and the
+# parallel and fleet suites add fibers resumed on worker and shard threads.
+# Leak detection stays on.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
-cmake --build build-asan -j "$(nproc)" --target test_journal test_link_ring test_debug_session \
-  test_cli test_sim_kernel
-for t in test_link_ring test_journal test_debug_session test_cli test_sim_kernel; do
-  echo "-- $t under ASan+UBSan (threads backend)"
-  DFDBG_PROCESS_BACKEND=threads ASAN_OPTIONS=detect_leaks=0 \
-    ./build-asan/tests/$t >/dev/null \
+asan_suites="test_link_ring test_journal test_debug_session test_cli test_sim_kernel
+  test_sim_backend test_parallel_backend test_fleet"
+cmake --build build-asan -j "$(nproc)" --target $asan_suites
+for t in $asan_suites; do
+  echo "-- $t under ASan+UBSan"
+  DFDBG_PROCESS_BACKEND=fibers ./build-asan/tests/$t >/dev/null \
     || { echo "FAIL: $t under sanitizers"; exit 1; }
 done
 
-echo "== sanitizer gate (TSan, parallel backend) =="
+echo "== sanitizer gate (TSan, fibers) =="
 # The parallel backend's worker threads, boundary rings and barrier protocol
-# are the only genuinely concurrent code in the tree: build the parallel test
-# suite under ThreadSanitizer and run the multi-worker tests. The thread
-# substrate replaces fibers (TSan cannot follow fiber stack switches), so
-# the two fibers-comparison tests are excluded — everything the workers do
-# concurrently is still exercised.
+# are the only genuinely concurrent code in the tree, and the sharded fleet
+# host is the other concurrent subsystem: cross-shard session lookups
+# (shared_ptr pins vs. owning-shard destroy), racing session_create on two
+# shards, client migration and cross-shard detach. Build their suites under
+# ThreadSanitizer and run them whole, on fibers: FiberContext hands each
+# switch to TSan as a fiber switch, so fibers that park on one worker and
+# resume on another are checked as they ship.
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-cmake --build build-tsan -j "$(nproc)" --target test_parallel_backend test_fleet test_boundary_ring
+cmake --build build-tsan -j "$(nproc)" --target test_parallel_backend test_fleet test_boundary_ring \
+  test_sim_backend
 # The lock-free boundary ring's raw SPSC surface, driven by two real threads:
 # the acquire/release counter protocol is exactly what TSan exists to check.
 echo "-- test_boundary_ring under TSan (two-thread SPSC stress)"
 ./build-tsan/tests/test_boundary_ring >/dev/null \
   || { echo "FAIL: test_boundary_ring under TSan"; exit 1; }
-echo "-- test_parallel_backend under TSan (threads substrate)"
-DFDBG_PARALLEL_SUBSTRATE=threads ./build-tsan/tests/test_parallel_backend \
-  --gtest_filter='ParallelWide.*:RelaxedSync.*:HostIoPlacement.*:ParallelH264.TraceCsvRunToRunDeterministic:ParallelH264.WhenceRunToRunDeterministic:ParallelH264.Catchpoint*' \
-  >/dev/null \
-  || { echo "FAIL: test_parallel_backend under TSan"; exit 1; }
-# The sharded fleet host is the other concurrent subsystem: cross-shard
-# session lookups (shared_ptr pins vs. owning-shard destroy), racing
-# session_create on two shards, client migration and cross-shard detach all
-# run under TSan here. Threads backend/substrate for the same fiber reason.
-echo "-- test_fleet under TSan (threads backend)"
-DFDBG_PROCESS_BACKEND=threads DFDBG_PARALLEL_SUBSTRATE=threads \
-  ./build-tsan/tests/test_fleet >/dev/null \
-  || { echo "FAIL: test_fleet under TSan"; exit 1; }
+for t in test_parallel_backend test_fleet test_sim_backend; do
+  echo "-- $t under TSan"
+  DFDBG_PROCESS_BACKEND=fibers ./build-tsan/tests/$t >/dev/null \
+    || { echo "FAIL: $t under TSan"; exit 1; }
+done
 
 echo "== bench smoke (BENCH_JSON well-formedness) =="
 # A token measurement time per benchmark: enough to prove the binary runs

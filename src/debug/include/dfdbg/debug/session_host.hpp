@@ -53,7 +53,7 @@ struct SessionSpec {
   std::string rig = "wide";
   std::string name;  ///< fleet-unique session name; "" = auto ("s<id>")
 
-  std::string backend;  ///< "fibers" | "threads" | "parallel"; "" = process default
+  std::string backend;  ///< "fibers" | "parallel"; "" = process default
   int workers = 0;      ///< parallel backend worker count; 0 = default
 
   // "wide" rig (bench/wide_graph.hpp).
@@ -117,7 +117,7 @@ struct SessionWorld {
   SessionWorld& operator=(const SessionWorld&) = delete;
 };
 
-/// Maps "fibers"/"threads"/"parallel" to the enum; "" = process default.
+/// Maps "fibers"/"parallel" to the enum; "" = process default.
 Result<sim::ProcessBackend> parse_backend(const std::string& name);
 
 /// Builds hosted debug worlds from named rigs. "wide" and "adl" are

@@ -75,8 +75,8 @@ struct SchedRow {
 struct SchedView {
   std::string module;
   std::uint64_t step = 0;
-  std::string backend;  ///< active process backend ("fibers"/"threads"/"parallel")
-  int workers = 1;      ///< partition count (1 on sequential backends)
+  std::string backend;  ///< active process backend ("fibers"/"parallel")
+  int workers = 1;      ///< partition count (1 on the fibers backend)
   std::vector<SchedRow> rows;
 };
 

@@ -106,10 +106,9 @@ SessionWorld::~SessionWorld() {
 Result<sim::ProcessBackend> parse_backend(const std::string& name) {
   if (name.empty()) return sim::default_process_backend();
   if (name == "fibers") return sim::ProcessBackend::kFibers;
-  if (name == "threads") return sim::ProcessBackend::kThreads;
   if (name == "parallel") return sim::ProcessBackend::kParallel;
   return Status::error(ErrCode::kInvalidArgument, "unknown backend '" + name +
-                                  "' (fibers|threads|parallel)");
+                                  "' (fibers|parallel)");
 }
 
 SessionFactory::SessionFactory() {

@@ -6,7 +6,7 @@
 // the serve() caller's thread (it also owns the listening socket), shards
 // 1..N-1 on spawned threads. Every session is pinned to exactly one shard
 // and every verb against it executes on that shard's thread, so the
-// cooperative deterministic kernels (fibers or blocked threads) never share
+// cooperative deterministic kernels (and their fibers) never share
 // state and no locks guard the debug worlds themselves; only the session
 // table and the client-handoff queues are mutex-guarded. Clients are
 // multiplexed, not parallelized, *within* a shard: requests are handled in

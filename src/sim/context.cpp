@@ -11,6 +11,14 @@
 #include "dfdbg/common/assert.hpp"
 #include "dfdbg/common/strings.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace dfdbg::sim {
 
 namespace {
@@ -28,21 +36,10 @@ std::size_t round_up_pages(std::size_t bytes) {
 /// The explicit override, if any. 0 = unset, else 1 + backend enum value.
 std::atomic<int> g_backend_override{0};
 
-ProcessBackend compiled_default_backend() {
-#if defined(DFDBG_DEFAULT_BACKEND_THREADS)
-  return ProcessBackend::kThreads;
-#elif defined(DFDBG_DEFAULT_BACKEND_PARALLEL)
-  return ProcessBackend::kParallel;
-#else
-  return ProcessBackend::kFibers;
-#endif
-}
-
 }  // namespace
 
 const char* to_string(ProcessBackend b) {
   switch (b) {
-    case ProcessBackend::kThreads: return "threads";
     case ProcessBackend::kFibers: return "fibers";
     case ProcessBackend::kParallel: return "parallel";
   }
@@ -55,15 +52,13 @@ ProcessBackend default_process_backend() {
   // Read the environment on every call (not cached) so tests and the CI
   // harness can steer whole binaries through DFDBG_PROCESS_BACKEND.
   if (const char* env = std::getenv("DFDBG_PROCESS_BACKEND")) {
-    if (std::strcmp(env, "threads") == 0) return ProcessBackend::kThreads;
     if (std::strcmp(env, "fibers") == 0) return ProcessBackend::kFibers;
     if (std::strcmp(env, "parallel") == 0) return ProcessBackend::kParallel;
     if (env[0] != '\0')
       panic(__FILE__, __LINE__,
-            strformat("DFDBG_PROCESS_BACKEND='%s' (expected 'threads', 'fibers' or 'parallel')",
-                      env));
+            strformat("DFDBG_PROCESS_BACKEND='%s' (expected 'fibers' or 'parallel')", env));
   }
-  return compiled_default_backend();
+  return ProcessBackend::kFibers;
 }
 
 void set_default_process_backend(ProcessBackend b) {
@@ -81,17 +76,6 @@ int default_parallel_workers() {
             strformat("DFDBG_PARALLEL_WORKERS='%s' (expected 1..256)", env));
   }
   return 2;
-}
-
-bool parallel_uses_thread_processes() {
-  if (const char* env = std::getenv("DFDBG_PARALLEL_SUBSTRATE")) {
-    if (std::strcmp(env, "threads") == 0) return true;
-    if (std::strcmp(env, "fibers") == 0) return false;
-    if (env[0] != '\0')
-      panic(__FILE__, __LINE__,
-            strformat("DFDBG_PARALLEL_SUBSTRATE='%s' (expected 'fibers' or 'threads')", env));
-  }
-  return false;
 }
 
 std::size_t FiberContext::default_stack_bytes() {
@@ -241,6 +225,13 @@ FiberContext::FiberContext(std::size_t stack_bytes, Entry entry, void* arg)
   // instead of scribbling over whatever the allocator placed below.
   DFDBG_CHECK_MSG(::mprotect(base, page, PROT_NONE) == 0, "fiber guard mprotect failed");
   map_base_ = base;
+#if defined(__SANITIZE_ADDRESS__)
+  asan_stack_lo_ = static_cast<char*>(base) + page;
+  asan_stack_size_ = stack_bytes_;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 
 #if defined(__x86_64__)
   // Seed the first switch's frame 16 bytes below the (page-aligned) top, so
@@ -270,10 +261,56 @@ FiberContext::FiberContext(std::size_t stack_bytes, Entry entry, void* arg)
 }
 
 FiberContext::~FiberContext() {
-  if (map_base_ != nullptr) ::munmap(map_base_, map_bytes_);
+  if (map_base_ == nullptr) return;
+#if defined(__SANITIZE_ADDRESS__)
+  // Frames left on a parked fiber keep their redzones poisoned; a later
+  // mapping at the same address would inherit them.
+  ASAN_UNPOISON_MEMORY_REGION(asan_stack_lo_, asan_stack_size_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
+  ::munmap(map_base_, map_bytes_);
+}
+
+// Sanitizer annotations. ASan and TSan each track the stack a thread runs
+// on, and a switch moves the thread to another stack behind their backs:
+// ASan would check frames against the wrong stack (false overflows, wrong
+// bounds when an exception unwinds) and TSan's shadow call stack would mix
+// contexts. So each switch is announced: begin in the context being left,
+// end in the one that resumes — after the swap in switch_to, or in start()
+// on a fiber's first entry. Both compile to nothing in uninstrumented builds.
+
+void FiberContext::sanitizer_switch_begin([[maybe_unused]] FiberContext& from,
+                                          [[maybe_unused]] FiberContext& to) {
+#if defined(__SANITIZE_ADDRESS__)
+  to.asan_entered_from_ = &from;
+  __sanitizer_start_switch_fiber(&from.asan_fake_stack_, to.asan_stack_lo_, to.asan_stack_size_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  // An anchor belongs to whichever thread switches out of it: on the
+  // parallel backend a parked fiber may be resumed on another thread.
+  if (!from.has_stack()) from.tsan_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
+#endif
+}
+
+void FiberContext::sanitizer_switch_end([[maybe_unused]] FiberContext& self) {
+#if defined(__SANITIZE_ADDRESS__)
+  const void* lo = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(self.asan_fake_stack_, &lo, &size);
+  // An anchor has no stack of its own: the stack just left is its thread's.
+  FiberContext& left = *self.asan_entered_from_;
+  if (!left.has_stack()) {
+    left.asan_stack_lo_ = lo;
+    left.asan_stack_size_ = size;
+  }
+#endif
 }
 
 void FiberContext::start(FiberContext* self) {
+  sanitizer_switch_end(*self);
   self->entry_(self->arg_);
   panic(__FILE__, __LINE__, "fiber entry returned instead of switching away");
 }
@@ -281,7 +318,9 @@ void FiberContext::start(FiberContext* self) {
 #if defined(__x86_64__)
 
 void FiberContext::switch_to(FiberContext& from, FiberContext& to) {
+  sanitizer_switch_begin(from, to);
   dfdbg_fiber_switch(&from.sp_, to.sp_);
+  sanitizer_switch_end(from);
 }
 
 #else
@@ -292,7 +331,9 @@ void FiberContext::trampoline(unsigned hi, unsigned lo) {
 }
 
 void FiberContext::switch_to(FiberContext& from, FiberContext& to) {
+  sanitizer_switch_begin(from, to);
   DFDBG_CHECK_MSG(::swapcontext(&from.uc_, &to.uc_) == 0, "swapcontext failed");
+  sanitizer_switch_end(from);
 }
 
 #endif

@@ -1,7 +1,7 @@
 // Stackful user-level execution contexts (fibers) for the simulation kernel.
 //
 // The paper debugs the P2012 *functional simulator*, whose actors run as
-// SystemC user-level cooperative threads (QuickThreads): switching between
+// SystemC user-level cooperative threads (its QT coroutines): switching between
 // them is a register save/restore, invisible to the OS and to a thread-level
 // debugger. This file reproduces that substrate. On x86-64 a switch is a
 // small assembly routine that saves the callee-saved registers, MXCSR and
@@ -11,20 +11,18 @@
 // (`makecontext`/`swapcontext`, which also saves the signal mask with one
 // syscall per switch). Each fiber owns an `mmap`'d stack with a PROT_NONE
 // guard page below it, so a runaway recursion faults deterministically
-// instead of silently corrupting a neighbouring stack.
+// instead of silently corrupting a neighbouring stack. Under AddressSanitizer
+// or ThreadSanitizer every switch is announced to the sanitizer (context.cpp),
+// so both check the fibers that ship.
 //
-// The kernel keeps three interchangeable process backends:
+// The kernel has two process backends:
 //   kFibers  (default) — dispatch is one user-space context switch each way;
 //                        no OS scheduling on the hot path.
-//   kThreads           — the original std::thread + two-semaphore handoff.
-//                        Slower by orders of magnitude, but sanitizer- and
-//                        valgrind-friendly (those tools do not follow
-//                        hand-switched fiber stacks).
 //   kParallel          — the graph is partitioned into per-cluster sub-kernels,
 //                        each drained by its own worker thread (fibers inside a
 //                        partition, a conservative barrier between partitions).
 //                        See docs/KERNEL.md "Parallel backend".
-// All backends honour the same dispatch ordering (parallel: per partition, and
+// Both honour the same dispatch ordering (parallel: per partition, and
 // globally under a fixed single-partition map), teardown-by-unwind and public
 // API.
 #pragma once
@@ -39,30 +37,22 @@ namespace dfdbg::sim {
 
 /// How the kernel executes simulated processes. See file comment.
 enum class ProcessBackend {
-  kThreads,   ///< one OS thread per process, semaphore handoff per dispatch
   kFibers,    ///< user-level stackful contexts, two fiber switches per dispatch
   kParallel,  ///< partitioned sub-kernels on worker threads, barrier-synced
 };
 
-/// Returns a short human-readable name for `b` ("threads"/"fibers"/"parallel").
+/// Returns a short human-readable name for `b` ("fibers"/"parallel").
 const char* to_string(ProcessBackend b);
 
 /// The backend new kernels use when none is passed to the constructor.
 /// Resolution order: set_default_process_backend() override, then the
-/// DFDBG_PROCESS_BACKEND environment variable ("threads"/"fibers"/"parallel"),
-/// then the compile-time default chosen by the DFDBG_PROCESS_BACKEND CMake
-/// option.
+/// DFDBG_PROCESS_BACKEND environment variable ("fibers"/"parallel"), then
+/// kFibers.
 [[nodiscard]] ProcessBackend default_process_backend();
 
 /// Worker-thread count new kParallel kernels use when none is passed to the
 /// constructor: the DFDBG_PARALLEL_WORKERS environment variable, or 2.
 [[nodiscard]] int default_parallel_workers();
-
-/// Substrate simulated processes run on inside a kParallel partition: fibers
-/// (default) or parked OS threads when DFDBG_PARALLEL_SUBSTRATE=threads —
-/// the sanitizer-friendly variant ThreadSanitizer CI uses, since TSan does
-/// not follow fiber stack switches. Scheduling is identical either way.
-[[nodiscard]] bool parallel_uses_thread_processes();
 
 /// Overrides the process-wide default (benchmarks flip this to measure both
 /// backends in one run). Sticky until called again.
@@ -111,6 +101,10 @@ class FiberContext {
 
  private:
   [[noreturn]] static void start(FiberContext* self);
+  /// Sanitizer annotations around a swap (no-ops in uninstrumented builds):
+  /// begin runs in `from` just before it, end in the context that resumes.
+  static void sanitizer_switch_begin(FiberContext& from, FiberContext& to);
+  static void sanitizer_switch_end(FiberContext& self);
 
 #if defined(__x86_64__)
   /// Stack pointer saved by the last switch away from this context; the
@@ -125,6 +119,20 @@ class FiberContext {
   std::size_t stack_bytes_ = 0;
   Entry entry_ = nullptr;
   void* arg_ = nullptr;
+#if defined(__SANITIZE_ADDRESS__)
+  // The stack ASan sees while this context runs (an anchor learns its
+  // thread's stack from each switch out of it), its fake stack while it is
+  // switched out, and the context that last switched into it.
+  const void* asan_stack_lo_ = nullptr;
+  std::size_t asan_stack_size_ = 0;
+  void* asan_fake_stack_ = nullptr;
+  FiberContext* asan_entered_from_ = nullptr;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  /// TSan's fiber for this context; an anchor's is its thread's current
+  /// fiber, captured at each switch out of it.
+  void* tsan_fiber_ = nullptr;
+#endif
 };
 
 }  // namespace dfdbg::sim

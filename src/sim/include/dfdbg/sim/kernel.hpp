@@ -15,16 +15,15 @@
 // kStopped. A later run() resumes exactly where execution stopped, which is
 // what gives the CLI its `continue` semantics.
 //
-// Execution backends: processes run either on stackful user-level fibers
-// (default — a dispatch is two register-only stack switches of ~20 ns each
-// on x86-64, mirroring the SystemC QuickThreads model the paper's simulator
-// uses), on parked OS threads
-// (legacy — sanitizer/valgrind friendly), or on the *parallel* backend: the
-// process set is partitioned into per-cluster sub-kernels, each drained to
-// quiescence by its own worker thread between conservative barriers, with
-// virtual time advancing globally. Schedules are bit-identical across the
-// sequential backends and across parallel runs under a fixed partition map;
-// see context.hpp and docs/KERNEL.md.
+// Execution backends: processes always run on stackful user-level fibers (a
+// dispatch is two register-only stack switches of ~20 ns each on x86-64,
+// mirroring the SystemC QT coroutines the paper's simulator uses). The
+// default backend schedules them all from the thread that calls run(); the
+// *parallel* backend partitions the process set into per-cluster sub-kernels,
+// each drained to quiescence by its own worker thread between conservative
+// barriers, with virtual time advancing globally. Schedules are bit-identical
+// between fibers and a single-partition parallel kernel, and across parallel
+// runs under a fixed partition map; see context.hpp and docs/KERNEL.md.
 #pragma once
 
 #include <atomic>
@@ -35,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <semaphore>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -109,7 +107,7 @@ class Kernel {
   /// `backend` selects how processes execute (fibers by default; see
   /// context.hpp). Fixed for the kernel's lifetime. `workers` is the
   /// partition/worker-thread count of the parallel backend (0 = the
-  /// default_parallel_workers() resolution; ignored by other backends).
+  /// default_parallel_workers() resolution; ignored by kFibers).
   explicit Kernel(ProcessBackend backend = default_process_backend(), int workers = 0);
   ~Kernel();
 
@@ -134,8 +132,8 @@ class Kernel {
   /// (partition 0 when spawned from the coordinator).
   ProcessId spawn(std::string name, std::function<void()> body);
 
-  /// spawn() into an explicit partition (parallel backend; other backends
-  /// require partition 0). Partitioning is fixed at spawn.
+  /// spawn() into an explicit partition (parallel backend; kFibers
+  /// requires partition 0). Partitioning is fixed at spawn.
   ProcessId spawn_in(int partition, std::string name, std::function<void()> body);
 
   /// Runs the simulation until it finishes, deadlocks, breaks, or simulated
@@ -155,7 +153,7 @@ class Kernel {
 
   /// Parallel backend: the partition whose worker thread is executing the
   /// caller, or -1 on the coordinator/main thread (and always -1 on the
-  /// sequential backends).
+  /// fibers backend).
   [[nodiscard]] int current_partition() const;
 
   /// Looks up a process by id (nullptr if unknown).
@@ -347,7 +345,6 @@ class Kernel {
     bool stop_round = false;  ///< debug_break: end this round after the park
     std::vector<Event*> deferred_notifies;  ///< cross-partition, flushed at barrier
     FiberContext sched_ctx;                 ///< this worker's scheduler anchor
-    std::binary_semaphore sem{0};           ///< thread-process substrate handoff
     std::unique_ptr<obs::Journal> journal;  ///< per-worker flight-recorder shard
     obs::Counter* m_dispatches = nullptr;   ///< sim.worker.<i>.dispatch
     std::thread thread;
@@ -386,10 +383,6 @@ class Kernel {
     obs::Histogram* h_round_work = nullptr;///< sim.worker.<i>.round_work_ns
   };
 
-  /// True when simulated processes run on fibers (kFibers, and kParallel
-  /// unless DFDBG_PARALLEL_SUBSTRATE=threads).
-  [[nodiscard]] bool uses_fiber_processes() const;
-
   /// Hands the CPU to `p` and blocks until it yields back.
   void dispatch(Process* p);
   /// Enqueues a newly-ready process according to the active policy (parallel:
@@ -411,6 +404,8 @@ class Kernel {
   void debug_break_parallel();
   void notify_parallel(Event& e);
   bool notify_if_waiting_parallel(Event& e);
+  /// True when a notify on `e` from `shard` is delivered at once, not deferred.
+  [[nodiscard]] bool owns_event(const Event& e, int shard) const;
   /// Wakes `e`'s waiters into their partitions' ready queues (coordinator
   /// or owning-shard context only).
   void notify_deliver(Event& e);
@@ -429,7 +424,6 @@ class Kernel {
 
   ProcessBackend backend_;
   bool parallel_ = false;
-  bool parallel_thread_processes_ = false;  ///< see parallel_uses_thread_processes()
   SimTime now_ = 0;
   std::vector<std::unique_ptr<Process>> processes_;
   std::unordered_map<std::string, ProcessId, TransparentStringHash, std::equal_to<>>
@@ -443,8 +437,7 @@ class Kernel {
   std::uint64_t dispatches_ = 0;
   std::uint64_t wait_seq_counter_ = 0;
   ReadyPolicy policy_ = ReadyPolicy::kFifo;
-  std::binary_semaphore kernel_sem_{0};  ///< thread backend only
-  FiberContext sched_ctx_;               ///< fiber backend: the scheduler's context
+  FiberContext sched_ctx_;  ///< the scheduler's context (fibers backend; teardown on both)
   InstrumentPort instrument_;
 
   // Parallel backend state.

@@ -2,19 +2,16 @@
 // SC_THREADs — user-level cooperative threads that a conventional
 // thread-level debugger cannot see individually (the paper's §VI-F point).
 //
-// Two interchangeable execution backends (see context.hpp and docs/KERNEL.md):
-// the default backs each process with a stackful fiber the scheduler swaps
-// into directly; the legacy backend parks each process on its own OS thread
-// behind a semaphore. Scheduling semantics are identical either way.
+// Each process runs on a stackful fiber (see context.hpp and docs/KERNEL.md)
+// that its scheduler — the kernel's, or a partition worker's on the parallel
+// backend — swaps into directly.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 
 #include "dfdbg/common/ids.hpp"
 #include "dfdbg/sim/context.hpp"
@@ -47,7 +44,6 @@ class Process {
  public:
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
-  ~Process();
 
   [[nodiscard]] ProcessId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -80,10 +76,8 @@ class Process {
   friend class Kernel;
   Process(Kernel* kernel, ProcessId id, std::string name, std::function<void()> body);
 
-  /// Thread backend: OS-thread body. Blocks until first dispatch / teardown.
-  void thread_main();
-  /// Fiber backend: runs `body_` on the fiber's own stack, then hands control
-  /// back to the scheduler permanently. Never returns.
+  /// Runs `body_` on the fiber's own stack, then hands control back to the
+  /// scheduler permanently. Never returns.
   void fiber_main();
   static void fiber_entry(void* self);
 
@@ -108,12 +102,6 @@ class Process {
   /// not yet interned. Benign racing writes store the same value.
   std::atomic<std::uint32_t> jname_{UINT32_MAX};
 
-  // Thread-process substrates (kThreads, kParallel with thread processes).
-  std::binary_semaphore resume_sem_{0};
-  std::binary_semaphore* sched_sem_ = nullptr;  ///< scheduler side of the handoff
-  std::thread thread_;
-
-  // Fiber-process substrates (kFibers, kParallel default).
   std::unique_ptr<FiberContext> fiber_;
   FiberContext* resume_anchor_ = nullptr;  ///< context park() yields back to
   bool fiber_started_ = false;  ///< the fiber has been entered at least once

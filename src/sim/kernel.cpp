@@ -13,7 +13,7 @@ namespace dfdbg::sim {
 
 namespace {
 /// Thrown inside parked processes at kernel teardown to unwind their stacks
-/// cleanly through RAII frames (both backends).
+/// cleanly through RAII frames.
 struct ProcessKilled {};
 
 /// Scheduler instruments, interned once (stable addresses by construction).
@@ -92,57 +92,13 @@ const char* to_string(ProcessState s) {
 }
 
 Process::Process(Kernel* kernel, ProcessId id, std::string name, std::function<void()> body)
-    : kernel_(kernel), id_(id), name_(std::move(name)), body_(std::move(body)) {
-  resume_anchor_ = &kernel_->sched_ctx_;
-  sched_sem_ = &kernel_->kernel_sem_;
-  if (kernel_->uses_fiber_processes()) {
-    fiber_ = std::make_unique<FiberContext>(FiberContext::default_stack_bytes(),
-                                            &Process::fiber_entry, this);
-  } else {
-    thread_ = std::thread([this] { thread_main(); });
-  }
-}
-
-Process::~Process() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void Process::thread_main() {
-  // Wait for the first dispatch (or teardown).
-  resume_sem_.acquire();
-  if (kernel_->shutting_down_) {
-    kernel_->mark_terminated(this);
-    return;
-  }
-  if (kernel_->parallel_) {
-    // Thread-substrate parallel processes run on their own OS thread, not the
-    // shard's worker thread: adopt the shard identity so wait()/notify()/
-    // debug_break() resolve the right sub-kernel, and the shard journal so
-    // records land in the same buffer they would under the fiber substrate.
-    // Safe because the worker blocks in dispatch_shard while this thread runs.
-    t_worker.kernel = kernel_;
-    t_worker.shard = shard_;
-    obs::Journal::set_thread_journal(kernel_->shards_[shard_]->journal.get());
-  } else {
-    // Sequential thread-substrate processes likewise adopt the journal the
-    // kernel was built under: a hosted session's private journal must see the
-    // link push/pop records and token-id allocations made from actor bodies,
-    // not the process-wide base. Safe because the scheduler blocks while this
-    // thread runs (cooperative handoff).
-    obs::Journal::set_thread_journal(kernel_->journal_base_);
-  }
-  try {
-    body_();
-    kernel_->mark_terminated(this);
-    sched_sem_->release();  // hand control back to the scheduler
-  } catch (const ProcessKilled&) {
-    kernel_->mark_terminated(this);
-    // Teardown: the kernel is not blocked in dispatch; do not signal it.
-  } catch (const std::exception& e) {
-    panic(__FILE__, __LINE__,
-          strformat("uncaught exception in simulated process '%s': %s", name_.c_str(), e.what()));
-  }
-}
+    : kernel_(kernel),
+      id_(id),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      fiber_(std::make_unique<FiberContext>(FiberContext::default_stack_bytes(),
+                                            &Process::fiber_entry, this)),
+      resume_anchor_(&kernel_->sched_ctx_) {}
 
 void Process::fiber_entry(void* self) { static_cast<Process*>(self)->fiber_main(); }
 
@@ -164,12 +120,7 @@ void Process::fiber_main() {
 }
 
 void Process::park() {
-  if (fiber_ != nullptr) {
-    FiberContext::switch_to(*fiber_, *resume_anchor_);
-  } else {
-    sched_sem_->release();
-    resume_sem_.acquire();
-  }
+  FiberContext::switch_to(*fiber_, *resume_anchor_);
   if (kernel_->shutting_down_) throw ProcessKilled{};
 }
 
@@ -189,15 +140,13 @@ const char* to_string(RunResult r) {
 
 Kernel::Kernel(ProcessBackend backend, int workers) : backend_(backend) {
   // Capture the journal visible at construction time (thread override if a
-  // hosted session installed one, else the process-wide base). Every backend
-  // needs this: parallel shard journals delegate token-id allocation to it
-  // and merge back into it, and thread-substrate processes adopt it on their
-  // own OS threads — so a kernel built under a per-session journal stays
-  // confined to that session.
+  // hosted session installed one, else the process-wide base): parallel
+  // shard journals delegate token-id allocation to it and merge back into
+  // it, so a kernel built under a per-session journal stays confined to that
+  // session.
   journal_base_ = &obs::Journal::global();
   parallel_ = backend_ == ProcessBackend::kParallel;
   if (!parallel_) return;
-  parallel_thread_processes_ = parallel_uses_thread_processes();
   int k = workers > 0 ? workers : default_parallel_workers();
   obs::Journal& base = *journal_base_;
   for (int i = 0; i < k; ++i) {
@@ -206,7 +155,7 @@ Kernel::Kernel(ProcessBackend backend, int workers) : backend_(backend) {
     sh->journal = std::make_unique<obs::Journal>(base.capacity());
     // Partition 0 of a single-partition kernel delegates token-id allocation
     // to the process-wide journal (uid base 0): ids — and therefore `whence`
-    // output — stay byte-identical to the sequential backends. Multi-
+    // output — stay byte-identical to the fibers backend. Multi-
     // partition kernels give each shard a disjoint 48-bit-offset range.
     std::uint64_t uid_base = k == 1 ? 0 : (static_cast<std::uint64_t>(i) + 1) << 48;
     sh->journal->configure_shard(&base, uid_base);
@@ -230,31 +179,19 @@ Kernel::~Kernel() {
   shutting_down_ = true;
   instrument_.set_teardown(true);
   for (auto& p : processes_) {
-    if (p->fiber_ != nullptr) {
-      if (p->state_ == ProcessState::kTerminated) continue;
-      if (!p->fiber_started_) {
-        // Body never began: nothing on the fiber stack to unwind.
-        mark_terminated(p.get());
-        continue;
-      }
-      // Resume the suspended fiber on this (the main) thread; park() throws
-      // ProcessKilled, the stack unwinds through its RAII frames, and
-      // fiber_main swaps back here.
-      p->resume_anchor_ = &sched_ctx_;
-      FiberContext::switch_to(sched_ctx_, *p->fiber_);
-      DFDBG_DCHECK(p->state_ == ProcessState::kTerminated);
-    } else {
-      // Release and join one process at a time so the teardown unwinds are
-      // serialized like every other part of the cooperative kernel.
-      if (p->state_ != ProcessState::kTerminated) p->resume_sem_.release();
-      if (p->thread_.joinable()) p->thread_.join();
+    if (p->state_ == ProcessState::kTerminated) continue;
+    if (!p->fiber_started_) {
+      // Body never began: nothing on the fiber stack to unwind.
+      mark_terminated(p.get());
+      continue;
     }
+    // Resume the suspended fiber on this (the main) thread, one process at a
+    // time; park() throws ProcessKilled, the stack unwinds through its RAII
+    // frames, and fiber_main swaps back here.
+    p->resume_anchor_ = &sched_ctx_;
+    FiberContext::switch_to(sched_ctx_, *p->fiber_);
+    DFDBG_DCHECK(p->state_ == ProcessState::kTerminated);
   }
-}
-
-bool Kernel::uses_fiber_processes() const {
-  if (backend_ == ProcessBackend::kFibers) return true;
-  return parallel_ && !parallel_thread_processes_;
 }
 
 ProcessId Kernel::spawn(std::string name, std::function<void()> body) {
@@ -273,7 +210,7 @@ ProcessId Kernel::spawn_in(int partition, std::string name, std::function<void()
     DFDBG_CHECK_MSG(t_worker.kernel != this || t_worker.shard == partition,
                     "spawn_in: cross-partition spawn from a worker");
   } else {
-    DFDBG_CHECK_MSG(partition == 0, "spawn_in: sequential backends have one partition");
+    DFDBG_CHECK_MSG(partition == 0, "spawn_in: the fibers backend has one partition");
   }
   // Serialize the process table: workers of distinct shards may spawn
   // concurrently mid-round. (Lookups race only with mid-run spawns, which
@@ -286,10 +223,6 @@ ProcessId Kernel::spawn_in(int partition, std::string name, std::function<void()
       std::unique_ptr<Process>(new Process(this, id, std::move(name), std::move(body))));
   Process* p = processes_.back().get();
   p->shard_ = partition;
-  if (parallel_) {
-    p->sched_sem_ = &shards_[partition]->sem;
-    p->resume_anchor_ = &shards_[partition]->sched_ctx;
-  }
   name_index_.emplace(p->name(), id);  // keeps the first binding on collision
   live_count_.fetch_add(1, std::memory_order_relaxed);
   make_ready(p);
@@ -359,7 +292,7 @@ void Kernel::hook_dispatch_exit() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel — sequential backends
+// Kernel — fibers backend
 // ---------------------------------------------------------------------------
 
 void Kernel::dispatch(Process* p) {
@@ -371,9 +304,8 @@ void Kernel::dispatch(Process* p) {
   if (prof) {
     SchedMetrics& m = SchedMetrics::get();
     m.dispatches.add();
-    // Two control transfers per dispatch on either backend: one into the
-    // process, one back to the scheduler when it yields. (Fibers: two
-    // FiberContext::switch_to calls; threads: two semaphore handoffs.)
+    // Two control transfers per dispatch: one FiberContext::switch_to into
+    // the process, one back to the scheduler when it yields.
     m.context_switches.add(2);
     // Depth observed when the process left the queue, i.e. the backlog it
     // waited behind.
@@ -394,13 +326,8 @@ void Kernel::dispatch(Process* p) {
   // dispatch would tax every observed sequential run for data nothing
   // consumes (dispatch_parallel pays them instead, amortized by its
   // heavier handshake).
-  if (p->fiber_ != nullptr) {
-    p->fiber_started_ = true;
-    FiberContext::switch_to(sched_ctx_, *p->fiber_);  // until it yields/terminates
-  } else {
-    p->resume_sem_.release();
-    kernel_sem_.acquire();  // until the process yields or terminates
-  }
+  p->fiber_started_ = true;
+  FiberContext::switch_to(sched_ctx_, *p->fiber_);  // until it yields/terminates
   current_ = nullptr;
 }
 
@@ -534,9 +461,8 @@ void Kernel::notify(Event& e) {
 // link registration) order; time advances only at global quiescence. Hence
 // the whole schedule — dispatches, token movements, journal merge order — is
 // a pure function of the program and the partition map. With one partition
-// it is the *same* function the sequential backends compute (a single
-// partition has no boundary channels, and its unclaimed-event notifies keep
-// every round un-elided).
+// it is the *same* function the fibers backend computes (a single partition
+// has no boundary channels, and delivers every notify at once).
 // ---------------------------------------------------------------------------
 
 Process* Kernel::current_parallel() const {
@@ -660,14 +586,9 @@ void Kernel::dispatch_shard(Shard& s, Process* p) {
   }
   s.current = p;
   const std::uint64_t f0 = prof ? mono_ns() : 0;
-  if (p->fiber_ != nullptr) {
-    p->fiber_started_ = true;
-    p->resume_anchor_ = &s.sched_ctx;
-    FiberContext::switch_to(s.sched_ctx, *p->fiber_);
-  } else {
-    p->resume_sem_.release();
-    s.sem.acquire();
-  }
+  p->fiber_started_ = true;
+  p->resume_anchor_ = &s.sched_ctx;
+  FiberContext::switch_to(s.sched_ctx, *p->fiber_);
   if (prof) p->consumed_wall_ns_ += mono_ns() - f0;
   s.current = nullptr;
 }
@@ -736,11 +657,17 @@ void Kernel::notify_deliver(Event& e) {
   e.waiters_.clear();
 }
 
+bool Kernel::owns_event(const Event& e, int shard) const {
+  const int owner = e.partition_.load(std::memory_order_acquire);
+  // With one partition an unclaimed event can only ever be claimed by it.
+  return owner == shard || (owner == -1 && shards_.size() == 1);
+}
+
 void Kernel::notify_parallel(Event& e) {
   WorkerTls& t = t_worker;
   if (t.kernel == this) {
-    if (e.partition_.load(std::memory_order_acquire) == t.shard) {
-      notify_deliver(e);  // same-partition: immediate, exactly like sequential
+    if (owns_event(e, t.shard)) {
+      notify_deliver(e);  // same-partition: immediate, exactly like fibers
       return;
     }
     // Cross-partition (or unclaimed): defer to the barrier. Dedupe so one
@@ -757,7 +684,7 @@ void Kernel::notify_parallel(Event& e) {
 bool Kernel::notify_if_waiting_parallel(Event& e) {
   WorkerTls& t = t_worker;
   if (t.kernel == this) {
-    if (e.partition_.load(std::memory_order_acquire) == t.shard) {
+    if (owns_event(e, t.shard)) {
       if (e.waiters_.empty()) {
         e.coalesced_count_++;
         return false;

@@ -145,6 +145,11 @@ TEST(FleetVerbs, CreateErrors) {
   EXPECT_NE(rig.error_message(R"({"jsonrpc":"2.0","id":5,"method":"info_links"})")
                 .find("no default session"),
             std::string::npos);
+  // `threads` is not a backend; the error lists the accepted ones.
+  EXPECT_NE(rig.error_message(R"({"jsonrpc":"2.0","id":6,"method":"session_create",)"
+                              R"("params":{"rig":"wide","backend":"threads"}})")
+                .find("unknown backend 'threads' (fibers|parallel)"),
+            std::string::npos);
 }
 
 TEST(FleetVerbs, CreateGateRespected) {

@@ -1,10 +1,11 @@
-// Backend equivalence: the fiber and thread process backends must be
-// observationally identical — same dispatch/activation sequences, same
-// teardown-by-unwind behaviour, byte-identical trace output — so that every
-// golden file and replay recording is valid under either. Plus the fiber
-// backend's guard-page stack-overflow detection and the fiber switch itself:
-// what it must preserve per context, the ABI alignment of a fresh fiber's
-// first frame, unwinding on fiber stacks and resumption on another thread.
+// Backend equivalence: the fibers backend and a single-partition parallel
+// kernel must be observationally identical — same dispatch/activation
+// sequences, same teardown-by-unwind behaviour, byte-identical trace output —
+// so that every golden file and replay recording is valid under either. Plus
+// backend selection, the fiber backend's guard-page stack-overflow detection
+// and the fiber switch itself: what it must preserve per context, the ABI
+// alignment of a fresh fiber's first frame, unwinding on fiber stacks and
+// resumption on another thread.
 #include <gtest/gtest.h>
 
 #include <cfenv>
@@ -26,13 +27,20 @@
 namespace dfdbg::sim {
 namespace {
 
-constexpr ProcessBackend kBoth[] = {ProcessBackend::kThreads, ProcessBackend::kFibers};
+/// One side of the determinism contract: a backend and its partition count.
+struct Subject {
+  ProcessBackend backend;
+  int workers;
+};
+constexpr Subject kFibers{ProcessBackend::kFibers, 1};
+constexpr Subject kParallelOne{ProcessBackend::kParallel, 1};
+constexpr Subject kBoth[] = {kFibers, kParallelOne};
 
 /// A seeded workload exercising every scheduling primitive: yields, timed
 /// waits, event wait/notify, spawn-from-process and debug_break. Returns a
 /// full observational transcript of the run.
-std::vector<std::string> run_mixed_workload(ProcessBackend backend, std::uint64_t seed) {
-  Kernel k(backend);
+std::vector<std::string> run_mixed_workload(Subject subject, std::uint64_t seed) {
+  Kernel k(subject.backend, subject.workers);
   std::vector<std::string> log;
   Event ping("ping");
   Event pong("pong");
@@ -91,15 +99,15 @@ std::vector<std::string> run_mixed_workload(ProcessBackend backend, std::uint64_
 
 TEST(BackendEquivalence, MixedWorkloadTranscriptsIdentical) {
   for (std::uint64_t seed : {1u, 42u, 1337u}) {
-    auto threads = run_mixed_workload(ProcessBackend::kThreads, seed);
-    auto fibers = run_mixed_workload(ProcessBackend::kFibers, seed);
-    EXPECT_EQ(threads, fibers) << "seed " << seed;
+    auto fibers = run_mixed_workload(kFibers, seed);
+    auto parallel = run_mixed_workload(kParallelOne, seed);
+    EXPECT_EQ(fibers, parallel) << "seed " << seed;
   }
 }
 
 TEST(BackendEquivalence, LifoPolicyIdentical) {
-  auto run_once = [](ProcessBackend b) {
-    Kernel k(b);
+  auto run_once = [](Subject subject) {
+    Kernel k(subject.backend, subject.workers);
     k.set_ready_policy(ReadyPolicy::kLifo);
     Event ev("e");
     std::vector<int> order;
@@ -113,13 +121,17 @@ TEST(BackendEquivalence, LifoPolicyIdentical) {
     k.run();
     return order;
   };
-  EXPECT_EQ(run_once(ProcessBackend::kThreads), run_once(ProcessBackend::kFibers));
+  // The notifier runs first: its notify finds no waiters and is lost on
+  // both, so no waiter ever wakes.
+  const auto fibers = run_once(kFibers);
+  EXPECT_TRUE(fibers.empty());
+  EXPECT_EQ(fibers, run_once(kParallelOne));
 }
 
 /// Teardown-by-unwind: killing suspended processes must run their RAII
-/// destructors, in spawn order, on both backends.
+/// destructors, in spawn order, on both sides.
 TEST(BackendEquivalence, TeardownUnwindRunsDestructorsInOrder) {
-  for (ProcessBackend b : kBoth) {
+  for (Subject subject : kBoth) {
     std::vector<std::string> unwound;
     struct Sentinel {
       std::vector<std::string>* log;
@@ -127,7 +139,7 @@ TEST(BackendEquivalence, TeardownUnwindRunsDestructorsInOrder) {
       ~Sentinel() { log->push_back(name); }
     };
     {
-      Kernel k(b);
+      Kernel k(subject.backend, subject.workers);
       Event never("never");
       for (int i = 0; i < 3; ++i) {
         k.spawn("s" + std::to_string(i), [&k, &never, &unwound, i] {
@@ -138,22 +150,26 @@ TEST(BackendEquivalence, TeardownUnwindRunsDestructorsInOrder) {
       EXPECT_EQ(k.run(), RunResult::kDeadlock);
       EXPECT_EQ(k.live_process_count(), 3u);
     }
-    EXPECT_EQ(unwound, (std::vector<std::string>{"s0", "s1", "s2"})) << to_string(b);
+    EXPECT_EQ(unwound, (std::vector<std::string>{"s0", "s1", "s2"}))
+        << to_string(subject.backend);
   }
 }
 
 /// The full stack: H.264 decode under the offline trace collector must give
-/// a byte-identical CSV trace and a bit-exact decode on both backends.
+/// a byte-identical CSV trace and a bit-exact decode on both sides. H264App
+/// builds its own kernel, so the default backend and the
+/// DFDBG_PARALLEL_WORKERS environment variable steer it.
 TEST(BackendEquivalence, H264TraceByteIdentical) {
-  auto run_traced = [](ProcessBackend b, std::string* csv, std::uint64_t* dispatches) {
-    set_default_process_backend(b);
+  auto run_traced = [](Subject subject, std::string* csv, std::uint64_t* dispatches) {
+    set_default_process_backend(subject.backend);
     h264::H264AppConfig cfg;
     cfg.params.width = 32;
     cfg.params.height = 32;
     cfg.params.frame_count = 1;
     auto app = h264::H264App::build(cfg);
     ASSERT_TRUE(app.ok());
-    ASSERT_EQ((*app)->kernel().backend(), b);
+    ASSERT_EQ((*app)->kernel().backend(), subject.backend);
+    ASSERT_EQ((*app)->kernel().partition_count(), subject.workers);
     trace::TraceCollector tc((*app)->app(), 1 << 16);
     tc.attach();
     (*app)->start();
@@ -163,36 +179,56 @@ TEST(BackendEquivalence, H264TraceByteIdentical) {
     *dispatches = (*app)->kernel().dispatch_count();
   };
   const auto saved = default_process_backend();
-  std::string csv_threads, csv_fibers;
-  std::uint64_t disp_threads = 0, disp_fibers = 0;
-  run_traced(ProcessBackend::kThreads, &csv_threads, &disp_threads);
-  run_traced(ProcessBackend::kFibers, &csv_fibers, &disp_fibers);
+  const char* saved_workers = std::getenv("DFDBG_PARALLEL_WORKERS");
+  const std::string saved_workers_value = saved_workers != nullptr ? saved_workers : "";
+  ::setenv("DFDBG_PARALLEL_WORKERS", "1", 1);
+  std::string csv_fibers, csv_parallel;
+  std::uint64_t disp_fibers = 0, disp_parallel = 0;
+  run_traced(kFibers, &csv_fibers, &disp_fibers);
+  run_traced(kParallelOne, &csv_parallel, &disp_parallel);
   set_default_process_backend(saved);
-  EXPECT_GT(disp_threads, 0u);
-  EXPECT_EQ(disp_threads, disp_fibers);
-  EXPECT_FALSE(csv_threads.empty());
-  EXPECT_EQ(csv_threads, csv_fibers);
+  if (saved_workers != nullptr)
+    ::setenv("DFDBG_PARALLEL_WORKERS", saved_workers_value.c_str(), 1);
+  else
+    ::unsetenv("DFDBG_PARALLEL_WORKERS");
+  EXPECT_GT(disp_fibers, 0u);
+  EXPECT_EQ(disp_fibers, disp_parallel);
+  EXPECT_FALSE(csv_fibers.empty());
+  EXPECT_EQ(csv_fibers, csv_parallel);
 }
 
 // --- backend selection -------------------------------------------------------
 
 TEST(BackendSelection, ExplicitConstructorArgWins) {
-  Kernel threads(ProcessBackend::kThreads);
+  Kernel parallel(ProcessBackend::kParallel);
   Kernel fibers(ProcessBackend::kFibers);
-  EXPECT_EQ(threads.backend(), ProcessBackend::kThreads);
+  EXPECT_EQ(parallel.backend(), ProcessBackend::kParallel);
   EXPECT_EQ(fibers.backend(), ProcessBackend::kFibers);
 }
 
 TEST(BackendSelection, EnvVarSteersDefault) {
   const auto saved = default_process_backend();
   // An explicit override beats the environment...
-  set_default_process_backend(ProcessBackend::kThreads);
+  set_default_process_backend(ProcessBackend::kParallel);
   ::setenv("DFDBG_PROCESS_BACKEND", "fibers", 1);
-  EXPECT_EQ(default_process_backend(), ProcessBackend::kThreads);
+  EXPECT_EQ(default_process_backend(), ProcessBackend::kParallel);
   // ...and the override is what kernels pick up by default.
-  EXPECT_EQ(Kernel{}.backend(), ProcessBackend::kThreads);
+  EXPECT_EQ(Kernel{}.backend(), ProcessBackend::kParallel);
   set_default_process_backend(saved);
   ::unsetenv("DFDBG_PROCESS_BACKEND");
+}
+
+/// `threads` is not a backend: naming it is an error that lists the
+/// accepted values. (The death test's child re-runs only this test, so no
+/// earlier override hides the environment.)
+TEST(BackendSelection, ThreadsValueRejectedDeathTest) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ::setenv("DFDBG_PROCESS_BACKEND", "threads", 1);
+        (void)default_process_backend();
+      },
+      "DFDBG_PROCESS_BACKEND='threads' \\(expected 'fibers' or 'parallel'\\)");
 }
 
 // --- fiber stacks ------------------------------------------------------------
