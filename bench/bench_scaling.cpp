@@ -18,6 +18,8 @@
 #include "dfdbg/mind/analyze.hpp"
 #include "dfdbg/mind/instantiate.hpp"
 #include "dfdbg/mind/parser.hpp"
+#include "dfdbg/obs/journal.hpp"
+#include "dfdbg/obs/metrics.hpp"
 #include "dfdbg/pedf/application.hpp"
 
 // --- allocation observatory -------------------------------------------------
@@ -448,12 +450,17 @@ BENCHMARK(BM_AttachedHotPath)->Unit(benchmark::kMillisecond);
 
 // What attaching a debugger adds to a whole decode: the seed-1 128x128x16
 // H.264 stream (perfbench decode_debug's configuration), run plain (Arg 0)
-// or under a Session with nothing armed (Arg 1), obs off. allocs_per_push
-// is heap allocations over the run per link push; wide_per_push is the
+// or under a Session with nothing armed (Arg 1), obs off; Arg 2 is Arg 1
+// with obs on and the process-wide journal recording, the state every CLI
+// session runs in, so /2 - /1 is the per-decode cost of the instruments and
+// the journal. allocs_per_push is heap allocations over the run per link
+// push (scripts/check_build.sh fails if /2 exceeds /1 by more than 0.001:
+// turning obs on must add no allocation per event); wide_per_push is the
 // share of pushes whose payload is wider than Value's inline words, each of
 // which the mirror snapshots with one allocation.
 void BM_AttachedDecode(benchmark::State& state) {
   const bool attach = state.range(0) != 0;
+  const bool obs_on = state.range(0) == 2;
   h264::H264AppConfig cfg;
   cfg.params.width = 128;
   cfg.params.height = 128;
@@ -462,6 +469,9 @@ void BM_AttachedDecode(benchmark::State& state) {
   std::uint64_t pushes = 0;
   std::uint64_t wide = 0;
   std::uint64_t allocs = 0;
+  const bool saved_obs = obs::enabled();
+  obs::set_enabled(obs_on);
+  obs::Journal::global().set_recording(true);
   for (auto _ : state) {
     auto built = h264::H264App::build(cfg);
     DFDBG_CHECK_MSG(built.ok(), built.status().message());
@@ -490,13 +500,15 @@ void BM_AttachedDecode(benchmark::State& state) {
         wide += l->push_index();
     }
   }
+  obs::set_enabled(saved_obs);
   const double p = static_cast<double>(pushes);
   state.counters["attached"] = attach ? 1 : 0;
+  state.counters["obs"] = obs_on ? 1 : 0;
   state.counters["pushes"] = p / static_cast<double>(state.iterations());
   state.counters["allocs_per_push"] = pushes > 0 ? static_cast<double>(allocs) / p : 0;
   state.counters["wide_per_push"] = pushes > 0 ? static_cast<double>(wide) / p : 0;
 }
-BENCHMARK(BM_AttachedDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AttachedDecode)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // --- parallel backend scaling -----------------------------------------------
 

@@ -393,22 +393,25 @@ echo "== sanitizer gate (TSan, fibers) =="
 # are the only genuinely concurrent code in the tree, and the sharded fleet
 # host is the other concurrent subsystem: cross-shard session lookups
 # (shared_ptr pins vs. owning-shard destroy), racing session_create on two
-# shards, client migration and cross-shard detach. Build their suites under
-# ThreadSanitizer and run them whole, on fibers: FiberContext hands each
-# switch to TSan as a fiber switch, so fibers that park on one worker and
-# resume on another are checked as they ship.
+# shards, client migration and cross-shard detach. The metrics registry's
+# per-thread cells are the third: single-writer adds, folds and resets from
+# other threads, blocks adopted after thread exit (test_obs), and the journal
+# shards that record and intern from worker threads (test_journal). Build
+# their suites under ThreadSanitizer and run them whole, on fibers:
+# FiberContext hands each switch to TSan as a fiber switch, so fibers that
+# park on one worker and resume on another are checked as they ship.
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
 cmake --build build-tsan -j "$(nproc)" --target test_parallel_backend test_fleet test_boundary_ring \
-  test_sim_backend
+  test_sim_backend test_obs test_journal
 # The lock-free boundary ring's raw SPSC surface, driven by two real threads:
 # the acquire/release counter protocol is exactly what TSan exists to check.
 echo "-- test_boundary_ring under TSan (two-thread SPSC stress)"
 ./build-tsan/tests/test_boundary_ring >/dev/null \
   || { echo "FAIL: test_boundary_ring under TSan"; exit 1; }
-for t in test_parallel_backend test_fleet test_sim_backend; do
+for t in test_parallel_backend test_fleet test_sim_backend test_obs test_journal; do
   echo "-- $t under TSan"
   DFDBG_PROCESS_BACKEND=fibers ./build-tsan/tests/$t >/dev/null \
     || { echo "FAIL: $t under TSan"; exit 1; }
@@ -443,6 +446,15 @@ a = rows[0]["counters"]["allocs_per_hook"]
 assert a <= 0.01, f"BM_AttachedHotPath allocs_per_hook {a} > 0.01"
 print(f"ok: BM_AttachedHotPath allocs_per_hook {a:.6f} <= 0.01")' \
       || { echo "FAIL: attached hook path allocates"; exit 1; }
+    # Turning obs on (instruments + journal) must add no allocation per
+    # event: the attached decode with obs on allocates what it does obs off.
+    printf '%s\n' "$out" | sed -n 's/^BENCH_JSON //p' | python3 -c 'import json,sys
+rows = {r["name"]: r for r in map(json.loads, sys.stdin)}
+off = rows["BM_AttachedDecode/1"]["counters"]["allocs_per_push"]
+on = rows["BM_AttachedDecode/2"]["counters"]["allocs_per_push"]
+assert on - off <= 0.001, f"BM_AttachedDecode/2 allocs_per_push {on} exceeds /1 {off} by > 0.001"
+print(f"ok: BM_AttachedDecode allocs_per_push obs on {on:.6f} vs off {off:.6f} (<= +0.001)")' \
+      || { echo "FAIL: obs-on decode allocates per event"; exit 1; }
   fi
   echo "ok: $name ($lines BENCH_JSON lines)"
 done

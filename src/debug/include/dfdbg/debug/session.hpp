@@ -25,9 +25,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dfdbg/common/status.hpp"
+#include "dfdbg/common/strings.hpp"
 #include "dfdbg/debug/events.hpp"
 #include "dfdbg/debug/model.hpp"
 #include "dfdbg/debug/recording.hpp"
@@ -327,6 +329,10 @@ class Session {
   std::function<void(const StopEvent&)> stop_observer_;
   std::vector<std::string> notes_;
   std::string current_actor_;
+  /// Catchpoint records' actor name ids, interned into the kernel's journal
+  /// once per distinct stop actor rather than once per stop.
+  std::unordered_map<std::string, std::uint32_t, TransparentStringHash, std::equal_to<>>
+      stop_jnames_;
   std::vector<pedf::Value> value_history_;
 };
 

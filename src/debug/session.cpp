@@ -638,10 +638,13 @@ void Session::trigger_stop(StopEvent ev, Rule* rule) {
   if (obs::enabled()) {
     obs::Journal& j = obs::Journal::global();
     if (j.recording()) {
+      auto it = stop_jnames_.find(ev.actor);
+      if (it == stop_jnames_.end())
+        it = stop_jnames_.emplace(ev.actor, app_.kernel().journal().intern_name(ev.actor)).first;
       obs::JournalEvent jev;
       jev.time = ev.time;
       jev.kind = obs::JournalKind::kCatchpoint;
-      jev.actor = j.intern_name(ev.actor);
+      jev.actor = it->second;
       jev.index = ev.breakpoint.valid() ? ev.breakpoint.value() : 0;
       j.record(jev);
     }

@@ -24,8 +24,11 @@
 //     executions.
 //
 // Actor/process names are interned into the journal (stable u32 ids), so an
-// event is a fixed-size POD and recording never allocates after the first
-// sighting of a name (interning takes a mutex; hot call sites cache the id).
+// event is a fixed-size 48-byte POD. Interning takes a mutex and hashes the
+// name, so it happens once per entity, off the event path: the framework
+// interns every actor path when the application is elaborated and every
+// process name at spawn (into the journal the kernel captured, see
+// `sim::Kernel::journal()`), and each record reads the id its entity carries.
 //
 // Parallel backend: each worker thread owns a journal *shard* — a private
 // buffer it records into race-free — installed as that thread's
@@ -209,10 +212,14 @@ class Journal {
   // --- name interning --------------------------------------------------------
 
   /// Interns `name`, returning its stable id. Re-interning a known name
-  /// never allocates (heterogeneous lookup).
+  /// never allocates (heterogeneous lookup), but every call takes a lock and
+  /// hashes the name: call it once per entity and keep the id, never per
+  /// record.
   std::uint32_t intern_name(std::string_view name);
   /// Name for an interned id ("?" for UINT32_MAX / unknown ids).
   [[nodiscard]] const std::string& name(std::uint32_t id) const;
+  /// Number of interned names (a shard reports its parent's).
+  [[nodiscard]] std::size_t name_count() const;
 
   // --- reporting -------------------------------------------------------------
 

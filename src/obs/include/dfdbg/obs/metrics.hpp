@@ -16,12 +16,26 @@
 // framework itself, so the framework stays observer-agnostic exactly like
 // it stays debugger-agnostic.
 //
-// Threading: instruments use relaxed atomics so the parallel simulation
-// backend's worker threads can mutate them concurrently (counts stay exact;
-// gauge/histogram high-water marks are maintained with CAS raises). Interning
-// takes a registry mutex — hot paths intern once and keep the reference, so
-// the lock never sits on a per-token path. Reporting reads are racy-by-design
-// while workers run; the debugger only reports from a stopped simulation.
+// Threading: counters and histogram buckets live in per-thread *cells*.
+// Each instrument owns fixed slot indexes (a counter one, a histogram its 65
+// buckets plus a sum), and each thread owns a block of 64-bit cells, found
+// through a thread-local pointer and allocated a page at a time on first
+// use. An enabled `add`/`observe` is a plain load and store into the calling
+// thread's own cell — no locked read-modify-write, no shared cache line — so
+// leaving metrics on costs a few nanoseconds per event on every backend, and
+// counts stay exact because every cell has one writer. Reads (`value()`,
+// `count()`, the registry reports) fold the slot across every block under
+// the cell pool's lock. A block outlives its thread: at thread exit it goes
+// back to the pool with its totals, still folded, and the next new thread
+// adopts it, so memory is bounded by the peak number of live threads. The
+// thread-local is re-read on every update, so a fiber that parks on one
+// thread and resumes on another writes the block of the thread it runs on.
+// `reset()` records the current fold as a baseline that reads subtract; it
+// never writes another thread's cells, so it cannot race a writer. Gauges
+// (last value wins) and histogram min/max marks stay shared relaxed atomics
+// (a CAS only when a mark moves). Interning takes a registry mutex — hot
+// paths intern once and keep the reference, so the lock never sits on a
+// per-token path.
 #pragma once
 
 #include <atomic>
@@ -61,19 +75,69 @@ inline void lower_min(std::atomic<T>& slot, T v) {
   while (v < cur && !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
 }
+
+// --- per-thread cells (see "Threading" above) --------------------------------
+
+using Cell = std::atomic<std::uint64_t>;
+
+inline constexpr std::uint32_t kCellPageBits = 10;
+inline constexpr std::uint32_t kCellsPerPage = 1u << kCellPageBits;  ///< 8 KiB
+inline constexpr std::uint32_t kCellPages = 1024;  ///< 1 Mi slots in all
+
+/// One thread's cells. Page i holds slots [i * kCellsPerPage, (i + 1) *
+/// kCellsPerPage); it stays null until its owner first updates one of them,
+/// and is published with release so a folding reader sees it zeroed.
+struct CellBlock {
+  std::atomic<Cell*> pages[kCellPages] = {};
+};
+
+/// The calling thread's block: null until its first update.
+extern constinit thread_local CellBlock* t_cells;
+
+/// Reserves `n` consecutive slots that share one page (a run never straddles
+/// a page, so one lookup serves a whole histogram). Slots are never reused.
+std::uint32_t alloc_slots(std::uint32_t n);
+
+/// Slow path of cells(): adopts a block for the thread and/or maps the page.
+Cell* cells_slow(std::uint32_t slot);
+
+/// Blocks made so far, live and released (tests check that exited threads'
+/// blocks are adopted instead of new ones made).
+std::size_t cell_block_count();
+
+/// The calling thread's cell for `slot` (and the rest of its run after it).
+inline Cell* cells(std::uint32_t slot) {
+  CellBlock* b = t_cells;
+  if (b != nullptr) [[likely]] {
+    Cell* page = b->pages[slot >> kCellPageBits].load(std::memory_order_relaxed);
+    if (page != nullptr) [[likely]] return page + (slot & (kCellsPerPage - 1));
+  }
+  return cells_slow(slot);
+}
+
+/// Single-writer add: only the owning thread stores to its cell.
+inline void bump(Cell& c, std::uint64_t n) {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
 }  // namespace detail
 
 /// Monotonic event counter.
 class Counter {
  public:
+  Counter() : slot_(detail::alloc_slots(1)) {}
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
   void add(std::uint64_t n = 1) {
-    if (enabled()) v_.fetch_add(n, std::memory_order_relaxed);
+    if (enabled()) detail::bump(*detail::cells(slot_), n);
   }
-  [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  /// Every thread's cell folded, minus the baseline of the last reset().
+  [[nodiscard]] std::uint64_t value() const;
+  void reset();
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint32_t slot_;
+  std::uint64_t base_ = 0;  ///< fold at the last reset (guarded by the cell pool's lock)
 };
 
 /// Instantaneous level with a high-water mark (e.g. queue occupancy).
@@ -101,40 +165,57 @@ class Gauge {
   std::atomic<std::int64_t> max_{0};
 };
 
+/// One histogram folded across every thread at one instant: what reports
+/// read, so a report folds each histogram once rather than once per
+/// statistic or percentile.
+struct HistogramTotals {
+  static constexpr std::size_t kBuckets = 65;
+  std::uint64_t buckets[kBuckets] = {};
+  std::uint64_t count = 0;  ///< sum of the buckets
+  std::uint64_t sum = 0;
+  std::uint64_t min = 0;    ///< 0 while count == 0
+  std::uint64_t max = 0;
+
+  [[nodiscard]] double mean() const {
+    return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
+  }
+  /// Upper edge of the smallest bucket whose cumulative count reaches
+  /// `p * count` (p in [0,1]), clamped to max. An approximation by
+  /// construction: exact to within the 2x bucket resolution.
+  [[nodiscard]] std::uint64_t percentile(double p) const;
+};
+
 /// Histogram over fixed log2 buckets: bucket 0 holds the value 0, bucket i
 /// (i >= 1) holds values in [2^(i-1), 2^i). 65 buckets cover all of uint64,
 /// so `observe` is branch-light and allocation-free.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 65;
+  static constexpr std::size_t kBuckets = HistogramTotals::kBuckets;
+
+  Histogram() : slot_(detail::alloc_slots(kSlots)) {}
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
 
   void observe(std::uint64_t v) {
     if (!enabled()) return;
-    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    detail::Cell* c = detail::cells(slot_);
+    detail::bump(c[bucket_of(v)], 1);
+    detail::bump(c[kSumSlot], v);
     detail::raise_max(max_, v);
     detail::lower_min(min_, v);
   }
 
-  [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t min() const {
-    return count() == 0 ? 0 : min_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double mean() const {
-    std::uint64_t c = count();
-    return c == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(c);
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  /// Every statistic from one fold. The single-statistic readers below each
+  /// fold too; a report that needs several calls this once.
+  [[nodiscard]] HistogramTotals totals() const;
 
-  /// Upper edge of the smallest bucket whose cumulative count reaches
-  /// `p * count` (p in [0,1]). An approximation by construction: exact to
-  /// within the 2x bucket resolution.
-  [[nodiscard]] std::uint64_t percentile(double p) const;
+  [[nodiscard]] std::uint64_t count() const { return totals().count; }
+  [[nodiscard]] std::uint64_t sum() const { return totals().sum; }
+  [[nodiscard]] std::uint64_t min() const { return totals().min; }
+  [[nodiscard]] std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
+  [[nodiscard]] double mean() const { return totals().mean(); }
+  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return totals().buckets[i]; }
+  [[nodiscard]] std::uint64_t percentile(double p) const { return totals().percentile(p); }
 
   void reset();
 
@@ -150,9 +231,13 @@ class Histogram {
   }
 
  private:
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  // The run of slots: the buckets, then the sum. The count is the buckets'
+  // total, so an observation stores two cells.
+  static constexpr std::uint32_t kSumSlot = kBuckets;
+  static constexpr std::uint32_t kSlots = kBuckets + 1;
+
+  std::uint32_t slot_;
+  std::uint64_t base_[kSlots] = {};  ///< guarded by the cell pool's lock
   std::atomic<std::uint64_t> min_{UINT64_MAX};
   std::atomic<std::uint64_t> max_{0};
 };

@@ -118,6 +118,12 @@ const std::string& Journal::name(std::uint32_t id) const {
   return names_[id];
 }
 
+std::size_t Journal::name_count() const {
+  if (parent_ != nullptr) return parent_->name_count();
+  std::lock_guard<std::mutex> lk(names_mu_);
+  return names_.size();
+}
+
 std::string Journal::summary() const {
   std::uint64_t by_kind[9] = {};
   for (std::size_t i = 0; i < ring_.size(); ++i) {

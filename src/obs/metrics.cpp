@@ -2,29 +2,172 @@
 
 #include <algorithm>
 
+#include "dfdbg/common/assert.hpp"
 #include "dfdbg/common/strings.hpp"
 
 namespace dfdbg::obs {
 
-std::uint64_t Histogram::percentile(double p) const {
-  std::uint64_t total = count();
-  if (total == 0) return 0;
+namespace detail {
+constinit thread_local CellBlock* t_cells = nullptr;
+}  // namespace detail
+
+namespace {
+using detail::Cell;
+using detail::CellBlock;
+using detail::kCellPageBits;
+using detail::kCellPages;
+using detail::kCellsPerPage;
+
+/// Every cell block ever made plus the slot allocator, behind one lock that
+/// block adoption, slot allocation, folds and resets take.
+struct CellPool {
+  std::mutex mu;
+  std::vector<CellBlock*> blocks;  ///< never freed: a block's totals outlive its thread
+  std::vector<CellBlock*> spare;   ///< released by exited threads, awaiting adoption
+  std::uint32_t next_slot = 0;
+
+  /// Leaked on purpose: threads exiting during static destruction still
+  /// hand their blocks back, and the blocks stay reachable.
+  static CellPool& get() {
+    static CellPool* pool = new CellPool;
+    return *pool;
+  }
+
+  /// Adds `n` slots from `slot` of every block into out[0..n). Caller holds mu.
+  void fold(std::uint32_t slot, std::uint32_t n, std::uint64_t* out) const {
+    for (const CellBlock* b : blocks) {
+      const Cell* page = b->pages[slot >> kCellPageBits].load(std::memory_order_acquire);
+      if (page == nullptr) continue;
+      page += slot & (kCellsPerPage - 1);
+      for (std::uint32_t i = 0; i < n; ++i) out[i] += page[i].load(std::memory_order_relaxed);
+    }
+  }
+};
+
+/// Gives the thread's block back to the pool when the thread exits.
+struct CellLease {
+  CellBlock* block = nullptr;
+  ~CellLease();
+};
+thread_local CellLease t_lease;
+/// Set once t_lease is destroyed: an update made later in thread exit adopts
+/// a block it never returns (still folded, never reused).
+constinit thread_local bool t_lease_gone = false;
+
+CellLease::~CellLease() {
+  t_lease_gone = true;
+  if (block == nullptr) return;
+  detail::t_cells = nullptr;
+  CellPool& pool = CellPool::get();
+  std::lock_guard<std::mutex> lk(pool.mu);
+  pool.spare.push_back(block);
+}
+
+/// out[i] = slot + i summed over every block, minus base[i] (the fold the
+/// last reset recorded). Under the pool lock, so it cannot interleave with
+/// that reset.
+void read_cells(std::uint32_t slot, std::uint32_t n, const std::uint64_t* base,
+                std::uint64_t* out) {
+  CellPool& pool = CellPool::get();
+  std::lock_guard<std::mutex> lk(pool.mu);
+  std::fill_n(out, n, 0);
+  pool.fold(slot, n, out);
+  for (std::uint32_t i = 0; i < n; ++i) out[i] -= base[i];
+}
+
+/// base[i] = the current fold of slot + i: later reads count from here.
+/// Writes no cell, so it cannot race the cells' writers.
+void rebase_cells(std::uint32_t slot, std::uint32_t n, std::uint64_t* base) {
+  CellPool& pool = CellPool::get();
+  std::lock_guard<std::mutex> lk(pool.mu);
+  std::fill_n(base, n, 0);
+  pool.fold(slot, n, base);
+}
+}  // namespace
+
+namespace detail {
+std::uint32_t alloc_slots(std::uint32_t n) {
+  CellPool& pool = CellPool::get();
+  std::lock_guard<std::mutex> lk(pool.mu);
+  std::uint32_t s = pool.next_slot;
+  if ((s & (kCellsPerPage - 1)) + n > kCellsPerPage) s = (s | (kCellsPerPage - 1)) + 1;
+  DFDBG_CHECK_MSG(n <= kCellsPerPage && s + n <= kCellsPerPage * kCellPages,
+                  "obs: instrument cell slots exhausted");
+  pool.next_slot = s + n;
+  return s;
+}
+
+Cell* cells_slow(std::uint32_t slot) {
+  if (t_cells == nullptr) {
+    CellPool& pool = CellPool::get();
+    CellBlock* b;
+    {
+      std::lock_guard<std::mutex> lk(pool.mu);
+      if (!pool.spare.empty()) {
+        b = pool.spare.back();
+        pool.spare.pop_back();
+      } else {
+        b = new CellBlock;
+        pool.blocks.push_back(b);
+      }
+    }
+    if (!t_lease_gone) t_lease.block = b;
+    t_cells = b;
+  }
+  std::atomic<Cell*>& pg = t_cells->pages[slot >> kCellPageBits];
+  Cell* page = pg.load(std::memory_order_relaxed);
+  if (page == nullptr) {
+    page = new Cell[kCellsPerPage];  // value-initialized: all zero
+    pg.store(page, std::memory_order_release);
+  }
+  return page + (slot & (kCellsPerPage - 1));
+}
+
+std::size_t cell_block_count() {
+  CellPool& pool = CellPool::get();
+  std::lock_guard<std::mutex> lk(pool.mu);
+  return pool.blocks.size();
+}
+}  // namespace detail
+
+std::uint64_t Counter::value() const {
+  std::uint64_t v;
+  read_cells(slot_, 1, &base_, &v);
+  return v;
+}
+
+void Counter::reset() { rebase_cells(slot_, 1, &base_); }
+
+std::uint64_t HistogramTotals::percentile(double p) const {
+  if (count == 0) return 0;
   if (p < 0.0) p = 0.0;
   if (p > 1.0) p = 1.0;
-  auto target = static_cast<std::uint64_t>(p * static_cast<double>(total));
+  auto target = static_cast<std::uint64_t>(p * static_cast<double>(count));
   if (target == 0) target = 1;
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    cum += bucket(i);
-    if (cum >= target) return std::min(bucket_edge(i), max());
+    cum += buckets[i];
+    if (cum >= target) return std::min(Histogram::bucket_edge(i), max);
   }
-  return max();
+  return max;
+}
+
+HistogramTotals Histogram::totals() const {
+  std::uint64_t raw[kSlots];
+  read_cells(slot_, kSlots, base_, raw);
+  HistogramTotals t;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    t.buckets[i] = raw[i];
+    t.count += raw[i];
+  }
+  t.sum = raw[kSumSlot];
+  t.max = max_.load(std::memory_order_relaxed);
+  t.min = t.count == 0 ? 0 : min_.load(std::memory_order_relaxed);
+  return t;
 }
 
 void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  rebase_cells(slot_, kSlots, base_);
   min_.store(UINT64_MAX, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
 }
@@ -135,12 +278,13 @@ std::string Registry::to_text() const {
     out += "histograms:                          count       mean        p50        p90"
            "        p99        max\n";
     for (const auto& [name, h] : hs) {
+      const HistogramTotals t = h->totals();
       out += strformat("  %-32s %7llu %10.1f %10llu %10llu %10llu %10llu\n", name.c_str(),
-                       static_cast<unsigned long long>(h->count()), h->mean(),
-                       static_cast<unsigned long long>(h->percentile(0.50)),
-                       static_cast<unsigned long long>(h->percentile(0.90)),
-                       static_cast<unsigned long long>(h->percentile(0.99)),
-                       static_cast<unsigned long long>(h->max()));
+                       static_cast<unsigned long long>(t.count), t.mean(),
+                       static_cast<unsigned long long>(t.percentile(0.50)),
+                       static_cast<unsigned long long>(t.percentile(0.90)),
+                       static_cast<unsigned long long>(t.percentile(0.99)),
+                       static_cast<unsigned long long>(t.max));
     }
   }
   return out;
@@ -149,9 +293,9 @@ std::string Registry::to_text() const {
 namespace {
 /// The shared JSON spelling of one instrument's value — to_json() and
 /// snapshot_delta() must stay byte-compatible per entry.
-std::string counter_json(const std::string& name, const Counter& c) {
+std::string counter_json(const std::string& name, std::uint64_t value) {
   return strformat("\"%s\":%llu", json_escape(name).c_str(),
-                   static_cast<unsigned long long>(c.value()));
+                   static_cast<unsigned long long>(value));
 }
 
 std::string gauge_json(const std::string& name, const Gauge& g) {
@@ -159,16 +303,16 @@ std::string gauge_json(const std::string& name, const Gauge& g) {
                    static_cast<long long>(g.value()), static_cast<long long>(g.max()));
 }
 
-std::string histogram_json(const std::string& name, const Histogram& h) {
+std::string histogram_json(const std::string& name, const HistogramTotals& t) {
   return strformat(
       "\"%s\":{\"count\":%llu,\"sum\":%llu,\"min\":%llu,\"max\":%llu,"
       "\"p50\":%llu,\"p90\":%llu,\"p99\":%llu}",
-      json_escape(name).c_str(), static_cast<unsigned long long>(h.count()),
-      static_cast<unsigned long long>(h.sum()), static_cast<unsigned long long>(h.min()),
-      static_cast<unsigned long long>(h.max()),
-      static_cast<unsigned long long>(h.percentile(0.50)),
-      static_cast<unsigned long long>(h.percentile(0.90)),
-      static_cast<unsigned long long>(h.percentile(0.99)));
+      json_escape(name).c_str(), static_cast<unsigned long long>(t.count),
+      static_cast<unsigned long long>(t.sum), static_cast<unsigned long long>(t.min),
+      static_cast<unsigned long long>(t.max),
+      static_cast<unsigned long long>(t.percentile(0.50)),
+      static_cast<unsigned long long>(t.percentile(0.90)),
+      static_cast<unsigned long long>(t.percentile(0.99)));
 }
 }  // namespace
 
@@ -203,16 +347,17 @@ std::string Registry::to_prometheus() const {
   }
   for (const auto& [name, h] : histograms()) {
     std::string n = prom_name(name);
+    const HistogramTotals t = h->totals();
     out += strformat("# TYPE %s summary\n", n.c_str());
     out += strformat("%s{quantile=\"0.5\"} %llu\n", n.c_str(),
-                     static_cast<unsigned long long>(h->percentile(0.50)));
+                     static_cast<unsigned long long>(t.percentile(0.50)));
     out += strformat("%s{quantile=\"0.9\"} %llu\n", n.c_str(),
-                     static_cast<unsigned long long>(h->percentile(0.90)));
+                     static_cast<unsigned long long>(t.percentile(0.90)));
     out += strformat("%s{quantile=\"0.99\"} %llu\n", n.c_str(),
-                     static_cast<unsigned long long>(h->percentile(0.99)));
+                     static_cast<unsigned long long>(t.percentile(0.99)));
     out += strformat("%s_sum %llu\n%s_count %llu\n", n.c_str(),
-                     static_cast<unsigned long long>(h->sum()), n.c_str(),
-                     static_cast<unsigned long long>(h->count()));
+                     static_cast<unsigned long long>(t.sum), n.c_str(),
+                     static_cast<unsigned long long>(t.count));
   }
   return out;
 }
@@ -223,7 +368,7 @@ std::string Registry::to_json() const {
   for (const auto& [name, c] : counters()) {
     if (!first) out += ',';
     first = false;
-    out += counter_json(name, *c);
+    out += counter_json(name, c->value());
   }
   out += "},\"gauges\":{";
   first = true;
@@ -237,7 +382,7 @@ std::string Registry::to_json() const {
   for (const auto& [name, h] : histograms()) {
     if (!first) out += ',';
     first = false;
-    out += histogram_json(name, *h);
+    out += histogram_json(name, h->totals());
   }
   out += "}}";
   return out;
@@ -249,12 +394,13 @@ std::string Registry::snapshot_delta(StatsSnapshot& prev, std::size_t* changed) 
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
+    const std::uint64_t v = c.value();
     auto it = prev.counters.find(name);
-    if (it != prev.counters.end() && it->second == c.value()) continue;
-    prev.counters[name] = c.value();
+    if (it != prev.counters.end() && it->second == v) continue;
+    prev.counters[name] = v;
     if (!first) out += ',';
     first = false;
-    out += counter_json(name, c);
+    out += counter_json(name, v);
     ++n;
   }
   out += "},\"gauges\":{";
@@ -272,13 +418,14 @@ std::string Registry::snapshot_delta(StatsSnapshot& prev, std::size_t* changed) 
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    std::pair<std::uint64_t, std::uint64_t> cur{h.count(), h.sum()};
+    const HistogramTotals t = h.totals();
+    std::pair<std::uint64_t, std::uint64_t> cur{t.count, t.sum};
     auto it = prev.histograms.find(name);
     if (it != prev.histograms.end() && it->second == cur) continue;
     prev.histograms[name] = cur;
     if (!first) out += ',';
     first = false;
-    out += histogram_json(name, h);
+    out += histogram_json(name, t);
     ++n;
   }
   out += "}}";

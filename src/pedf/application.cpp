@@ -379,13 +379,18 @@ Status Application::elaborate() {
     actors_.push_back(h.get());
   }
 
-  // Ids, path map, and short-name map (unique names only).
+  // Ids, journal names, path map, and short-name map (unique names only).
+  // Names go into the journal the kernel captured, which a hosted session's
+  // build already points at the session's journal.
   by_path_.clear();
   by_name_.clear();
+  obs::Journal& journal = kernel().journal();
+  debugger_jname_ = journal.intern_name("<debugger>");
   std::set<std::string> ambiguous;
   for (std::size_t i = 0; i < actors_.size(); ++i) {
     Actor* a = actors_[i];
     a->set_id(ActorId(static_cast<std::uint32_t>(i)));
+    a->set_journal_name(journal.intern_name(a->path()));
     if (by_path_.count(a->path()) != 0)
       return Status::error("duplicate actor path: " + a->path());
     by_path_[a->path()] = a;
@@ -888,7 +893,7 @@ void Application::rt_link_push(Actor& actor, Port& port, const Value& v) {
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenPush;
     ev.link = link->id().value();
-    ev.actor = j.intern_name(actor.path());
+    ev.actor = actor.journal_name();
     ev.token = link->last_pushed_uid();
     ev.index = idx;
     ev.firing = firing_of(actor);
@@ -931,7 +936,7 @@ void Application::rt_link_push_boundary(Actor& actor, Port& port, Link& link, co
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenPush;
     ev.link = link.id().value();
-    ev.actor = j.intern_name(actor.path());
+    ev.actor = actor.journal_name();
     ev.token = uid;
     ev.index = idx;
     ev.firing = firing_of(actor);
@@ -977,7 +982,7 @@ void Application::rt_link_push_n(Actor& actor, Port& port, const Value* vs, std:
       ev.time = kernel().now();
       ev.kind = obs::JournalKind::kTokenPush;
       ev.link = link->id().value();
-      ev.actor = j.intern_name(actor.path());
+      ev.actor = actor.journal_name();
       ev.firing = firing_of(actor);
       const std::uint64_t uid0 = link->last_pushed_uid() - chunk + 1;
       for (std::size_t i = 0; i < chunk; ++i) {
@@ -1023,7 +1028,7 @@ std::optional<Value> Application::rt_link_pop(Actor& actor, Port& port) {
       ev.time = kernel().now();
       ev.kind = obs::JournalKind::kTokenPop;
       ev.link = link->id().value();
-      ev.actor = j.intern_name(actor.path());
+      ev.actor = actor.journal_name();
       ev.token = link->last_popped_uid();
       ev.index = idx;
       ev.firing = firing_of(actor);
@@ -1079,7 +1084,7 @@ std::size_t Application::rt_link_pop_n(Actor& actor, Port& port, Value* out, std
       ev.time = kernel().now();
       ev.kind = obs::JournalKind::kTokenPop;
       ev.link = link->id().value();
-      ev.actor = j.intern_name(actor.path());
+      ev.actor = actor.journal_name();
       ev.firing = firing_of(actor);
       for (std::size_t i = 0; i < chunk; ++i) {
         out[done + i] = link->pop_raw();
@@ -1113,7 +1118,7 @@ void Application::rt_work_enter(Filter& f) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kFireBegin;
-    ev.actor = j.intern_name(f.path());
+    ev.actor = f.journal_name();
     ev.index = step;
     ev.firing = f.firings();
     j.record(ev);
@@ -1139,7 +1144,7 @@ void Application::rt_work_exit(Filter& f) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kFireEnd;
-    ev.actor = j.intern_name(f.path());
+    ev.actor = f.journal_name();
     ev.index = m != nullptr ? m->step() : f.firings();
     ev.firing = f.firings();
     j.record(ev);
@@ -1274,7 +1279,7 @@ std::uint64_t Application::debug_inject(Link& link, Value v) {
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenInject;
     ev.link = link.id().value();
-    ev.actor = j.intern_name("<debugger>");
+    ev.actor = debugger_jname_;
     ev.token = link.last_pushed_uid();
     ev.index = idx;
     j.record(ev);
@@ -1298,7 +1303,7 @@ Value Application::debug_remove(Link& link, std::size_t idx) {
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenRemove;
     ev.link = link.id().value();
-    ev.actor = j.intern_name("<debugger>");
+    ev.actor = debugger_jname_;
     ev.token = uid;
     ev.index = idx;
     j.record(ev);
@@ -1324,7 +1329,7 @@ void Application::debug_replace(Link& link, std::size_t idx, Value v) {
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenReplace;
     ev.link = link.id().value();
-    ev.actor = j.intern_name("<debugger>");
+    ev.actor = debugger_jname_;
     ev.token = link.token_uid_at(idx);
     ev.index = idx;
     j.record(ev);

@@ -83,6 +83,11 @@ class Actor {
   [[nodiscard]] ActorId id() const { return id_; }
   void set_id(ActorId id) { id_ = id; }
 
+  /// path()'s name id in the kernel's journal, interned at elaboration:
+  /// every journal record about this actor carries it.
+  [[nodiscard]] std::uint32_t journal_name() const { return journal_name_; }
+  void set_journal_name(std::uint32_t id) { journal_name_ = id; }
+
   /// Declares a port. Name must be unique on this actor.
   Port& add_port(std::string name, PortDir dir, TypeDesc type);
 
@@ -109,6 +114,7 @@ class Actor {
   std::string name_;
   std::string path_;
   ActorId id_;
+  std::uint32_t journal_name_ = UINT32_MAX;
   std::vector<std::unique_ptr<Port>> ports_;
   sim::Pe* pe_ = nullptr;
   BlockInfo blocked_;

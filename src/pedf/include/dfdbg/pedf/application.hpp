@@ -329,6 +329,8 @@ class Application {
   /// (the eager-drain order; built in prepare_partitions).
   std::vector<std::vector<BoundaryChannel*>> inbound_by_shard_;
   ApiSymbols syms_;
+  /// "<debugger>"'s journal name id (alteration records), set at elaboration.
+  std::uint32_t debugger_jname_ = UINT32_MAX;
   bool elaborated_ = false;
   bool started_ = false;
   bool cooperation_ = false;

@@ -100,6 +100,38 @@ struct SubMetrics {
   }
 };
 
+/// Request-path instruments, interned once (first use is the server's
+/// construction) so a request takes no registry lock and hashes no
+/// instrument name. `server.req.<m>` exists only for the methods in
+/// kMethods: a method name is client input, so an unknown one must not mint
+/// an instrument (it is counted in `server.errors` when dispatch rejects it).
+struct ServerMetrics {
+  obs::Counter& requests;
+  obs::Histogram& request_ns;
+  obs::Counter& errors;
+  obs::Counter& bytes_in;
+  obs::Counter& bytes_out;
+  std::unordered_map<std::string_view, obs::Counter*> per_method;
+
+  static ServerMetrics& get() {
+    static ServerMetrics m = [] {
+      auto& r = obs::Registry::global();
+      ServerMetrics sm{r.counter("server.requests"), r.histogram("server.request_ns"),
+                       r.counter("server.errors"),   r.counter("server.bytes_in"),
+                       r.counter("server.bytes_out"), {}};
+      for (const char* method : kMethods)
+        sm.per_method.emplace(method, &r.counter(std::string("server.req.") + method));
+      return sm;
+    }();
+    return m;
+  }
+  /// `server.req.<method>`, or nullptr for a method the server does not have.
+  obs::Counter* method_counter(std::string_view method) const {
+    auto it = per_method.find(method);
+    return it == per_method.end() ? nullptr : it->second;
+  }
+};
+
 /// Verbs that advance the simulation or mutate tokens: the ones gated by a
 /// session's token budget.
 bool is_mutating(const std::string& method) {
@@ -193,6 +225,7 @@ void DebugServer::init(ServerConfig config) {
   // old single-session server got this as a side effect of eagerly
   // constructing a cli::Interpreter; interpreters are lazy now.)
   obs::set_enabled(true);
+  ServerMetrics::get();  // resolves the request-path instruments up front
   config_ = config;
   if (config_.shards < 1) config_.shards = 1;
   start_time_ = std::chrono::steady_clock::now();
@@ -544,7 +577,7 @@ void DebugServer::on_stop_event(HostedSession& hs, const dbg::StopEvent& ev) {
     while (!c.out.empty()) {
       ssize_t n = send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
       if (n <= 0) break;
-      obs::Registry::global().counter("server.bytes_out").add(static_cast<std::uint64_t>(n));
+      ServerMetrics::get().bytes_out.add(static_cast<std::uint64_t>(n));
       c.out.erase(0, static_cast<std::size_t>(n));
     }
   }
@@ -605,7 +638,7 @@ bool DebugServer::service_input(int shard, std::size_t i) {
   for (;;) {
     ssize_t n = recv(c.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      obs::Registry::global().counter("server.bytes_in").add(static_cast<std::uint64_t>(n));
+      ServerMetrics::get().bytes_in.add(static_cast<std::uint64_t>(n));
       c.in.append(buf, static_cast<std::size_t>(n));
       continue;
     }
@@ -643,7 +676,7 @@ bool DebugServer::flush_output(int shard, std::size_t i) {
   while (!c.out.empty()) {
     ssize_t n = send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
     if (n > 0) {
-      obs::Registry::global().counter("server.bytes_out").add(static_cast<std::uint64_t>(n));
+      ServerMetrics::get().bytes_out.add(static_cast<std::uint64_t>(n));
       c.out.erase(0, static_cast<std::size_t>(n));
       continue;
     }
@@ -784,7 +817,7 @@ Status DebugServer::run_shard(int shard) {
       if (flags >= 0) fcntl(c.fd, F_SETFL, flags & ~O_NONBLOCK);
       ssize_t n = send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
       if (n > 0)
-        obs::Registry::global().counter("server.bytes_out").add(static_cast<std::uint64_t>(n));
+        ServerMetrics::get().bytes_out.add(static_cast<std::uint64_t>(n));
     }
     close_client(shard, i - 1);
   }
@@ -798,15 +831,16 @@ std::string DebugServer::handle_frame(std::string_view frame) {
 
 std::string DebugServer::handle_frame_for(std::string_view frame, Client* client, int shard,
                                           bool replay) {
-  if (!replay) obs::Registry::global().counter("server.requests").add();
-  obs::ScopedTimer timer(obs::Registry::global().histogram("server.request_ns"));
+  ServerMetrics& m = ServerMetrics::get();
+  if (!replay) m.requests.add();
+  obs::ScopedTimer timer(m.request_ns);
   auto parsed = JsonValue::parse(frame);
   if (!parsed.ok()) {
-    obs::Registry::global().counter("server.errors").add();
+    m.errors.add();
     return make_error_frame("null", kErrParse, parsed.status().message(), ErrCode::kParseError);
   }
   if (!parsed->is_object()) {
-    obs::Registry::global().counter("server.errors").add();
+    m.errors.add();
     return make_error_frame("null", kErrInvalidRequest, "request is not a JSON object",
                             ErrCode::kInvalidArgument);
   }
@@ -814,19 +848,19 @@ std::string DebugServer::handle_frame_for(std::string_view frame, Client* client
   std::string id_json = id != nullptr ? id->dump() : "null";
   std::string method = parsed->str_or("method");
   if (method.empty()) {
-    obs::Registry::global().counter("server.errors").add();
+    m.errors.add();
     return make_error_frame(id_json, kErrInvalidRequest, "missing method",
                             ErrCode::kInvalidArgument);
   }
-  if (!replay) obs::Registry::global().counter(std::string("server.req.") + method).add();
+  if (obs::Counter* per_method = m.method_counter(method); per_method != nullptr && !replay)
+    per_method->add();
   static const JsonValue kNoParams;
   const JsonValue* params = parsed->find("params");
   std::string response =
       dispatch(method, params != nullptr ? *params : kNoParams, id_json, client, shard);
   // Every error frame carries this exact unescaped marker (protocol.cpp);
   // inside result payloads the quotes would be \"-escaped.
-  if (response.find(",\"error\":{\"code\":") != std::string::npos)
-    obs::Registry::global().counter("server.errors").add();
+  if (response.find(",\"error\":{\"code\":") != std::string::npos) m.errors.add();
   return response;
 }
 

@@ -126,6 +126,13 @@ class Kernel {
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
+  /// The journal visible when the kernel was built (a hosted session's
+  /// private journal, else the process-wide one). Parallel shards delegate
+  /// token ids and names to it and merge into it; process names, and the
+  /// framework's actor paths, are interned into it once, at spawn and
+  /// elaboration, so journal records carry ready-made name ids.
+  [[nodiscard]] obs::Journal& journal() const { return *journal_base_; }
+
   /// Creates a process executing `body`. May be called before run() or from
   /// inside a running process. The process becomes ready immediately. Under
   /// the parallel backend the process joins the spawner's partition

@@ -7,7 +7,6 @@
 // backend — swaps into directly.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -67,11 +66,6 @@ class Process {
   /// Application::dispatch_time_profile() for time-weighted partitioning.
   [[nodiscard]] std::uint64_t consumed_wall_ns() const { return consumed_wall_ns_; }
 
-  /// Cached journal intern id of name() (UINT32_MAX until first dispatch);
-  /// kernel plumbing — see jname_.
-  [[nodiscard]] std::uint32_t jname() const { return jname_.load(std::memory_order_relaxed); }
-  void set_jname(std::uint32_t id) { jname_.store(id, std::memory_order_relaxed); }
-
  private:
   friend class Kernel;
   Process(Kernel* kernel, ProcessId id, std::string name, std::function<void()> body);
@@ -97,10 +91,7 @@ class Process {
   std::uint64_t wait_seq_ = 0;  ///< tie-break for deterministic timed wakeups
   int shard_ = 0;               ///< parallel backend: owning partition
 
-  /// Journal intern id of name_, cached at the first dispatch so the hot
-  /// path skips the (locked, in parallel mode) intern table. UINT32_MAX =
-  /// not yet interned. Benign racing writes store the same value.
-  std::atomic<std::uint32_t> jname_{UINT32_MAX};
+  std::uint32_t jname_ = UINT32_MAX;  ///< name_'s id in Kernel::journal(), set at spawn
 
   std::unique_ptr<FiberContext> fiber_;
   FiberContext* resume_anchor_ = nullptr;  ///< context park() yields back to

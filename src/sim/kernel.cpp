@@ -62,18 +62,6 @@ struct WorkerTls {
 };
 thread_local WorkerTls t_worker;
 
-/// Journal intern id of `p`'s name, cached on the process (the intern table
-/// is a locked hash map in parallel mode; the dispatch hot path must not
-/// take it per event).
-std::uint32_t journal_name_of(obs::Journal& j, Process* p) {
-  std::uint32_t id = p->jname();
-  if (id == UINT32_MAX) {
-    id = j.intern_name(p->name());
-    p->set_jname(id);
-  }
-  return id;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -223,6 +211,7 @@ ProcessId Kernel::spawn_in(int partition, std::string name, std::function<void()
       std::unique_ptr<Process>(new Process(this, id, std::move(name), std::move(body))));
   Process* p = processes_.back().get();
   p->shard_ = partition;
+  p->jname_ = journal_base_->intern_name(p->name());
   name_index_.emplace(p->name(), id);  // keeps the first binding on collision
   live_count_.fetch_add(1, std::memory_order_relaxed);
   make_ready(p);
@@ -315,7 +304,7 @@ void Kernel::dispatch(Process* p) {
       obs::JournalEvent ev;
       ev.time = now_;
       ev.kind = obs::JournalKind::kDispatch;
-      ev.actor = journal_name_of(j, p);
+      ev.actor = p->jname_;
       ev.index = p->activations_;
       j.record(ev);
     }
@@ -579,7 +568,7 @@ void Kernel::dispatch_shard(Shard& s, Process* p) {
       obs::JournalEvent ev;
       ev.time = now_;
       ev.kind = obs::JournalKind::kDispatch;
-      ev.actor = journal_name_of(j, p);
+      ev.actor = p->jname_;
       ev.index = p->activations_;
       j.record(ev);
     }

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -199,6 +200,33 @@ TEST(FleetIsolation, RunTouchesOnlyTheTargetSession) {
   ASSERT_NE(links, nullptr);
   for (std::size_t i = 0; i < links->size(); ++i)
     EXPECT_EQ(links->at(i).u64_or("pushes"), 0u) << links->at(i).dump();
+}
+
+// A session's journal gets its names from its own rig build: elaboration
+// interns every actor path into the journal the session's kernel captured,
+// so a `journal` dump names the session's actors, never the placeholder.
+TEST(FleetIsolation, SessionJournalNamesItsOwnActors) {
+  FleetRig rig;
+  ASSERT_NE(rig.create(tiny_wide("named")), 0u);
+  rig.result(R"({"jsonrpc":"2.0","id":1,"method":"run","params":{"session":"named"}})");
+  auto hs = rig.server->sessions().find(std::string("named"));
+  ASSERT_NE(hs, nullptr);
+  ASSERT_NE(hs->world, nullptr);
+  std::set<std::string> paths;
+  for (const pedf::Actor* a : hs->world->app->actors()) paths.insert(a->path());
+
+  JsonValue dump = rig.result(
+      R"({"jsonrpc":"2.0","id":2,"method":"journal","params":{"session":"named"}})");
+  const JsonValue* events = dump.find("events");
+  ASSERT_NE(events, nullptr) << dump.dump();
+  std::size_t named = 0;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const JsonValue* actor = events->at(i).find("actor");
+    if (actor == nullptr) continue;
+    EXPECT_EQ(paths.count(actor->as_string()), 1u) << events->at(i).dump();
+    ++named;
+  }
+  EXPECT_GT(named, 0u) << "the run recorded no actor-named events";
 }
 
 // --- quotas ------------------------------------------------------------------

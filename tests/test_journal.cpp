@@ -153,6 +153,30 @@ TEST(Journal, InternIsIdempotentAndNamesResolve) {
   EXPECT_EQ(j.name(UINT32_MAX), "?");
 }
 
+// Names are resolved once, at elaboration and spawn: every record of a
+// decode reads an id its actor or process already carries.
+TEST(JournalNames, InternedAtElaborationSoADecodeAddsNone) {
+  EnabledGuard on(true);
+  JournalGuard jg;
+  obs::Journal& j = obs::Journal::global();
+  auto built = H264App::build(cs_config());
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  H264App& app = **built;
+  for (const pedf::Actor* a : app.app().actors()) {
+    ASSERT_NE(a->journal_name(), UINT32_MAX) << a->path();
+    EXPECT_EQ(j.name(a->journal_name()), a->path());
+  }
+  const std::size_t names = j.name_count();
+  app.start();
+  ASSERT_EQ(app.kernel().run(), sim::RunResult::kFinished);
+  EXPECT_TRUE(app.decoded_matches_golden());
+  EXPECT_GT(j.total_recorded(), 0u);
+  EXPECT_EQ(j.name_count(), names) << "the decode interned a name";
+  // And the records name their actors: no push, pop, firing or dispatch
+  // record resolves to the unknown-name placeholder.
+  for (std::size_t i = 0; i < j.size(); ++i) EXPECT_NE(j.name(j.at(i).actor), "?");
+}
+
 TEST(Journal, SummaryAndFormatLast) {
   EnabledGuard on(true);
   obs::Journal j(8);

@@ -1,21 +1,29 @@
 // Tests of the observability layer: the metrics registry (histogram
-// bucketing, reset semantics, disabled-mode no-op), the built-in
+// bucketing, reset semantics, disabled-mode no-op), its per-thread cells
+// (exact folds under concurrent writers, block adoption after thread exit,
+// reset racing writers, fibers that change threads), the built-in
 // instrumentation points, and the Chrome trace-event exporter (golden-file
 // and structural nesting checks).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "dfdbg/dbgcli/cli.hpp"
 #include "dfdbg/h264/app.hpp"
 #include "dfdbg/obs/metrics.hpp"
 #include "dfdbg/pedf/application.hpp"
+#include "dfdbg/sim/context.hpp"
 #include "dfdbg/trace/chrome_trace.hpp"
 #include "dfdbg/trace/trace.hpp"
 
@@ -186,6 +194,191 @@ TEST(ObsRegistry, ViewsAreSortedByName) {
   EXPECT_EQ(view[0].first, "aa");
   EXPECT_EQ(view[1].first, "mm");
   EXPECT_EQ(view[2].first, "zz");
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread cells: single-writer adds, folded on read
+// ---------------------------------------------------------------------------
+
+/// Releases waiting threads once `n` have arrived (std::barrier without the
+/// completion step), so a test can read totals while its writers still live.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int n) : left_(n) {}
+  void arrive_and_wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (--left_ == 0) cv_.notify_all();
+    cv_.wait(lk, [&] { return left_ <= 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int left_;
+};
+
+TEST(ObsCells, ConcurrentWritersFoldExactlyWhileLiveAndAfterExit) {
+  EnabledGuard on(true);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20000;
+  obs::Counter c;
+  obs::Histogram h;
+  Rendezvous written(kThreads + 1);
+  Rendezvous checked(kThreads + 1);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t)
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        c.add(1);
+        h.observe(i);
+      }
+      written.arrive_and_wait();
+      checked.arrive_and_wait();  // stay alive until the live read is done
+    });
+  // Expected histogram of kThreads copies of 0..kPerThread-1.
+  std::uint64_t want_buckets[obs::Histogram::kBuckets] = {};
+  std::uint64_t want_sum = 0;
+  for (std::uint64_t i = 0; i < kPerThread; ++i) {
+    want_buckets[obs::Histogram::bucket_of(i)] += kThreads;
+    want_sum += i * kThreads;
+  }
+  auto expect_exact = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    EXPECT_EQ(c.value(), kThreads * kPerThread);
+    EXPECT_EQ(h.count(), kThreads * kPerThread);
+    EXPECT_EQ(h.sum(), want_sum);
+    for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b)
+      EXPECT_EQ(h.bucket(b), want_buckets[b]) << "bucket " << b;
+    const obs::HistogramTotals t = h.totals();
+    EXPECT_EQ(t.count, kThreads * kPerThread);
+    EXPECT_EQ(t.sum, want_sum);
+    EXPECT_EQ(t.min, 0u);
+    EXPECT_EQ(t.max, kPerThread - 1);
+  };
+  written.arrive_and_wait();
+  expect_exact("writers alive");
+  checked.arrive_and_wait();
+  for (auto& w : writers) w.join();
+  expect_exact("writers exited");
+}
+
+TEST(ObsCells, ExitedThreadsBlockIsAdoptedWithItsTotals) {
+  EnabledGuard on(true);
+  obs::Counter c;
+  std::thread([&] { c.add(5); }).join();
+  const std::size_t blocks = obs::detail::cell_block_count();
+  // Each later thread adopts a released block instead of making one; the
+  // adopted block's earlier totals keep counting.
+  for (int i = 0; i < 20; ++i) std::thread([&] { c.add(1); }).join();
+  EXPECT_EQ(obs::detail::cell_block_count(), blocks);
+  EXPECT_EQ(c.value(), 25u);
+}
+
+TEST(ObsCells, ResetUnderRacingWritersNeverResurrectsOldCounts) {
+  EnabledGuard on(true);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  obs::Counter c;
+  obs::Histogram h;
+  std::atomic<bool> stop{false};
+  std::vector<std::atomic<std::uint64_t>> published(kThreads);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t)
+    writers.emplace_back([&, t] {
+      std::uint64_t n = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        c.add(1);
+        h.observe(3);
+        published[t].store(++n, std::memory_order_release);
+      }
+    });
+  auto total = [&] {
+    std::uint64_t sum = 0;
+    for (auto& p : published) sum += p.load(std::memory_order_acquire);
+    return sum;
+  };
+  auto wait_for = [&](std::uint64_t n) {
+    while (total() < n) std::this_thread::yield();
+  };
+  wait_for(1000 * kThreads);
+  // A writer adds before it publishes, so its cells hold its published count
+  // or one observation more. The baseline a reset takes therefore lies in
+  // [before, after + kThreads], and a read between `lo` and `hi` folds cells
+  // in [lo, hi]: no add counted by `before` may show after the reset, and
+  // every add published by `lo` beyond `after` must.
+  for (int round = 0; round < kRounds; ++round) {
+    const std::uint64_t before = total();
+    c.reset();
+    h.reset();
+    const std::uint64_t after = total();
+    wait_for(after + 100 * kThreads);
+    const std::uint64_t lo = total();
+    const std::uint64_t value = c.value();
+    const std::uint64_t count = h.count();
+    const std::uint64_t sum = h.sum();
+    const std::uint64_t hi = total() + kThreads;
+    EXPECT_LE(value, hi - before) << "round " << round;
+    EXPECT_GE(value + after + kThreads, lo) << "round " << round;
+    EXPECT_LE(count, hi - before) << "round " << round;
+    EXPECT_GE(count + after + kThreads, lo) << "round " << round;
+    EXPECT_LE(sum, 3 * (hi - before)) << "round " << round;
+    EXPECT_GE(sum + 3 * (after + kThreads), 3 * lo) << "round " << round;
+  }
+  stop.store(true);
+  for (auto& w : writers) w.join();
+}
+
+/// Adds through a fiber that parks on one thread and is resumed on another,
+/// while the first thread keeps adding to the same instruments: an update
+/// that reused the first thread's block after the move would race that
+/// thread's own single-writer adds and lose counts.
+TEST(ObsCells, FiberResumedOnAnotherThreadWritesThatThreadsCells) {
+  EnabledGuard on(true);
+  constexpr std::uint64_t kFiberAdds = 50000;
+  constexpr std::uint64_t kThreadAdds = 200000;
+  obs::Counter c;
+  obs::Histogram h;
+  struct Rig {
+    sim::FiberContext anchor;
+    std::unique_ptr<sim::FiberContext> fiber;
+    std::function<void()> body;
+    static void entry(void* self) {
+      auto* r = static_cast<Rig*>(self);
+      r->body();
+      for (;;) sim::FiberContext::switch_to(*r->fiber, r->anchor);
+    }
+  } rig;
+  rig.body = [&] {
+    for (std::uint64_t i = 0; i < kFiberAdds; ++i) {
+      c.add(1);
+      h.observe(1);
+    }
+    sim::FiberContext::switch_to(*rig.fiber, rig.anchor);  // park; resumed elsewhere
+    for (std::uint64_t i = 0; i < kFiberAdds; ++i) {
+      c.add(1);
+      h.observe(1);
+    }
+  };
+  rig.fiber = std::make_unique<sim::FiberContext>(64 * 1024, &Rig::entry, &rig);
+  std::atomic<bool> parked{false};
+  std::atomic<bool> resumed_done{false};
+  std::thread a([&] {
+    sim::FiberContext::switch_to(rig.anchor, *rig.fiber);  // runs the first half
+    parked.store(true);
+    for (std::uint64_t i = 0; i < kThreadAdds; ++i) {
+      c.add(1);
+      h.observe(1);
+    }
+    while (!resumed_done.load()) std::this_thread::yield();
+  });
+  while (!parked.load()) std::this_thread::yield();
+  std::thread b([&] { sim::FiberContext::switch_to(rig.anchor, *rig.fiber); });
+  b.join();
+  resumed_done.store(true);
+  a.join();
+  EXPECT_EQ(c.value(), 2 * kFiberAdds + kThreadAdds);
+  EXPECT_EQ(h.count(), 2 * kFiberAdds + kThreadAdds);
+  EXPECT_EQ(h.bucket(1), 2 * kFiberAdds + kThreadAdds);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@
 #include <thread>
 
 #include "dfdbg/common/json.hpp"
+#include "dfdbg/common/strings.hpp"
 #include "dfdbg/dbgcli/render.hpp"
 #include "dfdbg/h264/app.hpp"
+#include "dfdbg/obs/metrics.hpp"
 #include "dfdbg/server/protocol.hpp"
 #include "dfdbg/server/server.hpp"
 
@@ -142,6 +144,26 @@ TEST(ServerProtocol, ErrorCodeMapping) {
             kErrNotFound);
   EXPECT_EQ(rig.error_code(R"({"id":1,"method":"inject","params":{"iface":"x::y","value":"1"}})"),
             kErrNotFound);
+}
+
+// A method name is client input: unknown names are rejected and counted as
+// errors without minting a `server.req.<name>` instrument each, so a client
+// cannot grow the registry (or its cell slots) without bound.
+TEST(ServerProtocol, UnknownMethodsCreateNoInstruments) {
+  Rig rig;
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t errors = reg.counter("server.errors").value();
+  const std::uint64_t pings = reg.counter("server.req.ping").value();
+  const std::size_t before = reg.size();
+  for (int i = 0; i < 10000; ++i)
+    EXPECT_EQ(rig.error_code(strformat(R"({"id":%d,"method":"bogus_%05d"})", i, i)),
+              kErrMethodNotFound);
+  EXPECT_EQ(reg.size(), before);
+  EXPECT_EQ(reg.counter("server.errors").value(), errors + 10000);
+  // Known methods still count under their own name.
+  rig.result(R"({"id":1,"method":"ping"})");
+  EXPECT_EQ(reg.size(), before);
+  EXPECT_EQ(reg.counter("server.req.ping").value(), pings + 1);
 }
 
 TEST(ServerProtocol, ErrorFramesCarryStableCodeString) {
