@@ -75,10 +75,8 @@ int main(int argc, char** argv) {
 
   std::printf("dataflow-dbg REPL — H.264 decoder loaded (%d MBs, fault: %s)\n",
               cfg.params.total_mbs(), h264::to_string(cfg.fault.kind));
-  std::printf("commands: run/continue, filter, iface, module, step_both, break, watch,\n");
-  std::printf("          list, print, graph, info, tok, focus/unfocus, delete,\n");
-  std::printf("          enable/disable, save/source/export, complete <prefix>,\n");
-  std::printf("          reverse (travel back one stop), quit\n");
+  std::printf("`help` lists the debugger commands; the REPL adds complete <prefix>,\n"
+              "reverse (travel back one stop) and quit\n");
 
   std::string line;
   for (;;) {

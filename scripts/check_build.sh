@@ -374,13 +374,15 @@ echo "== sanitizer gate (ASan+UBSan, fibers) =="
 # FiberContext announces each stack switch to ASan, test_sim_backend's
 # FiberSwitch.* tests drive those annotations without a kernel, and the
 # parallel and fleet suites add fibers resumed on worker and shard threads.
+# The server and subscription suites feed client input through the method
+# table's param checks, dispatch and push-stream bindings.
 # Leak detection stays on.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
 asan_suites="test_link_ring test_journal test_debug_session test_cli test_sim_kernel
-  test_sim_backend test_parallel_backend test_fleet"
+  test_sim_backend test_parallel_backend test_fleet test_server test_subscribe"
 cmake --build build-asan -j "$(nproc)" --target $asan_suites
 for t in $asan_suites; do
   echo "-- $t under ASan+UBSan"

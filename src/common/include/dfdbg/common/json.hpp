@@ -97,6 +97,8 @@ class JsonValue {
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
   [[nodiscard]] bool is_bool() const { return kind_ == Kind::kBool; }
   [[nodiscard]] bool is_number() const { return kind_ == Kind::kNumber; }
+  /// An integer literal without a minus sign: what as_u64() reads exactly.
+  [[nodiscard]] bool is_unsigned() const { return is_number() && int_ && !neg_; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }

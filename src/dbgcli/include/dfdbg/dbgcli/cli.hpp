@@ -1,26 +1,18 @@
 // GDB-style command-line front end over the dataflow debugging Session.
 //
-// Implements the command surface used in the paper's transcripts:
-//
-//   (gdb) filter pipe catch work
-//   (gdb) filter ipred catch Pipe_in=1, Hwcfg_in=1
-//   (gdb) filter ipred catch *in=1
-//   (gdb) step_both
-//   (gdb) iface hwcfg::pipe_MbType_out record
-//   (gdb) iface hwcfg::pipe_MbType_out print
-//   (gdb) filter red configure splitter
-//   (gdb) filter pipe info last_token
-//   (gdb) filter print last_token
-//   (gdb) print $1
-//   (gdb) list / break / watch / continue / graph / info ...
-//
-// Entity names (filters, interfaces) auto-complete from the reconstructed
-// graph (paper Contribution #1).
+// Implements the command surface of the paper's transcripts (`filter pipe
+// catch work`, `step_both`, `iface hwcfg::pipe_MbType_out record`, ...), each
+// command declared once in Interpreter::verbs(). Entity names (filters,
+// interfaces) auto-complete from the reconstructed graph (paper
+// Contribution #1).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dfdbg/common/status.hpp"
@@ -46,11 +38,45 @@ class Console {
 
   /// Returns and clears everything printed since the last take().
   std::string take();
-  [[nodiscard]] const std::string& buffered() const { return buf_; }
 
  private:
   bool echo_;
   std::string buf_;
+};
+
+class Interpreter;
+
+/// Entity names complete() offers for a verb's operands.
+enum class Operand : std::uint8_t {
+  kNone,    ///< no entity names (numbers, files, fixed words)
+  kName,    ///< any actor or interface name
+  kFilter,  ///< filter short names
+  kIface,   ///< interface names ("actor::port")
+};
+
+/// A sub-verb: its word, the argument position it takes, and whether a
+/// successful line using it is setup that `save` writes.
+struct SubVerb {
+  std::string_view word;
+  std::uint8_t at = 0;
+  bool replayable = false;
+};
+
+/// One command word: what execute() dispatches and counts
+/// (`cli.cmd.<word>`), complete() offers, `save` keeps and `help` prints.
+struct Verb {
+  std::string_view word;
+  std::string_view alias{};  ///< short form ("r" for run), or empty
+  Status (Interpreter::*run)(const std::vector<std::string>&) = nullptr;
+  /// Successful lines are setup `save` writes (with sub-verbs: if the
+  /// line's sub-verb is replayable too).
+  bool replayable = false;
+  std::span<const SubVerb> subs{};
+  Operand operand = Operand::kNone;
+  /// Where the operand completes: that argument position only, or (-1)
+  /// every position that takes no sub-verb.
+  std::int8_t operand_at = -1;
+  std::string_view help{};  ///< "<syntax>\t<effect>" lines
 };
 
 /// The command interpreter.
@@ -74,6 +100,10 @@ class Interpreter {
   /// filters, interfaces — the paper's auto-completion contribution).
   [[nodiscard]] std::vector<std::string> complete(const std::string& partial) const;
 
+  /// The command table, in `help` order: the one place the CLI's words are
+  /// declared.
+  static std::span<const Verb> verbs();
+
   [[nodiscard]] Console& console() { return console_; }
   [[nodiscard]] dbg::Session& session() { return session_; }
 
@@ -81,10 +111,10 @@ class Interpreter {
   /// by the time-travel harness to replay a session deterministically.
   [[nodiscard]] const std::vector<std::string>& replayable() const { return replayable_; }
 
-  /// Parses a token value for link type `type`: "5", "0x1f", or
-  /// "Field=1,Other=0x2" for structs. Public and static: the debug server's
-  /// structured inject/replace verbs parse values the same way the CLI does.
-  static Result<pedf::Value> parse_value(const pedf::TypeDesc& type, const std::string& text);
+  /// dbg::Session::parse_value, the value grammar of `tok insert|set`.
+  static Result<pedf::Value> parse_value(const pedf::TypeDesc& type, const std::string& text) {
+    return dbg::Session::parse_value(type, text);
+  }
   /// Parses a content condition over tokens of `type`: three words
   /// `<lhs> <op> <rhs>` where lhs is `value` (scalars) or a field name,
   /// op is ==, !=, <, <=, >, >= and rhs a number. Returns the predicate
@@ -93,35 +123,43 @@ class Interpreter {
       const pedf::TypeDesc& type, const std::vector<std::string>& words);
 
  private:
-  Status cmd_run(const std::vector<std::string>& args, bool is_continue);
-  Status cmd_filter(const std::vector<std::string>& args);
-  Status cmd_iface(const std::vector<std::string>& args);
-  Status cmd_step_both(const std::vector<std::string>& args);
-  Status cmd_step();
-  Status cmd_ignore(const std::vector<std::string>& args);
-  Status cmd_unfocus();
-  Status cmd_help();
-  Status cmd_break(const std::vector<std::string>& args);
-  Status cmd_watch(const std::vector<std::string>& args);
-  Status cmd_list(const std::vector<std::string>& args);
-  Status cmd_print(const std::vector<std::string>& args);
-  Status cmd_graph(const std::vector<std::string>& args);
-  Status cmd_info(const std::vector<std::string>& args);
-  Status cmd_module(const std::vector<std::string>& args);
-  Status cmd_tok(const std::vector<std::string>& args);
-  Status cmd_delete(const std::vector<std::string>& args);
-  Status cmd_enable(const std::vector<std::string>& args, bool enable);
-  Status cmd_focus(const std::vector<std::string>& args);
-  Status cmd_source(const std::vector<std::string>& args);
-  Status cmd_save(const std::vector<std::string>& args);
-  Status cmd_export(const std::vector<std::string>& args);
-  Status cmd_stats(const std::vector<std::string>& args);
-  Status cmd_trace(const std::vector<std::string>& args);
-  Status cmd_profile(const std::vector<std::string>& args);
-  Status cmd_journal(const std::vector<std::string>& args);
-  Status cmd_whence(const std::vector<std::string>& args);
-  static std::string help_text();
+  using Args = std::vector<std::string>;
+  Status cmd_run(const Args& args);
+  Status cmd_filter(const Args& args);
+  Status cmd_iface(const Args& args);
+  Status cmd_step_both(const Args& args);
+  Status cmd_step(const Args& args);
+  Status cmd_ignore(const Args& args);
+  Status cmd_unfocus(const Args& args);
+  Status cmd_help(const Args& args);
+  Status cmd_break(const Args& args);
+  Status cmd_watch(const Args& args);
+  Status cmd_list(const Args& args);
+  Status cmd_print(const Args& args);
+  Status cmd_graph(const Args& args);
+  Status cmd_info(const Args& args);
+  Status cmd_module(const Args& args);
+  Status cmd_tok(const Args& args);
+  Status cmd_delete(const Args& args);
+  Status cmd_enable(const Args& args) { return set_enabled(args, true); }
+  Status cmd_disable(const Args& args) { return set_enabled(args, false); }
+  Status set_enabled(const Args& args, bool enable);
+  Status cmd_focus(const Args& args);
+  Status cmd_source(const Args& args);
+  Status cmd_save(const Args& args);
+  Status cmd_export(const Args& args);
+  Status cmd_stats(const Args& args);
+  Status cmd_trace(const Args& args);
+  Status cmd_profile(const Args& args);
+  Status cmd_journal(const Args& args);
+  Status cmd_whence(const Args& args);
 
+  /// Prints `text` verbatim (print_ok) or as one line (println_ok); OK.
+  Status print_ok(const std::string& text);
+  Status println_ok(const std::string& line);
+  /// Prints "<what> <id><tail>" for a breakpoint just set, or returns the
+  /// error that kept it from being set.
+  Status report(const Result<dbg::BpId>& id, const char* what, const std::string& tail);
   void report_outcome(const dbg::RunOutcome& outcome);
   void flush_notes();
   /// Evaluates a print expression; stores the value in history ($N).
@@ -138,6 +176,9 @@ class Interpreter {
   /// `journal tail` resume point (valid once journal_tailing_).
   std::uint64_t journal_cursor_ = 0;
   bool journal_tailing_ = false;
+  /// `cli.cmd.<word>` per dispatch word, interned on the word's first use
+  /// (the last slot is `cli.cmd.unknown`).
+  std::vector<obs::Counter*> cmd_counters_;
 };
 
 }  // namespace dfdbg::cli

@@ -1,10 +1,5 @@
-// Text renderers over the structured views, plus the deprecated
-// string-returning Session query shims. The shims are member functions of
-// dbg::Session declared in dfdbg/debug/session.hpp but defined HERE, in the
-// CLI library: rendering is a presentation concern, and placing the
-// definitions in dfdbg::cli means a target calling a deprecated query
-// without linking the CLI gets a link error nudging it to the *_view API.
-// Every in-tree consumer already links dfdbg::cli.
+// Text renderers over the structured views: the CLI's transcript bytes for
+// the data the debug server serializes as JSON (views.hpp to_json).
 #include "dfdbg/dbgcli/render.hpp"
 
 #include "dfdbg/common/strings.hpp"

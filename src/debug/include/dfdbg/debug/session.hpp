@@ -238,6 +238,12 @@ class Session {
   Status remove_token(const std::string& iface, std::size_t idx);
   /// Overwrites queued token `idx` of the link of `iface`.
   Status replace_token(const std::string& iface, std::size_t idx, pedf::Value v);
+  /// Type of the tokens on the link of `iface` (NotFound if none): what the
+  /// values and content conditions for that link are parsed against.
+  [[nodiscard]] Result<const pedf::TypeDesc*> link_type(const std::string& iface) const;
+  /// Parses a token value of `type`: "5", "0x1f", or "Field=1,Other=0x2"
+  /// for structs. The one value grammar of the CLI and the debug server.
+  static Result<pedf::Value> parse_value(const pedf::TypeDesc& type, const std::string& text);
 
   // --- intrusiveness controls (paper §V) ----------------------------------------
 
@@ -305,8 +311,8 @@ class Session {
   /// Samples the watchpoints of the actor with framework id `actor`.
   void sample_watchpoints(std::uint32_t actor);
   Rule* find_rule(BpId id);
-  Result<const DLink*> resolve_link(const std::string& iface) const;
-  pedf::Link* framework_link(const DLink& dl) const;
+  /// The framework link on `iface` (NotFound if none).
+  Result<pedf::Link*> link_on(const std::string& iface) const;
 
   pedf::Application& app_;
   GraphModel model_;

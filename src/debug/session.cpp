@@ -1,6 +1,7 @@
 #include "dfdbg/debug/session.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "dfdbg/common/assert.hpp"
 #include "dfdbg/common/strings.hpp"
@@ -1126,23 +1127,49 @@ std::string Session::print_recorded(const std::string& iface) const {
 // Alteration
 // ---------------------------------------------------------------------------
 
-Result<const DLink*> Session::resolve_link(const std::string& iface) const {
+Result<pedf::Link*> Session::link_on(const std::string& iface) const {
   const DLink* dl = model_.link_by_iface(iface);
   if (dl == nullptr) return Status::error(ErrCode::kNotFound, "no link on interface: " + iface);
-  return dl;
+  pedf::Link* fl = app_.link_by_id(pedf::LinkId(dl->id));
+  DFDBG_CHECK(fl != nullptr);
+  return fl;
 }
 
-pedf::Link* Session::framework_link(const DLink& dl) const {
-  return app_.link_by_id(pedf::LinkId(dl.id));
+Result<const pedf::TypeDesc*> Session::link_type(const std::string& iface) const {
+  auto fl = link_on(iface);
+  if (!fl.ok()) return fl.status();
+  return &(*fl)->type();
+}
+
+Result<pedf::Value> Session::parse_value(const pedf::TypeDesc& type, const std::string& text) {
+  if (!type.is_struct()) {
+    char* end = nullptr;
+    std::uint64_t bits = std::strtoull(text.c_str(), &end, 0);
+    if (end == text.c_str()) return Status::error(ErrCode::kInvalidArgument, "malformed scalar value: " + text);
+    pedf::Value v = pedf::Value::zero_of(type);
+    v.set_scalar_u64(bits);
+    return v;
+  }
+  pedf::Value v = pedf::Value::make_struct(type.struct_type());
+  for (const std::string& part : split(text, ',')) {
+    if (part.empty()) continue;
+    auto eq = part.find('=');
+    if (eq == std::string::npos)
+      return Status::error(ErrCode::kInvalidArgument, "malformed struct field assignment: " + part);
+    std::string field = part.substr(0, eq);
+    if (type.struct_type()->field_index(field) < 0)
+      return Status::error(ErrCode::kNotFound, "struct " + type.name() + " has no field '" + field + "'");
+    v.set_field(field, std::strtoull(part.c_str() + eq + 1, nullptr, 0));
+  }
+  return v;
 }
 
 Status Session::inject_token(const std::string& iface, pedf::Value v) {
   if (app_.kernel().current() != nullptr)
     return Status::error(ErrCode::kFailedPrecondition, "inject_token only while the execution is stopped");
-  auto dl = resolve_link(iface);
-  if (!dl.ok()) return dl.status();
-  pedf::Link* fl = framework_link(**dl);
-  DFDBG_CHECK(fl != nullptr);
+  auto link = link_on(iface);
+  if (!link.ok()) return link.status();
+  pedf::Link* fl = *link;
   if (!(v.type() == fl->type()))
     return Status::error(ErrCode::kFailedPrecondition, "token type " + v.type().name() + " does not match link type " +
                          fl->type().name());
@@ -1154,10 +1181,9 @@ Status Session::inject_token(const std::string& iface, pedf::Value v) {
 Status Session::remove_token(const std::string& iface, std::size_t idx) {
   if (app_.kernel().current() != nullptr)
     return Status::error(ErrCode::kFailedPrecondition, "remove_token only while the execution is stopped");
-  auto dl = resolve_link(iface);
-  if (!dl.ok()) return dl.status();
-  pedf::Link* fl = framework_link(**dl);
-  DFDBG_CHECK(fl != nullptr);
+  auto link = link_on(iface);
+  if (!link.ok()) return link.status();
+  pedf::Link* fl = *link;
   if (idx >= fl->occupancy())
     return Status::error(ErrCode::kOutOfRange, strformat("link holds %zu token(s), cannot remove slot %zu",
                                    fl->occupancy(), idx));
@@ -1168,10 +1194,9 @@ Status Session::remove_token(const std::string& iface, std::size_t idx) {
 Status Session::replace_token(const std::string& iface, std::size_t idx, pedf::Value v) {
   if (app_.kernel().current() != nullptr)
     return Status::error(ErrCode::kFailedPrecondition, "replace_token only while the execution is stopped");
-  auto dl = resolve_link(iface);
-  if (!dl.ok()) return dl.status();
-  pedf::Link* fl = framework_link(**dl);
-  DFDBG_CHECK(fl != nullptr);
+  auto link = link_on(iface);
+  if (!link.ok()) return link.status();
+  pedf::Link* fl = *link;
   if (idx >= fl->occupancy())
     return Status::error(ErrCode::kOutOfRange, strformat("link holds %zu token(s), cannot replace slot %zu",
                                    fl->occupancy(), idx));

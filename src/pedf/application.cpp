@@ -440,6 +440,13 @@ Link* Application::link_by_id(LinkId id) const {
   return links_[id.value()].get();
 }
 
+std::function<std::string(std::uint32_t)> Application::link_namer() const {
+  return [this](std::uint32_t id) {
+    const Link* l = link_by_id(LinkId(id));
+    return l != nullptr ? l->name() : strformat("link#%u", id);
+  };
+}
+
 Link* Application::link_by_iface(std::string_view iface) const {
   auto pos = iface.find("::");
   if (pos == std::string_view::npos) return nullptr;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -205,6 +206,9 @@ class Application {
   /// Filter by unique short name; nullptr if unknown or not a filter.
   [[nodiscard]] Filter* filter_by_name(std::string_view name) const;
   [[nodiscard]] Link* link_by_id(LinkId id) const;
+  /// Names link ids in journal and trace output: the link's name, or
+  /// "link#<id>" for an id this application does not have.
+  [[nodiscard]] std::function<std::string(std::uint32_t)> link_namer() const;
   /// The link attached to interface "<actor short name>::<port>" (paper's
   /// iface syntax); nullptr if unknown.
   [[nodiscard]] Link* link_by_iface(std::string_view iface) const;

@@ -34,12 +34,15 @@
 // the thread that created them.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -48,7 +51,6 @@
 #include <vector>
 
 #include "dfdbg/common/status.hpp"
-#include "dfdbg/dbgcli/cli.hpp"
 #include "dfdbg/debug/session.hpp"
 #include "dfdbg/debug/session_host.hpp"
 #include "dfdbg/obs/journal.hpp"
@@ -140,9 +142,6 @@ class DebugServer {
   /// Runs as shard 0; sessions it creates are pinned there.
   std::string handle_frame(std::string_view frame);
 
-  /// The default session (legacy accessor; only valid on a server built
-  /// with the single-session constructor).
-  [[nodiscard]] dbg::Session& session() { return *default_->session; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   [[nodiscard]] SessionManager& sessions() { return manager_; }
 
@@ -152,6 +151,17 @@ class DebugServer {
   std::size_t evict_idle_for_test(std::uint64_t now_ms);
 
  private:
+  /// The push streams, indexing Client::sub; kStreams lists them in
+  /// `capabilities.streams` order.
+  enum Stream : std::uint8_t { kJournal, kFlow, kStats, kRunEvents, kShardRounds, kStreamCount };
+  struct StreamSpec {
+    std::string_view name;  ///< the protocol's spelling
+    bool periodic;          ///< ticks (forcing a poll timeout) rather than following events
+  };
+  static constexpr StreamSpec kStreams[kStreamCount] = {
+      {"journal", false}, {"info_flow", true}, {"stats", true},
+      {"run_events", false}, {"shard_rounds", false}};
+
   struct Client {
     int fd = -1;
     std::string in;   ///< bytes received, not yet framed
@@ -168,13 +178,8 @@ class DebugServer {
     int migrate_to = -1;
     std::string pending;
 
-    // --- subscription state: the session id each stream is bound to
-    // (0 = not subscribed) -----------------------------------------------
-    std::uint64_t sub_journal = 0;
-    std::uint64_t sub_flow = 0;
-    std::uint64_t sub_stats = 0;
-    std::uint64_t sub_run_events = 0;
-    std::uint64_t sub_shard_rounds = 0;
+    /// The session each stream is bound to (0 = not subscribed).
+    std::array<std::uint64_t, kStreamCount> sub{};
     /// Resume point into the bound session's journal ring (absolute seq).
     std::uint64_t journal_cursor = 0;
     /// Resume point into the barrier-round record ring (round ids are
@@ -187,25 +192,21 @@ class DebugServer {
     /// in `flow.snapshot`.
     std::unordered_map<std::string, std::pair<std::uint64_t, std::uint64_t>> flow_prev;
 
-    [[nodiscard]] bool subscribed() const {
-      return sub_journal != 0 || sub_flow != 0 || sub_stats != 0 || sub_run_events != 0 ||
-             sub_shard_rounds != 0;
-    }
+    [[nodiscard]] bool subscribed() const { return sub != decltype(sub){}; }
     /// Periodic streams force a poll timeout; event streams do not.
-    [[nodiscard]] bool wants_tick() const { return sub_flow != 0 || sub_stats != 0; }
+    [[nodiscard]] bool wants_tick() const {
+      for (int s = 0; s < kStreamCount; ++s)
+        if (kStreams[s].periodic && sub[s] != 0) return true;
+      return false;
+    }
     /// True if any binding or the attachment references session `sid`.
     [[nodiscard]] bool references(std::uint64_t sid) const {
-      return attached == sid || sub_journal == sid || sub_flow == sid || sub_stats == sid ||
-             sub_run_events == sid || sub_shard_rounds == sid;
+      return attached == sid || std::find(sub.begin(), sub.end(), sid) != sub.end();
     }
     /// Clears the attachment and every binding referencing session `sid`.
     void drop_session(std::uint64_t sid) {
       if (attached == sid) attached = 0;
-      if (sub_journal == sid) sub_journal = 0;
-      if (sub_flow == sid) sub_flow = 0;
-      if (sub_stats == sid) sub_stats = 0;
-      if (sub_run_events == sid) sub_run_events = 0;
-      if (sub_shard_rounds == sid) sub_shard_rounds = 0;
+      std::replace(sub.begin(), sub.end(), sid, std::uint64_t{0});
     }
   };
 
@@ -220,6 +221,17 @@ class DebugServer {
     std::thread thread;  ///< shards 1..N-1 only
   };
 
+  /// One request as its method's handler sees it.
+  struct Call;
+  /// One method-table entry: name, scope, budget gate, declared params and
+  /// handler (server.cpp).
+  struct Method;
+  /// The method table, in `capabilities.methods` order: the one place the
+  /// server's methods are declared.
+  static std::span<const Method> methods();
+  /// Request-path instruments and the method lookup, built once.
+  struct ServerMetrics;
+
   void init(ServerConfig config);
 
   /// handle_frame with the requesting connection attached (nullptr for the
@@ -228,8 +240,12 @@ class DebugServer {
   /// counters when re-executing a migrated frame on its new shard.
   std::string handle_frame_for(std::string_view frame, Client* client, int shard,
                                bool replay = false);
-  std::string dispatch(const std::string& method, const JsonValue& params,
-                       const std::string& id_json, Client* client, int shard);
+  /// Looks `method` up, checks `params` against its declarations, then runs
+  /// it: a session-scoped method against the resolved target session, behind
+  /// its token budget. Returns the result document, or the error for the
+  /// response.
+  Result<std::string> dispatch(std::string_view method, const JsonValue* params, Client* client,
+                               int shard, bool replay);
 
   /// Resolves the target session of a request: explicit `session` param
   /// (id or name) > client attachment > default session. When
@@ -259,8 +275,6 @@ class DebugServer {
 
   // --- push-stream machinery ------------------------------------------------
 
-  /// Resolves journal link ids to application link names for `hs`.
-  [[nodiscard]] static obs::Journal::LinkNamer link_namer(HostedSession& hs);
   /// Enqueues one notification frame onto `c`, tagging the params object
   /// with the originating session id (counts server.sub.*).
   void push_notification(Client& c, const std::string& method, std::string params_json,

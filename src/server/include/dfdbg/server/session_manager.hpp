@@ -152,7 +152,6 @@ class SessionManager {
     std::string rig;
     int shard;
     bool is_default;
-    bool owned;
     dbg::SessionQuota quota;
     std::uint64_t requests;
     std::uint64_t journal_events;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "dfdbg/common/json.hpp"
@@ -33,57 +34,135 @@ void set_nonblocking(int fd) {
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Serializes one structured view as a full result frame.
+/// A structured view as a result document.
 template <typename V>
-std::string view_frame(const std::string& id_json, const V& v) {
+std::string view_doc(const V& v) {
   JsonWriter w;
   dbg::to_json(w, v);
-  return make_result_frame(id_json, w.take());
+  return w.take();
 }
 
-/// Result<View> -> result frame or mapped error frame.
+/// Result<View> -> its document, or its error.
 template <typename V>
-std::string result_frame(const std::string& id_json, const Result<V>& r) {
-  if (!r.ok()) return make_error_frame(id_json, r.status());
-  return view_frame(id_json, *r);
+Result<std::string> result_doc(const Result<V>& r) {
+  return r.ok() ? Result<std::string>(view_doc(*r)) : r.status();
 }
 
 /// Result<BpId> -> {"breakpoint":<id>}.
-std::string bp_frame(const std::string& id_json, const Result<dbg::BpId>& r) {
-  if (!r.ok()) return make_error_frame(id_json, r.status());
+Result<std::string> bp_doc(const Result<dbg::BpId>& r) {
+  if (!r.ok()) return r.status();
   JsonWriter w;
   w.begin_object().kv("breakpoint", r->value()).end_object();
-  return make_result_frame(id_json, w.take());
+  return w.take();
 }
 
-/// Status -> {"ok":true} or error frame.
-std::string status_frame(const std::string& id_json, const Status& s) {
-  if (!s.ok()) return make_error_frame(id_json, s);
-  return make_result_frame(id_json, "{\"ok\":true}");
+/// Status -> {"ok":true}, or its error.
+Result<std::string> ok_doc(const Status& s) {
+  return s.ok() ? Result<std::string>(std::string("{\"ok\":true}")) : s;
 }
 
-constexpr const char* kMethods[] = {
-    "ping",           "capabilities",      "run",
-    "info_links",     "info_filter",       "info_sched",
-    "info_profile",   "info_last_token",   "link_tokens",
-    "whence",         "breakpoints",       "catch_work",
-    "catch_tokens",   "catch_all_inputs",  "break_receive",
-    "break_send",     "break_occupancy",   "break_schedule",
-    "delete_breakpoint", "enable_breakpoint", "step_both",
-    "inject",         "remove",            "replace",
-    "exec",           "journal",           "stats",
-    "info_stats",     "info_shards",       "subscribe",
-    "unsubscribe",    "session_create",    "session_attach",
-    "session_detach", "session_destroy",   "session_list",
-    "shutdown",
+/// A request the server or session state refuses (-32002).
+Status refused(std::string message) {
+  return Status::error(ErrCode::kFailedPrecondition, std::move(message));
+}
+
+/// Where a method runs.
+enum Scope : std::uint8_t {
+  kFleet,    ///< session lifecycle: finds, creates or migrates to sessions itself
+  kGlobal,   ///< needs no session
+  kSession,  ///< runs against the resolved target session, on its shard
 };
 
-/// The subscribable stream names (the protocol's spelling).
-constexpr const char* kStreamJournal = "journal";
-constexpr const char* kStreamFlow = "info_flow";
-constexpr const char* kStreamStats = "stats";
-constexpr const char* kStreamRunEvents = "run_events";
-constexpr const char* kStreamShardRounds = "shard_rounds";
+/// The JSON type a declared param must have.
+enum Type : std::uint8_t {
+  kString,      ///< non-empty when required
+  kUnsigned,    ///< an integer literal without a minus sign
+  kBool,
+  kObject,
+  kSessionRef,  ///< a session id (unsigned) or name (string)
+};
+
+struct Param {
+  std::string_view name;
+  Type type;
+  bool required = false;
+};
+
+/// Accepted by every session-scoped method: picks the target session.
+constexpr Param kSessionParam{"session", kSessionRef};
+constexpr Param kTargetParams[] = {kSessionParam};
+
+constexpr Param kRunParams[] = {{"until", kUnsigned}};
+constexpr Param kNameParams[] = {{"name", kString, true}};
+constexpr Param kModuleParams[] = {{"module", kString, true}};
+constexpr Param kFilterParams[] = {{"filter", kString, true}};
+constexpr Param kLastTokenParams[] = {{"filter", kString, true}, {"depth", kUnsigned}};
+constexpr Param kIfaceParams[] = {{"iface", kString, true}};
+constexpr Param kWhenceParams[] = {
+    {"iface", kString, true}, {"slot", kUnsigned}, {"depth", kUnsigned}};
+constexpr Param kCatchTokensParams[] = {{"filter", kString, true}, {"counts", kObject, true}};
+constexpr Param kCatchAllParams[] = {{"filter", kString, true}, {"count", kUnsigned}};
+constexpr Param kOccupancyParams[] = {{"iface", kString, true}, {"threshold", kUnsigned}};
+constexpr Param kBpParams[] = {{"id", kUnsigned, true}};
+constexpr Param kEnableParams[] = {{"id", kUnsigned, true}, {"enabled", kBool}};
+constexpr Param kStepBothParams[] = {{"iface", kString}};
+constexpr Param kInjectParams[] = {{"iface", kString, true}, {"value", kString, true}};
+constexpr Param kRemoveParams[] = {{"iface", kString, true}, {"slot", kUnsigned}};
+constexpr Param kReplaceParams[] = {
+    {"iface", kString, true}, {"slot", kUnsigned}, {"value", kString, true}};
+constexpr Param kExecParams[] = {{"line", kString, true}};
+constexpr Param kStatsParams[] = {{"format", kString}};
+constexpr Param kSubscribeParams[] = {{"stream", kString, true}, {"cursor", kUnsigned}};
+constexpr Param kUnsubscribeParams[] = {{"stream", kString}};
+constexpr Param kCreateParams[] = {
+    {"rig", kString},       {"name", kString},     {"backend", kString},   {"workers", kUnsigned},
+    {"pipelines", kUnsigned}, {"stages", kUnsigned}, {"tokens", kUnsigned}, {"spin", kUnsigned},
+    {"seed", kUnsigned},    {"width", kUnsigned},  {"height", kUnsigned},  {"frames", kUnsigned},
+    {"fault", kString},     {"trigger_mb", kUnsigned}, {"path", kString},  {"top", kString},
+    {"steps", kUnsigned},   {"shard", kUnsigned},  {"attach", kBool},      {"quota", kObject}};
+constexpr Param kQuotaParams[] = {{"journal_capacity", kUnsigned}, {"max_clients", kUnsigned},
+                                  {"token_budget", kUnsigned}, {"idle_timeout_ms", kUnsigned}};
+
+bool has_type(const JsonValue& v, Type t) {
+  switch (t) {
+    case kString: return v.is_string();
+    case kUnsigned: return v.is_unsigned();
+    case kBool: return v.is_bool();
+    case kObject: return v.is_object();
+    case kSessionRef: return v.is_string() || v.is_unsigned();
+  }
+  return false;
+}
+
+constexpr const char* kTypeNames[] = {"a string", "an unsigned integer", "a bool", "an object",
+                                      "a session id or name"};
+
+/// Checks `params` against `decl` in place: a present param must have its
+/// declared type, a required one must be present (an empty string counts as
+/// absent). Undeclared members are ignored.
+Status check_params(const JsonValue& params, std::span<const Param> decl) {
+  for (const Param& d : decl) {
+    const JsonValue* v = params.find(d.name);
+    if (v == nullptr || (d.type == kString && v->is_string() && v->as_string().empty())) {
+      if (!d.required) continue;
+      return Status::error(ErrCode::kInvalidArgument,
+                           "missing required param: " + std::string(d.name));
+    }
+    if (!has_type(*v, d.type))
+      return Status::error(ErrCode::kInvalidArgument, "param " + std::string(d.name) +
+                                                          " must be " + kTypeNames[d.type]);
+  }
+  return Status{};
+}
+
+/// The `id` param as a breakpoint id. Ids are 32-bit: a larger one is
+/// ill-typed, not a truncated id.
+Result<dbg::BpId> bp_param(const JsonValue& params) {
+  const std::uint64_t id = params.u64_or("id");
+  if (id > UINT32_MAX)
+    return Status::error(ErrCode::kInvalidArgument, "param id must be a 32-bit breakpoint id");
+  return dbg::BpId(static_cast<std::uint32_t>(id));
+}
 
 /// Subscription-layer instruments, interned once (Registry interning is
 /// mutex-guarded, so first use may come from any shard).
@@ -99,45 +178,6 @@ struct SubMetrics {
     return m;
   }
 };
-
-/// Request-path instruments, interned once (first use is the server's
-/// construction) so a request takes no registry lock and hashes no
-/// instrument name. `server.req.<m>` exists only for the methods in
-/// kMethods: a method name is client input, so an unknown one must not mint
-/// an instrument (it is counted in `server.errors` when dispatch rejects it).
-struct ServerMetrics {
-  obs::Counter& requests;
-  obs::Histogram& request_ns;
-  obs::Counter& errors;
-  obs::Counter& bytes_in;
-  obs::Counter& bytes_out;
-  std::unordered_map<std::string_view, obs::Counter*> per_method;
-
-  static ServerMetrics& get() {
-    static ServerMetrics m = [] {
-      auto& r = obs::Registry::global();
-      ServerMetrics sm{r.counter("server.requests"), r.histogram("server.request_ns"),
-                       r.counter("server.errors"),   r.counter("server.bytes_in"),
-                       r.counter("server.bytes_out"), {}};
-      for (const char* method : kMethods)
-        sm.per_method.emplace(method, &r.counter(std::string("server.req.") + method));
-      return sm;
-    }();
-    return m;
-  }
-  /// `server.req.<method>`, or nullptr for a method the server does not have.
-  obs::Counter* method_counter(std::string_view method) const {
-    auto it = per_method.find(method);
-    return it == per_method.end() ? nullptr : it->second;
-  }
-};
-
-/// Verbs that advance the simulation or mutate tokens: the ones gated by a
-/// session's token budget.
-bool is_mutating(const std::string& method) {
-  return method == "run" || method == "step_both" || method == "inject" ||
-         method == "replace" || method == "remove" || method == "exec";
-}
 
 /// {"id":..,"name":..,"rig":..,"shard":..,"backend":..,"workers":..} for a
 /// session any shard may describe: every field is an immutable identity
@@ -166,36 +206,41 @@ void drop_attachment(HostedSession& hs, int shard) {
     hs.sync_client_stat();
 }
 
-/// Fills a SessionSpec from session_create params, quota defaults included.
+/// Fills a SessionSpec from checked session_create params, quota defaults
+/// included.
 dbg::SessionSpec parse_spec(const JsonValue& p, const ServerConfig& cfg) {
   dbg::SessionSpec spec;
-  std::string rig = p.str_or("rig");
-  if (!rig.empty()) spec.rig = rig;
-  spec.name = p.str_or("name");
-  spec.backend = p.str_or("backend");
-  spec.workers = static_cast<int>(p.u64_or("workers", 0));
-  spec.pipelines = static_cast<int>(p.u64_or("pipelines", static_cast<std::uint64_t>(spec.pipelines)));
-  spec.stages = static_cast<int>(p.u64_or("stages", static_cast<std::uint64_t>(spec.stages)));
-  spec.tokens = static_cast<int>(p.u64_or("tokens", static_cast<std::uint64_t>(spec.tokens)));
-  spec.spin = static_cast<std::uint32_t>(p.u64_or("spin", spec.spin));
-  spec.seed = static_cast<std::uint32_t>(p.u64_or("seed", spec.seed));
-  spec.width = static_cast<int>(p.u64_or("width", static_cast<std::uint64_t>(spec.width)));
-  spec.height = static_cast<int>(p.u64_or("height", static_cast<std::uint64_t>(spec.height)));
-  spec.frames = static_cast<int>(p.u64_or("frames", static_cast<std::uint64_t>(spec.frames)));
-  spec.fault = p.str_or("fault");
-  spec.trigger_mb = static_cast<int>(p.u64_or("trigger_mb", static_cast<std::uint64_t>(spec.trigger_mb)));
-  spec.path = p.str_or("path");
-  spec.top = p.str_or("top");
-  spec.steps = static_cast<int>(p.u64_or("steps", static_cast<std::uint64_t>(spec.steps)));
+  auto text = [&p](const char* key, std::string& field) {
+    if (const JsonValue* v = p.find(key); v != nullptr && !v->as_string().empty())
+      field = v->as_string();
+  };
+  auto num = [](const JsonValue& obj, const char* key, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    field = static_cast<T>(obj.u64_or(key, static_cast<std::uint64_t>(field)));
+  };
+  text("rig", spec.rig);
+  text("name", spec.name);
+  text("backend", spec.backend);
+  text("fault", spec.fault);
+  text("path", spec.path);
+  text("top", spec.top);
+  num(p, "workers", spec.workers);
+  num(p, "pipelines", spec.pipelines);
+  num(p, "stages", spec.stages);
+  num(p, "tokens", spec.tokens);
+  num(p, "spin", spec.spin);
+  num(p, "seed", spec.seed);
+  num(p, "width", spec.width);
+  num(p, "height", spec.height);
+  num(p, "frames", spec.frames);
+  num(p, "trigger_mb", spec.trigger_mb);
+  num(p, "steps", spec.steps);
   spec.quota = cfg.default_quota;
-  const JsonValue* q = p.find("quota");
-  if (q != nullptr && q->is_object()) {
-    spec.quota.journal_capacity = static_cast<std::size_t>(
-        q->u64_or("journal_capacity", spec.quota.journal_capacity));
-    spec.quota.max_clients =
-        static_cast<int>(q->u64_or("max_clients", static_cast<std::uint64_t>(spec.quota.max_clients)));
-    spec.quota.token_budget = q->u64_or("token_budget", spec.quota.token_budget);
-    spec.quota.idle_timeout_ms = q->u64_or("idle_timeout_ms", spec.quota.idle_timeout_ms);
+  if (const JsonValue* q = p.find("quota"); q != nullptr) {
+    num(*q, "journal_capacity", spec.quota.journal_capacity);
+    num(*q, "max_clients", spec.quota.max_clients);
+    num(*q, "token_budget", spec.quota.token_budget);
+    num(*q, "idle_timeout_ms", spec.quota.idle_timeout_ms);
     // A quota is a request, not a command: cap the field that sizes a server
     // allocation so one remote create cannot exhaust host memory. (Too-small
     // values still fail in the factory: journal_capacity must be >= 2.)
@@ -206,6 +251,62 @@ dbg::SessionSpec parse_spec(const JsonValue& p, const ServerConfig& cfg) {
 }
 
 }  // namespace
+
+struct DebugServer::Call {
+  DebugServer& srv;
+  const JsonValue& params;  ///< checked against the method's declarations
+  Client* client;           ///< nullptr for the in-process entry point
+  int shard;
+  HostedSession* target;    ///< the resolved session (session scope only)
+
+  [[nodiscard]] dbg::Session& session() const { return *target->session; }
+  /// A checked string param ("" when absent).
+  [[nodiscard]] const std::string& str(std::string_view key) const {
+    static const std::string kAbsent;
+    const JsonValue* v = params.find(key);
+    return v != nullptr ? v->as_string() : kAbsent;
+  }
+  [[nodiscard]] std::uint64_t u64(std::string_view key, std::uint64_t dflt) const {
+    return params.u64_or(key, dflt);
+  }
+};
+
+struct DebugServer::Method {
+  std::string_view name;
+  Scope scope;
+  bool budgeted;  ///< refused once the target session's token budget is spent
+  std::span<const Param> params;
+  /// The result document, or the error for the response. An empty document
+  /// with `client->migrate_to` set re-executes the call on that shard.
+  Result<std::string> (*handler)(const Call&);
+};
+
+/// Request-path instruments, interned once (first use is the server's
+/// construction) so a request takes no registry lock and hashes no
+/// instrument name. A method name is client input: an unknown one mints no
+/// instrument (it is counted in `server.errors`).
+struct DebugServer::ServerMetrics {
+  obs::Counter& requests;
+  obs::Histogram& request_ns;
+  obs::Counter& errors;
+  obs::Counter& bytes_in;
+  obs::Counter& bytes_out;
+  /// `server.req.<m>` of each method-table entry, in table order.
+  std::vector<obs::Counter*> method_requests;
+
+  static ServerMetrics& get() {
+    static ServerMetrics m = [] {
+      auto& r = obs::Registry::global();
+      ServerMetrics sm{r.counter("server.requests"), r.histogram("server.request_ns"),
+                       r.counter("server.errors"),   r.counter("server.bytes_in"),
+                       r.counter("server.bytes_out"), {}};
+      for (const Method& method : DebugServer::methods())
+        sm.method_requests.push_back(&r.counter("server.req." + std::string(method.name)));
+      return sm;
+    }();
+    return m;
+  }
+};
 
 DebugServer::DebugServer(dbg::Session& session, ServerConfig config)
     : manager_(nullptr, config.max_sessions) {
@@ -423,14 +524,6 @@ void DebugServer::adopt_intake(int shard) {
   }
 }
 
-obs::Journal::LinkNamer DebugServer::link_namer(HostedSession& hs) {
-  dbg::Session* session = hs.session;
-  return [session](std::uint32_t link) {
-    pedf::Link* l = session->app().link_by_id(pedf::LinkId(link));
-    return l != nullptr ? l->name() : strformat("link#%u", link);
-  };
-}
-
 void DebugServer::push_notification(Client& c, const std::string& method,
                                     std::string params_json, std::uint64_t sid) {
   // Tag the params object with the originating session so a client
@@ -464,12 +557,12 @@ void DebugServer::pump_client(Client& c, int shard, bool tick_due) {
   // Journal deltas first: they are the stream with real history behind it,
   // and pausing them (rather than dropping) is what makes the cursor/gap
   // contract work — the ring only laps a reader that stays slow.
-  if (auto hs = bound(c.sub_journal); hs != nullptr) {
+  if (auto hs = bound(c.sub[kJournal]); hs != nullptr) {
     obs::Journal& j = *hs->journal;
+    const obs::Journal::LinkNamer namer = hs->session->app().link_namer();
     while (c.out.size() < config_.max_outbound_bytes && c.journal_cursor < j.cursor()) {
       JsonWriter w;
-      obs::Journal::Slice s =
-          j.write_delta_json(w, c.journal_cursor, config_.journal_batch, link_namer(*hs));
+      obs::Journal::Slice s = j.write_delta_json(w, c.journal_cursor, config_.journal_batch, namer);
       c.journal_cursor = s.next;
       if (s.gap > 0) SubMetrics::get().dropped.add(s.gap);
       if (s.count == 0 && s.gap == 0) break;
@@ -481,7 +574,7 @@ void DebugServer::pump_client(Client& c, int shard, bool tick_due) {
   // request round keeps the stream current with no periodic wakeups. Round
   // ids are monotonic, so a paused reader resumes where it left off (evicted
   // records are simply skipped; the ring is a bounded window, not a log).
-  if (auto hs = bound(c.sub_shard_rounds); hs != nullptr) {
+  if (auto hs = bound(c.sub[kShardRounds]); hs != nullptr) {
     const sim::Kernel& k = hs->session->app().kernel();
     while (c.out.size() < config_.max_outbound_bytes) {
       std::vector<sim::BarrierRoundRecord> recs =
@@ -501,7 +594,7 @@ void DebugServer::pump_client(Client& c, int shard, bool tick_due) {
   // Periodic snapshots: coalesce (skip whole ticks) while the client is
   // over its outbound bound — a snapshot is a *current state*, so skipping
   // loses nothing a later tick does not re-deliver.
-  if (auto hs = bound(c.sub_flow); hs != nullptr) {
+  if (auto hs = bound(c.sub[kFlow]); hs != nullptr) {
     if (c.out.size() >= config_.max_outbound_bytes) {
       SubMetrics::get().coalesced.add();
     } else {
@@ -536,7 +629,7 @@ void DebugServer::pump_client(Client& c, int shard, bool tick_due) {
       push_notification(c, "flow.snapshot", w.take(), hs->id);
     }
   }
-  if (auto hs = bound(c.sub_stats); hs != nullptr) {
+  if (auto hs = bound(c.sub[kStats]); hs != nullptr) {
     if (c.out.size() >= config_.max_outbound_bytes) {
       SubMetrics::get().coalesced.add();
     } else {
@@ -560,14 +653,14 @@ void DebugServer::on_stop_event(HostedSession& hs, const dbg::StopEvent& ev) {
   Shard& sh = *shards_[static_cast<std::size_t>(hs.shard)];
   bool any = false;
   for (const auto& c : sh.clients)
-    if (c->sub_run_events == hs.id) any = true;
+    if (c->sub[kRunEvents] == hs.id) any = true;
   if (!any) return;
   JsonWriter w;
   dbg::to_json(w, ev);
   std::string params = w.take();
   for (auto& cp : sh.clients) {
     Client& c = *cp;
-    if (c.sub_run_events != hs.id) continue;
+    if (c.sub[kRunEvents] != hs.id) continue;
     push_notification(c, "run.event", params, hs.id);
     // Best-effort immediate delivery: the poll loop is parked inside the
     // dispatch that triggered this stop, so without this send the event
@@ -716,7 +809,7 @@ std::size_t DebugServer::evict_idle_for_test(std::uint64_t now) {
 
 Status DebugServer::serve() {
   if (listen_fd_ < 0)
-    return Status::error(ErrCode::kFailedPrecondition, "serve: not listening (call listen_* first)");
+    return refused("serve: not listening (call listen_* first)");
   shutdown_.store(false, std::memory_order_relaxed);
   auto now = std::chrono::steady_clock::now();
   for (auto& sh : shards_) sh->last_tick = now;
@@ -846,22 +939,20 @@ std::string DebugServer::handle_frame_for(std::string_view frame, Client* client
   }
   const JsonValue* id = parsed->find("id");
   std::string id_json = id != nullptr ? id->dump() : "null";
-  std::string method = parsed->str_or("method");
-  if (method.empty()) {
+  const JsonValue* method = parsed->find("method");
+  if (method == nullptr || !method->is_string() || method->as_string().empty()) {
     m.errors.add();
     return make_error_frame(id_json, kErrInvalidRequest, "missing method",
                             ErrCode::kInvalidArgument);
   }
-  if (obs::Counter* per_method = m.method_counter(method); per_method != nullptr && !replay)
-    per_method->add();
-  static const JsonValue kNoParams;
-  const JsonValue* params = parsed->find("params");
-  std::string response =
-      dispatch(method, params != nullptr ? *params : kNoParams, id_json, client, shard);
-  // Every error frame carries this exact unescaped marker (protocol.cpp);
-  // inside result payloads the quotes would be \"-escaped.
-  if (response.find(",\"error\":{\"code\":") != std::string::npos) m.errors.add();
-  return response;
+  Result<std::string> result = dispatch(method->as_string(), parsed->find("params"), client,
+                                        shard, replay);
+  if (client != nullptr && client->migrate_to >= 0) return std::string();
+  if (!result.ok()) {
+    m.errors.add();
+    return make_error_frame(id_json, result.status());
+  }
+  return make_result_frame(id_json, *result);
 }
 
 Result<std::shared_ptr<HostedSession>> DebugServer::resolve(const JsonValue& p, Client* client,
@@ -881,316 +972,37 @@ Result<std::shared_ptr<HostedSession>> DebugServer::resolve(const JsonValue& p, 
   } else {
     hs = default_;
     if (hs == nullptr)
-      return Status::error(ErrCode::kFailedPrecondition,
-                           "no session attached and this server has no default session "
-                           "(session_create or session_attach first)");
+      return refused("no session attached and this server has no default session "
+                     "(session_create or session_attach first)");
   }
   if (pin_to_shard && hs->shard != shard)
-    return Status::error(
-        ErrCode::kFailedPrecondition,
-        strformat("session '%s' is pinned to shard %d; session_attach to it first",
-                  hs->name.c_str(), hs->shard));
+    return refused(strformat("session '%s' is pinned to shard %d; session_attach to it first",
+                             hs->name.c_str(), hs->shard));
   return hs;
 }
 
-std::string DebugServer::dispatch(const std::string& method, const JsonValue& p,
-                                  const std::string& id_json, Client* client, int shard) {
-  auto missing = [&](const char* param) {
-    return make_error_frame(id_json, kErrInvalidParams,
-                            strformat("missing required param: %s", param),
-                            ErrCode::kInvalidArgument);
-  };
+Result<std::string> DebugServer::dispatch(std::string_view name, const JsonValue* params,
+                                          Client* client, int shard, bool replay) {
+  // The method first: an unknown one is rejected before it can touch (or
+  // keep alive) any session.
+  const std::span<const Method> table = methods();
+  const auto entry =
+      std::find_if(table.begin(), table.end(), [&](const Method& m) { return m.name == name; });
+  if (entry == table.end())
+    return Status::error(ErrCode::kUnimplemented, "unknown method: " + std::string(name));
+  const Method& method = *entry;
+  if (!replay) ServerMetrics::get().method_requests[entry - table.begin()]->add();
+  static const JsonValue kNoParams;
+  if (params != nullptr && !params->is_object())
+    return Status::error(ErrCode::kInvalidArgument, "params must be an object");
+  const JsonValue& p = params != nullptr ? *params : kNoParams;
+  if (Status st = check_params(p, method.params); !st.ok()) return st;
+  if (method.scope != Scope::kSession)
+    return method.handler(Call{*this, p, client, shard, nullptr});
 
-  if (method == "ping") return make_result_frame(id_json, "{\"pong\":true}");
-
-  // --- session lifecycle (the fleet surface; session-independent) ----------
-
-  if (method == "session_list") {
-    std::uint64_t now = now_ms();
-    std::vector<SessionManager::ListEntry> entries = manager_.list();
-    JsonWriter w;
-    w.begin_object();
-    w.kv("count", static_cast<std::uint64_t>(entries.size()));
-    w.key("sessions").begin_array();
-    for (const auto& e : entries) {
-      w.begin_object()
-          .kv("id", e.id)
-          .kv("name", e.name)
-          .kv("rig", e.rig)
-          .kv("shard", static_cast<std::uint64_t>(e.shard))
-          .kv("default", e.is_default)
-          .kv("clients", e.clients)
-          .kv("requests", e.requests)
-          .kv("journal_events", e.journal_events)
-          .kv("last_token", e.last_token)
-          .kv("idle_ms", now > e.last_used_ms ? now - e.last_used_ms : 0);
-      w.key("quota")
-          .begin_object()
-          .kv("journal_capacity", static_cast<std::uint64_t>(e.quota.journal_capacity))
-          .kv("max_clients", static_cast<std::uint64_t>(e.quota.max_clients))
-          .kv("token_budget", e.quota.token_budget)
-          .kv("idle_timeout_ms", e.quota.idle_timeout_ms)
-          .end_object();
-      w.end_object();
-    }
-    w.end_array().end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  if (method == "session_create") {
-    if (!config_.allow_session_create || manager_.factory() == nullptr)
-      return make_error_frame(id_json,
-                              Status::error(ErrCode::kFailedPrecondition,
-                                            "session_create is disabled on this server"));
-    int target = static_cast<int>(p.u64_or("shard", static_cast<std::uint64_t>(shard)));
-    if (target < 0 || target >= config_.shards)
-      return make_error_frame(
-          id_json, Status::error(ErrCode::kInvalidArgument,
-                                 strformat("shard %d out of range (0..%d)", target,
-                                           config_.shards - 1)));
-    if (target != shard) {
-      if (client == nullptr)
-        return make_error_frame(
-            id_json, Status::error(ErrCode::kFailedPrecondition,
-                                   "in-process session_create is pinned to shard 0"));
-      client->migrate_to = target;  // re-executes on the owning shard
-      return std::string();
-    }
-    dbg::SessionSpec spec = parse_spec(p, config_);
-    auto created = manager_.create(spec, target, now_ms());
-    if (!created.ok()) return make_error_frame(id_json, created.status());
-    HostedSession& s = **created;
-    install_stop_observer(s);
-    bool attach = client != nullptr && p.bool_or("attach", true);
-    if (attach) {
-      if (client->attached != 0) {
-        // The previous session may live on the shard the client migrated
-        // away from; drop_attachment stays off its world in that case.
-        if (auto prev = manager_.find(client->attached)) drop_attachment(*prev, shard);
-      }
-      client->attached = s.id;
-      s.attached_clients.fetch_add(1, std::memory_order_relaxed);
-      s.sync_stats();
-    }
-    JsonWriter w;
-    w.begin_object().kv("ok", true).kv("attached", attach).key("session");
-    write_session_brief(w, s);
-    w.end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  if (method == "session_attach") {
-    if (client == nullptr)
-      return make_error_frame(id_json,
-                              Status::error(ErrCode::kFailedPrecondition,
-                                            "session_attach requires a socket connection"));
-    auto target = resolve(p, client, shard, /*pin_to_shard=*/false);
-    if (!target.ok()) return make_error_frame(id_json, target.status());
-    HostedSession& s = **target;
-    auto quota_refused = [&]() {
-      obs::Registry::global().counter("server.session.attach_refused").add();
-      return make_error_frame(
-          id_json, Status::error(ErrCode::kFailedPrecondition,
-                                 strformat("session '%s' is at its client quota (%d)",
-                                           s.name.c_str(), s.quota.max_clients)));
-    };
-    bool over_quota = client->attached != s.id && s.quota.max_clients > 0 &&
-                      s.attached_clients.load(std::memory_order_relaxed) >= s.quota.max_clients;
-    if (s.shard != shard) {
-      // Refuse before migrating (best-effort: the count is a cross-shard
-      // atomic read). Migrating first and failing the quota there would
-      // strand the client on a shard where its previous attachment — and
-      // every implicit verb against it — is unusable.
-      if (over_quota) return quota_refused();
-      client->migrate_to = s.shard;  // re-executes on the owning shard
-      return std::string();
-    }
-    if (client->attached != s.id) {
-      if (over_quota) {
-        // Authoritative check (owning shard). If the pre-migration check
-        // passed but this one fails — the quota filled during the move —
-        // the client must not be left here with its working session
-        // elsewhere: send it back to that anchor shard, where the
-        // re-executed frame hits the pre-migration refusal above and
-        // becomes a plain error with the old attachment intact.
-        int anchor = shard;
-        if (client->attached != 0) {
-          if (auto prev = manager_.find(client->attached)) anchor = prev->shard;
-        } else if (default_ != nullptr) {
-          anchor = default_->shard;
-        }
-        if (anchor != shard) {
-          client->migrate_to = anchor;
-          return std::string();
-        }
-        return quota_refused();
-      }
-      if (client->attached != 0) {
-        // The previous session may live on the shard the client migrated
-        // away from; drop_attachment stays off its world in that case.
-        if (auto prev = manager_.find(client->attached)) drop_attachment(*prev, shard);
-      }
-      client->attached = s.id;
-      s.attached_clients.fetch_add(1, std::memory_order_relaxed);
-    }
-    s.last_used_ms.store(now_ms(), std::memory_order_relaxed);
-    s.sync_stats();
-    JsonWriter w;
-    w.begin_object().kv("ok", true).key("session");
-    write_session_brief(w, s);
-    w.end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  if (method == "session_detach") {
-    if (client == nullptr)
-      return make_error_frame(id_json,
-                              Status::error(ErrCode::kFailedPrecondition,
-                                            "session_detach requires a socket connection"));
-    if (client->attached == 0)
-      return make_error_frame(id_json, Status::error(ErrCode::kFailedPrecondition,
-                                                     "not attached to a session"));
-    std::uint64_t prev_id = client->attached;
-    client->drop_session(prev_id);
-    // A refused post-migration attach can leave the attachment pointing at
-    // another shard's session; drop_attachment stays off its world then.
-    if (auto prev = manager_.find(prev_id)) drop_attachment(*prev, shard);
-    JsonWriter w;
-    w.begin_object().kv("ok", true).kv("detached", prev_id).end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  if (method == "session_destroy") {
-    auto target = resolve(p, client, shard, /*pin_to_shard=*/false);
-    if (!target.ok()) return make_error_frame(id_json, target.status());
-    HostedSession& s = **target;
-    if (s.is_default)
-      return make_error_frame(id_json,
-                              Status::error(ErrCode::kFailedPrecondition,
-                                            "the default session cannot be destroyed"));
-    if (s.shard != shard) {
-      if (client == nullptr)
-        return make_error_frame(
-            id_json,
-            Status::error(ErrCode::kFailedPrecondition,
-                          strformat("session '%s' is pinned to shard %d; in-process "
-                                    "destroy only reaches shard 0",
-                                    s.name.c_str(), s.shard)));
-      client->migrate_to = s.shard;  // re-executes on the owning shard
-      return std::string();
-    }
-    std::uint64_t id = s.id;
-    // Detach every client of this shard that references the session (other
-    // shards cannot: bindings are same-shard and cross-shard attachments
-    // resolve to errors afterwards).
-    for (auto& cp : shards_[static_cast<std::size_t>(shard)]->clients) {
-      if (cp->attached == id) s.attached_clients.fetch_sub(1, std::memory_order_relaxed);
-      cp->drop_session(id);
-    }
-    Status st = manager_.destroy(id);
-    if (!st.ok()) return make_error_frame(id_json, st);
-    JsonWriter w;
-    w.begin_object().kv("ok", true).kv("destroyed", id).end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  // --- global (session-independent) verbs -----------------------------------
-
-  if (method == "capabilities") {
-    auto soft = resolve(p, client, shard, /*pin_to_shard=*/false);
-    std::shared_ptr<HostedSession> s = soft.ok() ? *soft : nullptr;
-    JsonWriter w;
-    w.begin_object();
-    w.kv("protocol", 2);
-    w.kv("exec", config_.allow_exec);
-    w.kv("max_frame_bytes", static_cast<std::uint64_t>(config_.max_frame_bytes));
-    if (s != nullptr) {
-      // Identity snapshots, not kernel reads: `s` may live on another shard.
-      w.kv("backend", s->backend);
-      w.kv("workers", static_cast<std::uint64_t>(s->workers));
-    }
-    w.kv("shards", static_cast<std::uint64_t>(config_.shards));
-    w.kv("sessions", static_cast<std::uint64_t>(manager_.count()));
-    w.kv("max_sessions", static_cast<std::uint64_t>(manager_.max_sessions()));
-    w.kv("session_create",
-         config_.allow_session_create && manager_.factory() != nullptr);
-    if (s != nullptr) {
-      w.key("session");
-      write_session_brief(w, *s);
-    }
-    w.key("rigs").begin_array();
-    if (manager_.factory() != nullptr)
-      for (const std::string& r : manager_.factory()->rigs()) w.value(r);
-    w.end_array();
-    w.key("methods").begin_array();
-    for (const char* m : kMethods) w.value(m);
-    w.end_array();
-    w.key("streams").begin_array();
-    for (const char* st : {kStreamJournal, kStreamFlow, kStreamStats, kStreamRunEvents,
-                           kStreamShardRounds})
-      w.value(st);
-    w.end_array();
-    w.end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  if (method == "stats" || method == "info_stats") {
-    // `format: "prom"` wraps the Prometheus exposition text as a JSON
-    // string (the frame itself must stay JSON); anything else gets
-    // Registry::to_json(), one compact object with histogram entries
-    // carrying p50/p90/p99 estimates from the log2 buckets. The registry is
-    // process-wide (hot paths intern instruments once), so this surface is
-    // global, not per-session.
-    if (p.str_or("format") == "prom") {
-      JsonWriter w;
-      w.begin_object()
-          .kv("format", "prom")
-          .kv("body", obs::Registry::global().to_prometheus())
-          .end_object();
-      return make_result_frame(id_json, w.take());
-    }
-    return make_result_frame(id_json, obs::Registry::global().to_json());
-  }
-
-  if (method == "shutdown") {
-    request_shutdown();
-    return make_result_frame(id_json, "{\"ok\":true,\"shutdown\":true}");
-  }
-
-  if (method == "unsubscribe") {
-    if (client == nullptr)
-      return make_error_frame(
-          id_json, Status::error(ErrCode::kFailedPrecondition,
-                                 "unsubscribe requires a socket connection to push to"));
-    std::string stream = p.str_or("stream");
-    JsonWriter w;
-    w.begin_object().kv("ok", true);
-    if (stream == kStreamJournal) {
-      client->sub_journal = 0;
-    } else if (stream == kStreamFlow) {
-      client->sub_flow = 0;
-    } else if (stream == kStreamStats) {
-      client->sub_stats = 0;
-    } else if (stream == kStreamRunEvents) {
-      client->sub_run_events = 0;
-    } else if (stream == kStreamShardRounds) {
-      client->sub_shard_rounds = 0;
-    } else if (stream.empty() || stream == "all") {
-      // `unsubscribe` with no stream (or "all") clears everything.
-      client->sub_journal = client->sub_flow = client->sub_stats = client->sub_run_events =
-          client->sub_shard_rounds = 0;
-    } else {
-      return make_error_frame(
-          id_json, Status::error(ErrCode::kInvalidArgument, "unknown stream: " + stream));
-    }
-    w.end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  // --- session-scoped verbs -------------------------------------------------
-
+  if (Status st = check_params(p, kTargetParams); !st.ok()) return st;
   auto resolved = resolve(p, client, shard);
-  if (!resolved.ok()) return make_error_frame(id_json, resolved.status());
+  if (!resolved.ok()) return resolved.status();
   HostedSession& hs = **resolved;
   hs.last_used_ms.store(now_ms(), std::memory_order_relaxed);
   hs.stat_requests.fetch_add(1, std::memory_order_relaxed);
@@ -1202,235 +1014,421 @@ std::string DebugServer::dispatch(const std::string& method, const JsonValue& p,
     HostedSession& s;
     ~SyncOnExit() { s.sync_stats(); }
   } sync_guard{hs};
-  dbg::Session& session = *hs.session;
-
-  if (is_mutating(method) && hs.over_token_budget()) {
+  if (method.budgeted && hs.over_token_budget()) {
     obs::Registry::global().counter("server.session.budget_refused").add();
-    return make_error_frame(
-        id_json,
-        Status::error(ErrCode::kFailedPrecondition,
-                      strformat("session '%s' exhausted its token budget (%llu)",
-                                hs.name.c_str(),
-                                static_cast<unsigned long long>(hs.quota.token_budget))));
+    return refused(strformat("session '%s' exhausted its token budget (%llu)", hs.name.c_str(),
+                             static_cast<unsigned long long>(hs.quota.token_budget)));
   }
+  return method.handler(Call{*this, p, client, shard, &hs});
+}
 
-  if (method == "subscribe") {
-    if (client == nullptr)
-      return make_error_frame(
-          id_json, Status::error(ErrCode::kFailedPrecondition,
-                                 "subscribe requires a socket connection to push to"));
-    std::string stream = p.str_or("stream");
-    if (stream.empty()) return missing("stream");
+std::span<const DebugServer::Method> DebugServer::methods() {
+  using Doc = Result<std::string>;
+  static constexpr auto find_stream = [](std::string_view name) {
+    for (int s = 0; s < kStreamCount; ++s)
+      if (kStreams[s].name == name) return s;
+    return -1;
+  };
+  // The registry is process-wide (hot paths intern instruments once), so
+  // this surface is global, not per-session. `format: "prom"` wraps the
+  // Prometheus exposition text as a JSON string (the frame itself must stay
+  // JSON); anything else gets Registry::to_json(), one compact object with
+  // histogram entries carrying p50/p90/p99 estimates from the log2 buckets.
+  static constexpr auto stats = [](const Call& c) -> Doc {
+    if (c.str("format") != "prom") return obs::Registry::global().to_json();
     JsonWriter w;
-    w.begin_object().kv("ok", true);
-    if (stream == kStreamJournal) {
-      client->sub_journal = hs.id;
-      // Default: tail from "now". An explicit cursor resumes an earlier
-      // read (0 replays the whole retained window, reporting the gap).
-      client->journal_cursor =
-          p.find("cursor") != nullptr ? p.u64_or("cursor", 0) : hs.journal->cursor();
-      w.kv("stream", stream).kv("cursor", client->journal_cursor).kv("session", hs.id);
-    } else if (stream == kStreamFlow) {
-      client->sub_flow = hs.id;
-      client->flow_prev.clear();
-      w.kv("stream", stream).kv("session", hs.id);
-    } else if (stream == kStreamStats) {
-      client->sub_stats = hs.id;
-      // A fresh snapshot makes the first delta carry the full registry.
-      client->stats_prev = obs::StatsSnapshot{};
-      w.kv("stream", stream).kv("session", hs.id);
-    } else if (stream == kStreamRunEvents) {
-      client->sub_run_events = hs.id;
-      w.kv("stream", stream).kv("session", hs.id);
-    } else if (stream == kStreamShardRounds) {
-      client->sub_shard_rounds = hs.id;
-      // Default: tail from the current round. An explicit cursor resumes
-      // an earlier read (0 replays the whole retained ring).
-      client->shard_cursor = p.find("cursor") != nullptr
-                                 ? p.u64_or("cursor", 0)
-                                 : session.app().kernel().round_count();
-      w.kv("stream", stream).kv("cursor", client->shard_cursor).kv("session", hs.id);
-    } else {
-      return make_error_frame(
-          id_json, Status::error(ErrCode::kInvalidArgument, "unknown stream: " + stream));
-    }
-    w.end_object();
-    return make_result_frame(id_json, w.take());
-  }
+    w.begin_object().kv("format", "prom").kv("body", obs::Registry::global().to_prometheus());
+    return w.end_object().take();
+  };
+  // Moves the calling client's attachment to `s`.
+  static constexpr auto attach_to = [](const Call& c, HostedSession& s) {
+    // The previous session may live on the shard the client migrated away
+    // from; drop_attachment stays off its world in that case.
+    if (auto prev = c.srv.manager_.find(c.client->attached)) drop_attachment(*prev, c.shard);
+    c.client->attached = s.id;
+    s.attached_clients.fetch_add(1, std::memory_order_relaxed);
+  };
+  // `inject`/`replace` values: the CLI's grammar ("5", "0x1f", "F=1,G=2").
+  static constexpr auto token_value = [](const Call& c) -> Result<pedf::Value> {
+    auto type = c.session().link_type(c.str("iface"));
+    if (!type.ok()) return type.status();
+    return dbg::Session::parse_value(**type, c.str("value"));
+  };
 
-  if (method == "run") {
-    sim::SimTime until = p.u64_or("until", sim::kMaxSimTime);
-    dbg::RunOutcome outcome = session.run(until);
-    JsonWriter w;
-    dbg::to_json(w, outcome);
-    // Fold in async insertion notes so clients see what stepping armed.
-    std::string doc = w.take();
-    std::vector<std::string> notes = session.take_notes();
-    if (!notes.empty()) {
-      JsonWriter nw;
-      nw.begin_array();
-      for (const std::string& n : notes) nw.value(n);
-      nw.end_array();
-      doc.back() = ',';
-      doc += "\"notes\":" + nw.take() + "}";
-    }
-    return make_result_frame(id_json, doc);
-  }
-
-  if (method == "info_links") return view_frame(id_json, session.links_view());
-  if (method == "info_profile") return view_frame(id_json, session.profile_snapshot());
-  if (method == "info_shards") return view_frame(id_json, session.shard_profile());
-  if (method == "info_filter") {
-    std::string name = p.str_or("name");
-    if (name.empty()) return missing("name");
-    return result_frame(id_json, session.filter_view(name));
-  }
-  if (method == "info_sched") {
-    std::string module = p.str_or("module");
-    if (module.empty()) return missing("module");
-    return result_frame(id_json, session.sched_view(module));
-  }
-  if (method == "info_last_token") {
-    std::string filter = p.str_or("filter");
-    if (filter.empty()) return missing("filter");
-    return result_frame(id_json, session.last_token_view(filter, p.u64_or("depth", 8)));
-  }
-  if (method == "link_tokens") {
-    std::string iface = p.str_or("iface");
-    if (iface.empty()) return missing("iface");
-    return result_frame(id_json, session.link_tokens_view(iface));
-  }
-  if (method == "whence") {
-    std::string iface = p.str_or("iface");
-    if (iface.empty()) return missing("iface");
-    return result_frame(id_json,
-                        session.whence_chain(iface, p.u64_or("slot", 0), p.u64_or("depth", 8)));
-  }
-
-  if (method == "breakpoints") {
-    JsonWriter w;
-    w.begin_object().key("breakpoints").begin_array();
-    for (const dbg::BreakpointInfo& bp : session.breakpoints()) dbg::to_json(w, bp);
-    w.end_array().end_object();
-    return make_result_frame(id_json, w.take());
-  }
-  if (method == "catch_work") {
-    std::string filter = p.str_or("filter");
-    if (filter.empty()) return missing("filter");
-    return bp_frame(id_json, session.catch_work(filter));
-  }
-  if (method == "catch_tokens") {
-    std::string filter = p.str_or("filter");
-    if (filter.empty()) return missing("filter");
-    const JsonValue* counts = p.find("counts");
-    if (counts == nullptr || !counts->is_object() || counts->size() == 0)
-      return missing("counts");
-    std::vector<std::pair<std::string, std::uint64_t>> pairs;
-    for (std::size_t i = 0; i < counts->size(); ++i)
-      pairs.emplace_back(counts->key_at(i), counts->at(i).as_u64());
-    return bp_frame(id_json, session.catch_tokens(filter, std::move(pairs)));
-  }
-  if (method == "catch_all_inputs") {
-    std::string filter = p.str_or("filter");
-    if (filter.empty()) return missing("filter");
-    return bp_frame(id_json, session.catch_all_inputs(filter, p.u64_or("count", 1)));
-  }
-  if (method == "break_receive") {
-    std::string iface = p.str_or("iface");
-    if (iface.empty()) return missing("iface");
-    return bp_frame(id_json, session.break_on_receive(iface));
-  }
-  if (method == "break_send") {
-    std::string iface = p.str_or("iface");
-    if (iface.empty()) return missing("iface");
-    return bp_frame(id_json, session.break_on_send(iface));
-  }
-  if (method == "break_occupancy") {
-    std::string iface = p.str_or("iface");
-    if (iface.empty()) return missing("iface");
-    return bp_frame(id_json,
-                    session.break_on_occupancy(iface, p.u64_or("threshold", 1)));
-  }
-  if (method == "break_schedule") {
-    std::string filter = p.str_or("filter");
-    if (filter.empty()) return missing("filter");
-    return bp_frame(id_json, session.break_on_schedule(filter));
-  }
-  if (method == "delete_breakpoint") {
-    const JsonValue* bid = p.find("id");
-    if (bid == nullptr) return missing("id");
-    return status_frame(id_json, session.delete_breakpoint(
-                                     dbg::BpId(static_cast<std::uint32_t>(bid->as_u64()))));
-  }
-  if (method == "enable_breakpoint") {
-    const JsonValue* bid = p.find("id");
-    if (bid == nullptr) return missing("id");
-    return status_frame(
-        id_json, session.set_breakpoint_enabled(
-                     dbg::BpId(static_cast<std::uint32_t>(bid->as_u64())),
-                     p.bool_or("enabled", true)));
-  }
-  if (method == "step_both") {
-    std::string iface = p.str_or("iface");
-    Status s = iface.empty() ? session.step_both() : session.step_both_iface(iface);
-    return status_frame(id_json, s);
-  }
-
-  if (method == "inject" || method == "replace") {
-    std::string iface = p.str_or("iface");
-    if (iface.empty()) return missing("iface");
-    const JsonValue* value = p.find("value");
-    if (value == nullptr || !value->is_string()) return missing("value");
-    const dbg::DLink* dl = session.graph().link_by_iface(iface);
-    if (dl == nullptr)
-      return make_error_frame(
-          id_json, Status::error(ErrCode::kNotFound, "no link on interface: " + iface));
-    pedf::Link* fl = session.app().link_by_id(pedf::LinkId(dl->id));
-    // The same value grammar the CLI accepts: "5", "0x1f", "Field=1,Other=2".
-    auto v = cli::Interpreter::parse_value(fl->type(), value->as_string());
-    if (!v.ok()) return make_error_frame(id_json, v.status());
-    Status s = method == "inject"
-                   ? session.inject_token(iface, std::move(*v))
-                   : session.replace_token(iface, p.u64_or("slot", 0), std::move(*v));
-    return status_frame(id_json, s);
-  }
-  if (method == "remove") {
-    std::string iface = p.str_or("iface");
-    if (iface.empty()) return missing("iface");
-    return status_frame(id_json, session.remove_token(iface, p.u64_or("slot", 0)));
-  }
-
-  if (method == "exec") {
-    if (!config_.allow_exec)
-      return make_error_frame(id_json,
-                              Status::error(ErrCode::kFailedPrecondition,
-                                            "exec is disabled on this server"));
-    const JsonValue* line = p.find("line");
-    if (line == nullptr || !line->is_string()) return missing("line");
-    // One interpreter per session, created on first use on the owning shard.
-    if (hs.interp == nullptr) hs.interp = std::make_unique<cli::Interpreter>(session);
-    Status s = hs.interp->execute(line->as_string());
-    std::string output = hs.interp->console().take();
-    JsonWriter w;
-    w.begin_object();
-    w.kv("ok", s.ok());
-    w.kv("output", output);
-    if (!s.ok()) {
-      w.kv("error", s.message());
-      w.kv("err", to_string(s.code()));
-    }
-    w.end_object();
-    return make_result_frame(id_json, w.take());
-  }
-
-  if (method == "journal") {
-    JsonWriter w;
-    hs.journal->write_json(w, link_namer(hs));
-    return make_result_frame(id_json, w.take());
-  }
-
-  return make_error_frame(id_json, kErrMethodNotFound, "unknown method: " + method,
-                          ErrCode::kUnimplemented);
+  static const Method kTable[] = {
+      {"ping", kGlobal, false, {},
+       [](const Call&) -> Doc { return std::string("{\"pong\":true}"); }},
+      {"capabilities", kGlobal, false, kTargetParams,
+       [](const Call& c) -> Doc {
+         DebugServer& srv = c.srv;
+         auto soft = srv.resolve(c.params, c.client, c.shard, /*pin_to_shard=*/false);
+         std::shared_ptr<HostedSession> s = soft.ok() ? *soft : nullptr;
+         JsonWriter w;
+         w.begin_object();
+         w.kv("protocol", 2);
+         w.kv("exec", srv.config_.allow_exec);
+         w.kv("max_frame_bytes", static_cast<std::uint64_t>(srv.config_.max_frame_bytes));
+         if (s != nullptr) {
+           // Identity snapshots, not kernel reads: `s` may live on another shard.
+           w.kv("backend", s->backend);
+           w.kv("workers", static_cast<std::uint64_t>(s->workers));
+         }
+         w.kv("shards", static_cast<std::uint64_t>(srv.config_.shards));
+         w.kv("sessions", static_cast<std::uint64_t>(srv.manager_.count()));
+         w.kv("max_sessions", static_cast<std::uint64_t>(srv.manager_.max_sessions()));
+         w.kv("session_create",
+              srv.config_.allow_session_create && srv.manager_.factory() != nullptr);
+         if (s != nullptr) {
+           w.key("session");
+           write_session_brief(w, *s);
+         }
+         w.key("rigs").begin_array();
+         if (srv.manager_.factory() != nullptr)
+           for (const std::string& r : srv.manager_.factory()->rigs()) w.value(r);
+         w.end_array();
+         w.key("methods").begin_array();
+         for (const Method& m : methods()) w.value(m.name);
+         w.end_array();
+         w.key("streams").begin_array();
+         for (const StreamSpec& st : kStreams) w.value(st.name);
+         w.end_array();
+         return w.end_object().take();
+       }},
+      {"run", kSession, true, kRunParams,
+       [](const Call& c) -> Doc {
+         JsonWriter w;
+         dbg::to_json(w, c.session().run(c.u64("until", sim::kMaxSimTime)));
+         // Fold in async insertion notes so clients see what stepping armed.
+         std::string doc = w.take();
+         std::vector<std::string> notes = c.session().take_notes();
+         if (!notes.empty()) {
+           JsonWriter nw;
+           nw.begin_array();
+           for (const std::string& n : notes) nw.value(n);
+           nw.end_array();
+           doc.back() = ',';
+           doc += "\"notes\":" + nw.take() + "}";
+         }
+         return doc;
+       }},
+      {"info_links", kSession, false, {},
+       [](const Call& c) -> Doc { return view_doc(c.session().links_view()); }},
+      {"info_filter", kSession, false, kNameParams,
+       [](const Call& c) -> Doc { return result_doc(c.session().filter_view(c.str("name"))); }},
+      {"info_sched", kSession, false, kModuleParams,
+       [](const Call& c) -> Doc { return result_doc(c.session().sched_view(c.str("module"))); }},
+      {"info_profile", kSession, false, {},
+       [](const Call& c) -> Doc { return view_doc(c.session().profile_snapshot()); }},
+      {"info_last_token", kSession, false, kLastTokenParams,
+       [](const Call& c) -> Doc {
+         return result_doc(c.session().last_token_view(c.str("filter"), c.u64("depth", 8)));
+       }},
+      {"link_tokens", kSession, false, kIfaceParams,
+       [](const Call& c) -> Doc { return result_doc(c.session().link_tokens_view(c.str("iface"))); }},
+      {"whence", kSession, false, kWhenceParams,
+       [](const Call& c) -> Doc {
+         return result_doc(
+             c.session().whence_chain(c.str("iface"), c.u64("slot", 0), c.u64("depth", 8)));
+       }},
+      {"breakpoints", kSession, false, {},
+       [](const Call& c) -> Doc {
+         JsonWriter w;
+         w.begin_object().key("breakpoints").begin_array();
+         for (const dbg::BreakpointInfo& bp : c.session().breakpoints()) dbg::to_json(w, bp);
+         return w.end_array().end_object().take();
+       }},
+      {"catch_work", kSession, false, kFilterParams,
+       [](const Call& c) -> Doc { return bp_doc(c.session().catch_work(c.str("filter"))); }},
+      {"catch_tokens", kSession, false, kCatchTokensParams,
+       [](const Call& c) -> Doc {
+         const JsonValue& counts = *c.params.find("counts");
+         if (counts.size() == 0)
+           return Status::error(ErrCode::kInvalidArgument, "missing required param: counts");
+         std::vector<std::pair<std::string, std::uint64_t>> pairs;
+         for (std::size_t i = 0; i < counts.size(); ++i) {
+           if (!counts.at(i).is_unsigned())
+             return Status::error(ErrCode::kInvalidArgument,
+                                  "param counts must map interfaces to unsigned integers");
+           pairs.emplace_back(counts.key_at(i), counts.at(i).as_u64());
+         }
+         return bp_doc(c.session().catch_tokens(c.str("filter"), std::move(pairs)));
+       }},
+      {"catch_all_inputs", kSession, false, kCatchAllParams,
+       [](const Call& c) -> Doc {
+         return bp_doc(c.session().catch_all_inputs(c.str("filter"), c.u64("count", 1)));
+       }},
+      {"break_receive", kSession, false, kIfaceParams,
+       [](const Call& c) -> Doc { return bp_doc(c.session().break_on_receive(c.str("iface"))); }},
+      {"break_send", kSession, false, kIfaceParams,
+       [](const Call& c) -> Doc { return bp_doc(c.session().break_on_send(c.str("iface"))); }},
+      {"break_occupancy", kSession, false, kOccupancyParams,
+       [](const Call& c) -> Doc {
+         return bp_doc(c.session().break_on_occupancy(c.str("iface"), c.u64("threshold", 1)));
+       }},
+      {"break_schedule", kSession, false, kFilterParams,
+       [](const Call& c) -> Doc { return bp_doc(c.session().break_on_schedule(c.str("filter"))); }},
+      {"delete_breakpoint", kSession, false, kBpParams,
+       [](const Call& c) -> Doc {
+         auto id = bp_param(c.params);
+         return id.ok() ? ok_doc(c.session().delete_breakpoint(*id)) : id.status();
+       }},
+      {"enable_breakpoint", kSession, false, kEnableParams,
+       [](const Call& c) -> Doc {
+         auto id = bp_param(c.params);
+         if (!id.ok()) return id.status();
+         return ok_doc(c.session().set_breakpoint_enabled(*id, c.params.bool_or("enabled", true)));
+       }},
+      {"step_both", kSession, true, kStepBothParams,
+       [](const Call& c) -> Doc {
+         const std::string& iface = c.str("iface");
+         return ok_doc(iface.empty() ? c.session().step_both() : c.session().step_both_iface(iface));
+       }},
+      {"inject", kSession, true, kInjectParams,
+       [](const Call& c) -> Doc {
+         auto v = token_value(c);
+         return v.ok() ? ok_doc(c.session().inject_token(c.str("iface"), std::move(*v))) : v.status();
+       }},
+      {"remove", kSession, true, kRemoveParams,
+       [](const Call& c) -> Doc {
+         return ok_doc(c.session().remove_token(c.str("iface"), c.u64("slot", 0)));
+       }},
+      {"replace", kSession, true, kReplaceParams,
+       [](const Call& c) -> Doc {
+         auto v = token_value(c);
+         if (!v.ok()) return v.status();
+         return ok_doc(c.session().replace_token(c.str("iface"), c.u64("slot", 0), std::move(*v)));
+       }},
+      {"exec", kSession, true, kExecParams,
+       [](const Call& c) -> Doc {
+         if (!c.srv.config_.allow_exec)
+           return refused("exec is disabled on this server");
+         // One interpreter per session, created on first use on the owning shard.
+         HostedSession& hs = *c.target;
+         if (hs.interp == nullptr) hs.interp = std::make_unique<cli::Interpreter>(*hs.session);
+         Status s = hs.interp->execute(c.str("line"));
+         JsonWriter w;
+         w.begin_object().kv("ok", s.ok()).kv("output", hs.interp->console().take());
+         if (!s.ok()) w.kv("error", s.message()).kv("err", to_string(s.code()));
+         return w.end_object().take();
+       }},
+      {"journal", kSession, false, {},
+       [](const Call& c) -> Doc {
+         JsonWriter w;
+         c.target->journal->write_json(w, c.session().app().link_namer());
+         return w.take();
+       }},
+      {"stats", kGlobal, false, kStatsParams, stats},
+      {"info_stats", kGlobal, false, kStatsParams, stats},
+      {"info_shards", kSession, false, {},
+       [](const Call& c) -> Doc { return view_doc(c.session().shard_profile()); }},
+      {"subscribe", kSession, false, kSubscribeParams,
+       [](const Call& c) -> Doc {
+         if (c.client == nullptr)
+           return refused("subscribe requires a socket connection to push to");
+         const int stream = find_stream(c.str("stream"));
+         if (stream < 0)
+           return Status::error(ErrCode::kInvalidArgument, "unknown stream: " + c.str("stream"));
+         Client& client = *c.client;
+         HostedSession& hs = *c.target;
+         client.sub[stream] = hs.id;
+         JsonWriter w;
+         w.begin_object().kv("ok", true).kv("stream", kStreams[stream].name);
+         // The cursor streams tail from "now" by default; an explicit cursor
+         // resumes an earlier read (0 replays the whole retained window).
+         const JsonValue* cursor = c.params.find("cursor");
+         if (stream == kJournal) {
+           client.journal_cursor = cursor != nullptr ? cursor->as_u64() : hs.journal->cursor();
+           w.kv("cursor", client.journal_cursor);
+         } else if (stream == kShardRounds) {
+           client.shard_cursor =
+               cursor != nullptr ? cursor->as_u64() : c.session().app().kernel().round_count();
+           w.kv("cursor", client.shard_cursor);
+         } else if (stream == kFlow) {
+           client.flow_prev.clear();
+         } else if (stream == kStats) {
+           // A fresh snapshot makes the first delta carry the full registry.
+           client.stats_prev = obs::StatsSnapshot{};
+         }
+         return w.kv("session", hs.id).end_object().take();
+       }},
+      {"unsubscribe", kGlobal, false, kUnsubscribeParams,
+       [](const Call& c) -> Doc {
+         if (c.client == nullptr)
+           return refused("unsubscribe requires a socket connection to push to");
+         const std::string& name = c.str("stream");
+         if (name.empty() || name == "all") {
+           c.client->sub.fill(0);  // no stream (or "all") clears every binding
+         } else if (const int stream = find_stream(name); stream >= 0) {
+           c.client->sub[stream] = 0;
+         } else {
+           return Status::error(ErrCode::kInvalidArgument, "unknown stream: " + name);
+         }
+         return std::string("{\"ok\":true}");
+       }},
+      {"session_create", kFleet, false, kCreateParams,
+       [](const Call& c) -> Doc {
+         DebugServer& srv = c.srv;
+         if (!srv.config_.allow_session_create || srv.manager_.factory() == nullptr)
+           return refused("session_create is disabled on this server");
+         if (const JsonValue* q = c.params.find("quota"); q != nullptr)
+           if (Status st = check_params(*q, kQuotaParams); !st.ok()) return st;
+         const int target = static_cast<int>(c.u64("shard", static_cast<std::uint64_t>(c.shard)));
+         if (target < 0 || target >= srv.config_.shards)
+           return Status::error(ErrCode::kInvalidArgument,
+                                strformat("shard %d out of range (0..%d)", target,
+                                          srv.config_.shards - 1));
+         if (target != c.shard) {
+           if (c.client == nullptr)
+             return refused("in-process session_create is pinned to shard 0");
+           c.client->migrate_to = target;  // re-executes on the owning shard
+           return std::string();
+         }
+         auto created = srv.manager_.create(parse_spec(c.params, srv.config_), target, srv.now_ms());
+         if (!created.ok()) return created.status();
+         HostedSession& s = **created;
+         srv.install_stop_observer(s);
+         const bool attach = c.client != nullptr && c.params.bool_or("attach", true);
+         if (attach) {
+           attach_to(c, s);
+           s.sync_stats();
+         }
+         JsonWriter w;
+         w.begin_object().kv("ok", true).kv("attached", attach).key("session");
+         write_session_brief(w, s);
+         return w.end_object().take();
+       }},
+      {"session_attach", kFleet, false, kTargetParams,
+       [](const Call& c) -> Doc {
+         DebugServer& srv = c.srv;
+         Client* client = c.client;
+         if (client == nullptr)
+           return refused("session_attach requires a socket connection");
+         auto target = srv.resolve(c.params, client, c.shard, /*pin_to_shard=*/false);
+         if (!target.ok()) return target.status();
+         HostedSession& s = **target;
+         auto quota_refused = [&]() {
+           obs::Registry::global().counter("server.session.attach_refused").add();
+           return refused(strformat("session '%s' is at its client quota (%d)", s.name.c_str(),
+                                    s.quota.max_clients));
+         };
+         const bool over_quota =
+             client->attached != s.id && s.quota.max_clients > 0 &&
+             s.attached_clients.load(std::memory_order_relaxed) >= s.quota.max_clients;
+         if (s.shard != c.shard) {
+           // Refuse before migrating (best-effort: the count is a cross-shard
+           // atomic read). Migrating first and failing the quota there would
+           // strand the client on a shard where its previous attachment — and
+           // every implicit verb against it — is unusable.
+           if (over_quota) return quota_refused();
+           client->migrate_to = s.shard;  // re-executes on the owning shard
+           return std::string();
+         }
+         if (client->attached != s.id) {
+           if (over_quota) {
+             // Authoritative check (owning shard). If the pre-migration check
+             // passed but this one fails — the quota filled during the move —
+             // the client must not be left here with its working session
+             // elsewhere: send it back to that anchor shard, where the
+             // re-executed frame hits the pre-migration refusal above and
+             // becomes a plain error with the old attachment intact.
+             int anchor = c.shard;
+             if (client->attached != 0) {
+               if (auto prev = srv.manager_.find(client->attached)) anchor = prev->shard;
+             } else if (srv.default_ != nullptr) {
+               anchor = srv.default_->shard;
+             }
+             if (anchor == c.shard) return quota_refused();
+             client->migrate_to = anchor;
+             return std::string();
+           }
+           attach_to(c, s);
+         }
+         s.last_used_ms.store(srv.now_ms(), std::memory_order_relaxed);
+         s.sync_stats();
+         JsonWriter w;
+         w.begin_object().kv("ok", true).key("session");
+         write_session_brief(w, s);
+         return w.end_object().take();
+       }},
+      {"session_detach", kFleet, false, {},
+       [](const Call& c) -> Doc {
+         if (c.client == nullptr)
+           return refused("session_detach requires a socket connection");
+         if (c.client->attached == 0)
+           return refused("not attached to a session");
+         const std::uint64_t prev_id = c.client->attached;
+         c.client->drop_session(prev_id);
+         // A refused post-migration attach can leave the attachment pointing at
+         // another shard's session; drop_attachment stays off its world then.
+         if (auto prev = c.srv.manager_.find(prev_id)) drop_attachment(*prev, c.shard);
+         JsonWriter w;
+         return w.begin_object().kv("ok", true).kv("detached", prev_id).end_object().take();
+       }},
+      {"session_destroy", kFleet, false, kTargetParams,
+       [](const Call& c) -> Doc {
+         DebugServer& srv = c.srv;
+         auto target = srv.resolve(c.params, c.client, c.shard, /*pin_to_shard=*/false);
+         if (!target.ok()) return target.status();
+         HostedSession& s = **target;
+         if (s.is_default)
+           return refused("the default session cannot be destroyed");
+         if (s.shard != c.shard) {
+           if (c.client == nullptr)
+             return refused(strformat("session '%s' is pinned to shard %d; in-process "
+                                      "destroy only reaches shard 0",
+                                      s.name.c_str(), s.shard));
+           c.client->migrate_to = s.shard;  // re-executes on the owning shard
+           return std::string();
+         }
+         const std::uint64_t id = s.id;
+         // Detach every client of this shard that references the session (other
+         // shards cannot: bindings are same-shard and cross-shard attachments
+         // resolve to errors afterwards).
+         for (auto& cp : srv.shards_[static_cast<std::size_t>(c.shard)]->clients) {
+           if (cp->attached == id) s.attached_clients.fetch_sub(1, std::memory_order_relaxed);
+           cp->drop_session(id);
+         }
+         if (Status st = srv.manager_.destroy(id); !st.ok()) return st;
+         JsonWriter w;
+         return w.begin_object().kv("ok", true).kv("destroyed", id).end_object().take();
+       }},
+      {"session_list", kFleet, false, {},
+       [](const Call& c) -> Doc {
+         const std::uint64_t now = c.srv.now_ms();
+         std::vector<SessionManager::ListEntry> entries = c.srv.manager_.list();
+         JsonWriter w;
+         w.begin_object().kv("count", static_cast<std::uint64_t>(entries.size()));
+         w.key("sessions").begin_array();
+         for (const auto& e : entries) {
+           w.begin_object()
+               .kv("id", e.id)
+               .kv("name", e.name)
+               .kv("rig", e.rig)
+               .kv("shard", static_cast<std::uint64_t>(e.shard))
+               .kv("default", e.is_default)
+               .kv("clients", e.clients)
+               .kv("requests", e.requests)
+               .kv("journal_events", e.journal_events)
+               .kv("last_token", e.last_token)
+               .kv("idle_ms", now > e.last_used_ms ? now - e.last_used_ms : 0);
+           w.key("quota")
+               .begin_object()
+               .kv("journal_capacity", static_cast<std::uint64_t>(e.quota.journal_capacity))
+               .kv("max_clients", static_cast<std::uint64_t>(e.quota.max_clients))
+               .kv("token_budget", e.quota.token_budget)
+               .kv("idle_timeout_ms", e.quota.idle_timeout_ms)
+               .end_object();
+           w.end_object();
+         }
+         return w.end_array().end_object().take();
+       }},
+      {"shutdown", kGlobal, false, {},
+       [](const Call& c) -> Doc {
+         c.srv.request_shutdown();
+         return std::string("{\"ok\":true,\"shutdown\":true}");
+       }},
+  };
+  return kTable;
 }
 
 }  // namespace dfdbg::server

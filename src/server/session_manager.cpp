@@ -225,7 +225,6 @@ std::vector<SessionManager::ListEntry> SessionManager::list() {
     e.rig = s->rig;
     e.shard = s->shard;
     e.is_default = s->is_default;
-    e.owned = s->world != nullptr;
     e.quota = s->quota;
     e.requests = s->stat_requests.load(std::memory_order_relaxed);
     e.journal_events = s->stat_journal_events.load(std::memory_order_relaxed);

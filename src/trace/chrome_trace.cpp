@@ -149,10 +149,7 @@ std::string export_chrome_trace(const TraceCollector& trace, pedf::Application& 
   std::map<std::uint32_t, std::int64_t> occupancy;  // link id -> tokens (window-relative)
   sim::SimTime last_ts = 0;
 
-  auto link_label = [&app](std::uint32_t link_id) {
-    pedf::Link* l = app.link_by_id(pedf::LinkId(link_id));
-    return l != nullptr ? l->name() : strformat("link#%u", link_id);
-  };
+  const auto link_label = app.link_namer();
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& ev = events.at(i);
@@ -264,10 +261,7 @@ std::string export_journal_chrome_trace(const obs::Journal& journal, pedf::Appli
                      tids.lookup(track), json_escape(track).c_str()));
   }
 
-  auto link_label = [&app](std::uint32_t link_id) {
-    pedf::Link* l = app.link_by_id(pedf::LinkId(link_id));
-    return l != nullptr ? l->name() : strformat("link#%u", link_id);
-  };
+  const auto link_label = app.link_namer();
 
   std::map<int, std::vector<std::pair<const char*, std::uint64_t>>> open_slices;
   std::map<std::uint32_t, std::int64_t> occupancy;

@@ -154,9 +154,9 @@ std::string render_timeline_svg(const TraceCollector& trace, pedf::Application& 
   }
 
   // Occupancy curves of the busiest links.
+  const auto link_name = app.link_namer();
   for (auto& [peak, link] : busiest) {
-    pedf::Link* l = app.link_by_id(pedf::LinkId(link));
-    std::string name = l != nullptr ? l->name() : strformat("link %u", link);
+    const std::string name = link_name(link);
     svg << strformat("<text x=\"4\" y=\"%d\" fill=\"#222\">occ: %s</text>\n", y + 12,
                      escape(name.substr(0, 24)).c_str());
     const auto& deltas = occ_delta[link];

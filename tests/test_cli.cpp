@@ -2,6 +2,9 @@
 // output, value/expression handling, auto-completion, error reporting.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "dfdbg/common/strings.hpp"
 #include "dfdbg/dbgcli/cli.hpp"
 #include "dfdbg/h264/app.hpp"
@@ -398,7 +401,84 @@ TEST(Cli, ExportJsonState) {
   EXPECT_EQ(brackets, 0);
 }
 
+// `save` keeps the setup a session was built with, not the questions asked
+// of it.
+TEST(Cli, SaveSkipsQueries) {
+  CliRig rig;
+  rig.exec("filter pipe catch work");
+  rig.exec("iface hwcfg::pipe_MbType_out record");
+  for (const char* query : {"iface hwcfg::pipe_MbType_out tokens", "iface hwcfg::pipe_MbType_out print",
+                            "filter pipe info", "filter pipe info last_token", "info links",
+                            "info breakpoints", "info sched pred"})
+    EXPECT_TRUE(rig.gdb->execute(query).ok()) << query;
+  EXPECT_EQ(rig.gdb->replayable(),
+            (std::vector<std::string>{"filter pipe catch work", "iface hwcfg::pipe_MbType_out record"}));
+}
+
+// Every sub-verb the table declares reaches its verb's handler (an error there
+// is a usage or lookup error, never "unknown <verb> verb|topic").
+TEST(Cli, EverySubVerbDispatches) {
+  CliRig rig;
+  for (const Verb& v : Interpreter::verbs()) {
+    if (v.word != "filter" && v.word != "iface" && v.word != "info") continue;
+    for (const SubVerb& sub : v.subs) {
+      std::string line(v.word);
+      if (sub.at == 1) line += v.word == "filter" ? " pipe" : " hwcfg::pipe_MbType_out";
+      line += " " + std::string(sub.word);
+      rig.gdb->execute(line);
+      EXPECT_EQ(rig.gdb->console().take().find("unknown " + std::string(v.word)), std::string::npos)
+          << line;
+    }
+  }
+}
+
+// docs/COMMANDS.md documents every word the interpreter dispatches.
+TEST(Cli, CommandsDocNamesEveryWord) {
+  std::ifstream in(std::string(DFDBG_SOURCE_DIR) + "/docs/COMMANDS.md");
+  ASSERT_TRUE(in.good());
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string doc = buf.str();
+  for (const Verb& v : Interpreter::verbs()) {
+    for (std::string_view word : {v.word, v.alias}) {
+      if (word.empty()) continue;
+      const std::string w(word);
+      EXPECT_TRUE(doc.find("`" + w + "`") != std::string::npos ||
+                  doc.find("`" + w + " ") != std::string::npos)
+          << w << " is not in docs/COMMANDS.md";
+    }
+  }
+}
+
 // --- auto-completion (paper Contribution #1's UX) ------------------------------
+
+TEST(CliCompletion, EveryWordCompletesFromEmpty) {
+  CliRig rig;
+  const std::vector<std::string> all = rig.gdb->complete("");
+  for (const Verb& v : Interpreter::verbs()) {
+    for (std::string_view word : {v.word, v.alias}) {
+      if (word.empty()) continue;
+      EXPECT_NE(std::find(all.begin(), all.end(), word), all.end()) << word;
+    }
+  }
+}
+
+TEST(CliCompletion, EverySubVerbCompletes) {
+  CliRig rig;
+  for (const Verb& v : Interpreter::verbs()) {
+    for (const SubVerb& sub : v.subs) {
+      std::string line(v.word);
+      if (sub.at == 1)
+        line += v.operand == Operand::kIface ? " hwcfg::pipe_MbType_out"
+                                             : (v.operand == Operand::kFilter ? " pipe" : " pred");
+      line += " ";
+      auto c = rig.gdb->complete(line);
+      EXPECT_NE(std::find(c.begin(), c.end(), sub.word), c.end()) << line << "| " << sub.word;
+    }
+  }
+  auto c = rig.gdb->complete("iface hwcfg::pipe_MbType_out ");
+  EXPECT_NE(std::find(c.begin(), c.end(), "tokens"), c.end());
+}
 
 TEST(CliCompletion, CommandPrefix) {
   CliRig rig;

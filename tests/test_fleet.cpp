@@ -153,6 +153,44 @@ TEST(FleetVerbs, CreateErrors) {
             std::string::npos);
 }
 
+// An unknown method is rejected before any session is resolved: a fleet-only
+// host with nothing attached, or a `session` that names nothing, still
+// answers -32601.
+TEST(FleetVerbs, UnknownMethodRejectedBeforeSessionLookup) {
+  FleetRig rig;
+  auto code = [&](const std::string& frame) {
+    JsonValue doc = rig.parse(rig.server->handle_frame(frame));
+    const JsonValue* e = doc.find("error");
+    EXPECT_NE(e, nullptr) << doc.dump();
+    return e != nullptr ? e->find("code")->as_i64() : 0;
+  };
+  EXPECT_EQ(code(R"({"jsonrpc":"2.0","id":1,"method":"bogus"})"), kErrMethodNotFound);
+  EXPECT_EQ(code(R"({"jsonrpc":"2.0","id":2,"method":"bogus","params":{"session":"nope"}})"),
+            kErrMethodNotFound);
+}
+
+// A bogus call names no verb of the session it targets: it is not counted as
+// one of that session's requests and does not refresh its idle clock, so a
+// client sending garbage cannot keep a session from idle eviction.
+TEST(FleetVerbs, UnknownMethodLeavesTargetSessionIdle) {
+  FleetRig rig;
+  std::string spec = tiny_wide("quiet");
+  spec.insert(spec.size() - 1, R"(,"quota":{"idle_timeout_ms":5})");
+  ASSERT_NE(rig.create(spec), 0u);
+  auto hs = rig.server->sessions().find(std::string("quiet"));
+  ASSERT_NE(hs, nullptr);
+  constexpr std::uint64_t kNeverUsed = ~0ULL;
+  hs->last_used_ms.store(kNeverUsed);
+  for (int i = 0; i < 6; ++i)
+    rig.error_message(R"({"jsonrpc":"2.0","id":1,"method":"bogus","params":{"session":"quiet"}})");
+  EXPECT_EQ(hs->last_used_ms.load(), kNeverUsed);
+  JsonValue list = rig.result(R"({"jsonrpc":"2.0","id":2,"method":"session_list"})");
+  const JsonValue* sessions = list.find("sessions");
+  ASSERT_NE(sessions, nullptr);
+  ASSERT_EQ(sessions->size(), 1u);
+  EXPECT_EQ(sessions->at(0).u64_or("requests", 99), 0u) << list.dump();
+}
+
 TEST(FleetVerbs, CreateGateRespected) {
   ServerConfig scfg;
   scfg.allow_session_create = false;

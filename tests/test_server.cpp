@@ -237,6 +237,92 @@ TEST(ServerProtocol, GoldenTranscript) {
          "intentional, regenerate with DFDBG_REGEN_GOLDEN=1 and update docs/PROTOCOL.md";
 }
 
+/// The request lines of a golden transcript.
+std::vector<std::string> golden_requests(const char* name) {
+  std::ifstream in(std::string(DFDBG_SOURCE_DIR) + "/tests/golden/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::vector<std::string> out;
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("--> ", 0) == 0) out.push_back(line.substr(4));
+  return out;
+}
+
+/// One sample of each JSON type a param can be given.
+struct TypedSample {
+  const char* json;
+  bool (*is)(const JsonValue&);
+};
+const TypedSample kSamples[] = {
+    {R"("1")", [](const JsonValue& v) { return v.is_string(); }},
+    {"1", [](const JsonValue& v) { return v.is_unsigned(); }},
+    {"-1", [](const JsonValue& v) { return v.is_number() && v.as_i64() < 0; }},
+    {"1.5", [](const JsonValue& v) { return v.is_number() && !v.is_unsigned() && v.as_i64() >= 0; }},
+    {"false", [](const JsonValue& v) { return v.is_bool(); }},
+    {"null", [](const JsonValue& v) { return v.is_null(); }},
+    {"[1]", [](const JsonValue& v) { return v.is_array(); }},
+    {R"({"a":1})", [](const JsonValue& v) { return v.is_object(); }},
+};
+
+// Every param of every golden request, re-sent as each other JSON type, is
+// refused with -32602 and changes nothing; so is a `params` that is not an
+// object. Read as a default or a magnitude instead, `"id":"1"` or `"id":-1`
+// would delete the wrong breakpoint.
+TEST(ServerProtocol, IllTypedParamsAreRefused) {
+  Rig rig;
+  ASSERT_TRUE(rig.session->catch_work("pipe").ok());  // breakpoint 0
+  ASSERT_TRUE(rig.session->catch_work("ipred").ok());  // breakpoint 1
+  const std::string list = R"({"id":0,"method":"breakpoints"})";
+  const std::string before = rig.server->handle_frame(list);
+  int sent = 0;
+  for (const std::string& request : golden_requests("server_protocol.txt")) {
+    auto doc = JsonValue::parse(request);
+    if (!doc.ok() || !doc->is_object() || doc->find("params") == nullptr) continue;
+    const JsonValue& params = *doc->find("params");
+    auto frame = [&](const std::string& params_json) {
+      return R"({"jsonrpc":"2.0","id":7,"method":)" + json_quote(doc->str_or("method")) +
+             R"(,"params":)" + params_json + "}";
+    };
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      for (const TypedSample& sample : kSamples) {
+        if (sample.is(params.at(k))) continue;
+        JsonWriter w;
+        w.begin_object();
+        for (std::size_t i = 0; i < params.size(); ++i)
+          w.key(params.key_at(i)).raw(i == k ? sample.json : params.at(i).dump());
+        const std::string mutated = frame(w.end_object().take());
+        EXPECT_EQ(rig.error_code(mutated), kErrInvalidParams) << mutated;
+        EXPECT_EQ(rig.server->handle_frame(list), before) << "changed by " << mutated;
+        ++sent;
+      }
+    }
+    for (const char* not_an_object : {"[]", R"("x")", "1", "null"})
+      EXPECT_EQ(rig.error_code(frame(not_an_object)), kErrInvalidParams) << request;
+  }
+  EXPECT_GE(sent, 50);
+  // Breakpoint ids are 32-bit: 2^32 is no id, not breakpoint 0.
+  EXPECT_EQ(rig.error_code(R"({"id":8,"method":"delete_breakpoint","params":{"id":4294967296}})"),
+            kErrInvalidParams);
+  EXPECT_EQ(rig.server->handle_frame(list), before);
+}
+
+// The method table is the protocol's catalogue: docs/PROTOCOL.md names every
+// method and stream `capabilities` advertises.
+TEST(ServerProtocol, ProtocolDocNamesEveryMethodAndStream) {
+  Rig rig;
+  std::ifstream in(std::string(DFDBG_SOURCE_DIR) + "/docs/PROTOCOL.md");
+  ASSERT_TRUE(in.good());
+  std::stringstream doc;
+  doc << in.rdbuf();
+  JsonValue caps = rig.result(R"({"id":1,"method":"capabilities"})");
+  for (const char* list : {"methods", "streams"}) {
+    const JsonValue* names = caps.find(list);
+    ASSERT_NE(names, nullptr);
+    for (std::size_t i = 0; i < names->size(); ++i)
+      EXPECT_NE(doc.str().find("`" + names->at(i).as_string() + "`"), std::string::npos)
+          << names->at(i).as_string() << " is not in docs/PROTOCOL.md";
+  }
+}
+
 // --- structured results vs CLI text: two views over one API -----------------
 
 TEST(ServerEquivalence, StructuredMatchesCliOnH264Session) {
