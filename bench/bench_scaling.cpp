@@ -453,11 +453,13 @@ BENCHMARK(BM_AttachedHotPath)->Unit(benchmark::kMillisecond);
 // or under a Session with nothing armed (Arg 1), obs off; Arg 2 is Arg 1
 // with obs on and the process-wide journal recording, the state every CLI
 // session runs in, so /2 - /1 is the per-decode cost of the instruments and
-// the journal. allocs_per_push is heap allocations over the run per link
-// push (scripts/check_build.sh fails if /2 exceeds /1 by more than 0.001:
-// turning obs on must add no allocation per event); wide_per_push is the
-// share of pushes whose payload is wider than Value's inline words, each of
-// which the mirror snapshots with one allocation.
+// the journal. Only the run is timed: the encode and build, the attach and
+// start, the checks and the teardown are paused out, so the difference is
+// not buried under the ~0.3 s encode. allocs_per_push is heap allocations
+// over the run per link push (scripts/check_build.sh fails if /2 exceeds /1
+// by more than 0.001: turning obs on must add no allocation per event);
+// wide_per_push is the share of pushes whose payload is wider than Value's
+// inline words, each of which the mirror snapshots with one allocation.
 void BM_AttachedDecode(benchmark::State& state) {
   const bool attach = state.range(0) != 0;
   const bool obs_on = state.range(0) == 2;
@@ -473,6 +475,7 @@ void BM_AttachedDecode(benchmark::State& state) {
   obs::set_enabled(obs_on);
   obs::Journal::global().set_recording(true);
   for (auto _ : state) {
+    state.PauseTiming();
     auto built = h264::H264App::build(cfg);
     DFDBG_CHECK_MSG(built.ok(), built.status().message());
     h264::H264App& app = **built;
@@ -482,6 +485,7 @@ void BM_AttachedDecode(benchmark::State& state) {
       session->attach();
     }
     app.start();
+    state.ResumeTiming();
     {
       AllocWindow window;
       if (session != nullptr) {
@@ -492,6 +496,7 @@ void BM_AttachedDecode(benchmark::State& state) {
       }
       allocs += AllocWindow::count();
     }
+    state.PauseTiming();
     DFDBG_CHECK(app.decoded_matches_golden());
     for (const auto& l : app.app().links()) {
       pushes += l->push_index();
@@ -499,6 +504,9 @@ void BM_AttachedDecode(benchmark::State& state) {
       if (st != nullptr && st->fields().size() > pedf::Value::kInlineFields)
         wide += l->push_index();
     }
+    session.reset();
+    built->reset();
+    state.ResumeTiming();
   }
   obs::set_enabled(saved_obs);
   const double p = static_cast<double>(pushes);
@@ -509,6 +517,62 @@ void BM_AttachedDecode(benchmark::State& state) {
   state.counters["wide_per_push"] = pushes > 0 ? static_cast<double>(wide) / p : 0;
 }
 BENCHMARK(BM_AttachedDecode)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// One flight-recorder record against the bare store it performs. Arg 0 copies
+// each 48-byte event into a plain array ring of the journal's capacity; Arg 1
+// calls Journal::record with obs on, which gates, stores and adds to the
+// journal's own recorded/dropped totals. Both rings are small enough to stay
+// in cache and lap many times, so each variant measures its steady state:
+// ns_per_record is wall time per event.
+void BM_JournalRecord(benchmark::State& state) {
+  constexpr std::size_t kCapacity = 4096;
+  constexpr std::size_t kBurst = 1024;  // records per iteration
+  const bool journal = state.range(0) != 0;
+  const bool saved_obs = obs::enabled();
+  obs::set_enabled(true);
+  obs::Journal j(kCapacity);
+  std::vector<obs::JournalEvent> bare(kCapacity);
+  std::size_t pos = 0;
+  obs::JournalEvent proto;
+  proto.kind = obs::JournalKind::kTokenPush;
+  proto.link = 3;
+  proto.actor = 7;
+  std::uint64_t records = 0;
+  double secs = 0.0;
+  for (auto _ : state) {
+    secs += benchutil::time_s([&] {
+      if (journal) {
+        obs::JournalEvent ev = proto;
+        for (std::size_t i = 0; i < kBurst; ++i) {
+          ev.token = records + i;
+          j.record(ev);
+        }
+      } else {
+        // Field by field into the slot: copying a stack event whose token
+        // was just stored would stall on store forwarding and inflate the
+        // reference.
+        for (std::size_t i = 0; i < kBurst; ++i) {
+          obs::JournalEvent& e = bare[pos];
+          e.time = proto.time;
+          e.token = records + i;
+          e.index = proto.index;
+          e.firing = proto.firing;
+          e.link = proto.link;
+          e.actor = proto.actor;
+          e.kind = proto.kind;
+          if (++pos == kCapacity) pos = 0;
+        }
+      }
+      benchmark::ClobberMemory();
+    });
+    records += kBurst;
+  }
+  obs::set_enabled(saved_obs);
+  state.SetLabel(journal ? "Journal::record" : "bare ring store");
+  state.counters["ns_per_record"] = records > 0 ? secs * 1e9 / static_cast<double>(records) : 0;
+  state.counters["journal_retained"] = static_cast<double>(j.size());
+}
+BENCHMARK(BM_JournalRecord)->Arg(0)->Arg(1);
 
 // --- parallel backend scaling -----------------------------------------------
 

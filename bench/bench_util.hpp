@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -141,6 +143,8 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
     return out;
   }
   static std::string format_double(double v) {
+    // JSON has no NaN or infinity: a cv of an all-zero counter is 0/0.
+    if (!std::isfinite(v)) return "null";
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.6g", v);
     return buf;

@@ -457,6 +457,15 @@ on = rows["BM_AttachedDecode/2"]["counters"]["allocs_per_push"]
 assert on - off <= 0.001, f"BM_AttachedDecode/2 allocs_per_push {on} exceeds /1 {off} by > 0.001"
 print(f"ok: BM_AttachedDecode allocs_per_push obs on {on:.6f} vs off {off:.6f} (<= +0.001)")' \
       || { echo "FAIL: obs-on decode allocates per event"; exit 1; }
+    # A journal record next to the bare ring store it performs: both rows
+    # must be there; the ratio is printed, not gated (timing is host noise).
+    printf '%s\n' "$out" | sed -n 's/^BENCH_JSON //p' | python3 -c 'import json,sys
+rows = {r["name"]: r for r in map(json.loads, sys.stdin)}
+bare = rows["BM_JournalRecord/0"]["counters"]["ns_per_record"]
+rec = rows["BM_JournalRecord/1"]["counters"]["ns_per_record"]
+assert bare > 0 and rec > 0, (bare, rec)
+print(f"ok: BM_JournalRecord {rec:.2f} ns/record vs bare store {bare:.2f} ns ({rec / bare:.2f}x, not gated)")' \
+      || { echo "FAIL: BM_JournalRecord rows missing"; exit 1; }
   fi
   echo "ok: $name ($lines BENCH_JSON lines)"
 done

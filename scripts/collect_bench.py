@@ -7,15 +7,18 @@ measurement through the shared JsonLineReporter:
     BENCH_JSON {"name":"BM_JournalOverhead/1","backend":"fibers",...}
 
 This script sweeps the built binaries, scrapes those lines, and writes one
-aggregate document (default: BENCH_PR10.json at the repository root) so a PR
-can commit its measured numbers alongside the code that produced them.
+aggregate document to --out so a change can commit its measured numbers
+alongside the code that produced them. With --repetitions N every benchmark
+runs N times and only its median row (the reporter's "aggregate":"median"
+line) is stored.
 
 Standard library only; no third-party dependencies.
 
 Usage:
-    scripts/collect_bench.py                       # all benches, quick pass
-    scripts/collect_bench.py --min-time 0.5        # steadier numbers
-    scripts/collect_bench.py --only ov1 --out /tmp/ov1.json
+    scripts/collect_bench.py --out /tmp/all.json               # quick pass
+    scripts/collect_bench.py --min-time 0.5 --out BENCH_PR<n>.json
+    scripts/collect_bench.py --only scaling --filter BM_JournalRecord \
+        --repetitions 5 --out /tmp/journal.json
 """
 
 import argparse
@@ -46,15 +49,20 @@ def scrape_bench_json(stdout):
     return records
 
 
-def run_bench(path, min_time, bench_filter, timeout):
+def run_bench(path, min_time, bench_filter, repetitions, timeout):
     argv = [path, f"--benchmark_min_time={min_time}", "--benchmark_color=false"]
     if bench_filter:
         argv.append(f"--benchmark_filter={bench_filter}")
+    if repetitions > 1:
+        argv.append(f"--benchmark_repetitions={repetitions}")
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
     if proc.returncode != 0:
         raise RuntimeError(
             f"{os.path.basename(path)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return scrape_bench_json(proc.stdout)
+    records = scrape_bench_json(proc.stdout)
+    if repetitions > 1:
+        records = [r for r in records if r.get("aggregate") == "median"]
+    return records
 
 
 def main():
@@ -62,14 +70,17 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", default=os.path.join(repo, "build"),
                     help="CMake build tree holding bench/bench_* (default: build)")
-    ap.add_argument("--out", default=os.path.join(repo, "BENCH_PR10.json"),
-                    help="aggregate output path (default: BENCH_PR10.json)")
+    ap.add_argument("--out", required=True,
+                    help="aggregate output path, e.g. BENCH_PR<n>.json")
     ap.add_argument("--min-time", type=float, default=0.05,
                     help="google-benchmark --benchmark_min_time per bench (s)")
     ap.add_argument("--only", default=None,
                     help="only run binaries whose name contains this substring")
     ap.add_argument("--filter", default=None,
                     help="forwarded as --benchmark_filter to every binary")
+    ap.add_argument("--repetitions", type=int, default=1,
+                    help="forwarded as --benchmark_repetitions; above 1, only "
+                         "each benchmark's median row is stored")
     ap.add_argument("--timeout", type=float, default=600.0,
                     help="per-binary timeout (s)")
     args = ap.parse_args()
@@ -86,6 +97,7 @@ def main():
     aggregate = {
         "generated_by": "scripts/collect_bench.py",
         "min_time_s": args.min_time,
+        "repetitions": args.repetitions,
         "benchmarks": {},
     }
     failures = 0
@@ -93,7 +105,8 @@ def main():
         name = os.path.basename(bench)
         print(f"== {name} ==", flush=True)
         try:
-            records = run_bench(bench, args.min_time, args.filter, args.timeout)
+            records = run_bench(bench, args.min_time, args.filter, args.repetitions,
+                                args.timeout)
         except Exception as e:  # noqa: BLE001 - report and keep sweeping
             print(f"   FAIL: {e}", file=sys.stderr)
             failures += 1

@@ -3,7 +3,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +46,11 @@ bool starts_with(std::string_view s, std::string_view prefix);
 
 /// True if `s` ends with `suffix`.
 bool ends_with(std::string_view s, std::string_view suffix);
+
+/// All of `text` as an unsigned integer, read as strtoull reads base 0
+/// (decimal, 0x hex, leading-0 octal). Nullopt for empty text, a sign or
+/// leading space, trailing characters, or a value above `max`.
+std::optional<std::uint64_t> parse_uint(std::string_view text, std::uint64_t max = UINT64_MAX);
 
 /// Lower-cases ASCII letters.
 std::string to_lower(std::string_view s);

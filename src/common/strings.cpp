@@ -1,8 +1,10 @@
 #include "dfdbg/common/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace dfdbg {
 
@@ -45,6 +47,16 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     out.append(parts[i]);
   }
   return out;
+}
+
+std::optional<std::uint64_t> parse_uint(std::string_view text, std::uint64_t max) {
+  if (text.empty() || text.front() < '0' || text.front() > '9') return std::nullopt;
+  const std::string buf(text);  // strtoull wants a terminated string
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(buf.c_str(), &end, 0);
+  if (errno == ERANGE || end != buf.c_str() + buf.size() || v > max) return std::nullopt;
+  return v;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

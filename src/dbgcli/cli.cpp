@@ -1,9 +1,11 @@
 #include "dfdbg/dbgcli/cli.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -85,6 +87,22 @@ Status invalid(std::string message) {
   return Status::error(ErrCode::kInvalidArgument, std::move(message));
 }
 
+/// A numeric operand: all of `text` as an unsigned number (decimal, 0x hex,
+/// leading-0 octal) no larger than `max`, else kInvalidArgument naming
+/// `what` — so `delete xyz` is refused instead of deleting breakpoint 0.
+Result<std::uint64_t> number(const char* what, const std::string& text,
+                             std::uint64_t max = UINT64_MAX) {
+  if (std::optional<std::uint64_t> v = parse_uint(text, max)) return *v;
+  return invalid(strformat("malformed %s: %s", what, text.c_str()));
+}
+
+/// A breakpoint id operand.
+Result<BpId> bp_id(const std::string& text) {
+  auto id = number("breakpoint id", text, UINT32_MAX);
+  if (!id.ok()) return id.status();
+  return BpId(static_cast<std::uint32_t>(*id));
+}
+
 }  // namespace
 
 Status Interpreter::execute(const std::string& line) {
@@ -164,7 +182,11 @@ void Interpreter::report_outcome(const dbg::RunOutcome& outcome) {
 // `run` and `continue` share semantics on a live kernel.
 Status Interpreter::cmd_run(const std::vector<std::string>& args) {
   sim::SimTime until = sim::kMaxSimTime;
-  if (!args.empty()) until = std::strtoull(args[0].c_str(), nullptr, 0);
+  if (!args.empty()) {
+    auto t = number("time", args[0]);
+    if (!t.ok()) return t.status();
+    until = *t;
+  }
   report_outcome(session_.run(until));
   return Status{};
 }
@@ -176,9 +198,11 @@ Status Interpreter::cmd_step(const std::vector<std::string>&) {
 
 Status Interpreter::cmd_ignore(const std::vector<std::string>& args) {
   if (args.size() < 2) return invalid("usage: ignore <bp-id> <count>");
-  return session_.set_breakpoint_ignore(
-      dbg::BpId(static_cast<std::uint32_t>(std::strtoul(args[0].c_str(), nullptr, 0))),
-      std::strtoull(args[1].c_str(), nullptr, 0));
+  auto id = bp_id(args[0]);
+  if (!id.ok()) return id.status();
+  auto count = number("count", args[1]);
+  if (!count.ok()) return count.status();
+  return session_.set_breakpoint_ignore(*id, *count);
 }
 
 Status Interpreter::cmd_unfocus(const std::vector<std::string>&) {
@@ -247,12 +271,13 @@ Status Interpreter::cmd_filter(const std::vector<std::string>& args) {
       auto eq = part.find('=');
       if (eq == std::string::npos) return invalid("malformed catch condition: " + part);
       std::string port = part.substr(0, eq);
-      std::uint64_t n = std::strtoull(part.c_str() + eq + 1, nullptr, 0);
+      auto n = number("count", part.substr(eq + 1));
+      if (!n.ok()) return n.status();
       if (port == "*in") {
         all_inputs = true;
-        all_count = n;
+        all_count = *n;
       } else {
-        counts.emplace_back(port, n);
+        counts.emplace_back(port, *n);
       }
     }
     return report(all_inputs ? session_.catch_all_inputs(name, all_count)
@@ -289,7 +314,11 @@ Status Interpreter::cmd_iface(const std::vector<std::string>& args) {
     std::size_t bound = 256;
     if (args.size() >= 3 && args[2] == "bounded") {
       policy = RecordPolicy::kBounded;
-      if (args.size() >= 4) bound = std::strtoull(args[3].c_str(), nullptr, 0);
+      if (args.size() >= 4) {
+        auto n = number("bound", args[3], SIZE_MAX);
+        if (!n.ok()) return n.status();
+        bound = *n;
+      }
     }
     if (Status s = session_.record_iface(iface, policy, bound); !s.ok()) return s;
     return println_ok("Recording tokens on `" + iface + "'");
@@ -298,9 +327,11 @@ Status Interpreter::cmd_iface(const std::vector<std::string>& args) {
   if (verb == "tokens") return print_ok(render_or_error(session_.link_tokens_view(iface)));
   if (verb == "catch") {
     if (args.size() >= 4 && args[2] == "occupancy") {
-      std::size_t threshold = std::strtoull(args[3].c_str(), nullptr, 0);
-      return report(session_.break_on_occupancy(iface, threshold), "Catchpoint",
-                    strformat(": stop when `%s' holds >= %zu tokens", iface.c_str(), threshold));
+      auto threshold = number("occupancy", args[3], SIZE_MAX);
+      if (!threshold.ok()) return threshold.status();
+      return report(session_.break_on_occupancy(iface, *threshold), "Catchpoint",
+                    strformat(": stop when `%s' holds >= %zu tokens", iface.c_str(),
+                              static_cast<std::size_t>(*threshold)));
     }
     if (args.size() >= 4 && args[2] == "from") {
       return report(session_.catch_token_from(iface, args[3]), "Catchpoint",
@@ -336,9 +367,10 @@ Status Interpreter::cmd_break(const std::vector<std::string>& args) {
   auto colon = args[0].find(':');
   if (colon == std::string::npos) return invalid("usage: break <filter>:<line>");
   std::string filter = args[0].substr(0, colon);
-  int line = std::atoi(args[0].c_str() + colon + 1);
-  return report(session_.break_source_line(filter, line), "Breakpoint",
-                strformat(" at %s:%d", filter.c_str(), line));
+  auto line = number("line", args[0].substr(colon + 1), INT_MAX);
+  if (!line.ok()) return line.status();
+  return report(session_.break_source_line(filter, static_cast<int>(*line)), "Breakpoint",
+                strformat(" at %s:%d", filter.c_str(), static_cast<int>(*line)));
 }
 
 Status Interpreter::cmd_watch(const std::vector<std::string>& args) {
@@ -353,8 +385,13 @@ Status Interpreter::cmd_list(const std::vector<std::string>& args) {
     if (cur.empty()) return invalid("usage: list <filter> [line]");
     return print_ok(session_.list_source(cur));
   }
-  int line = args.size() >= 2 ? std::atoi(args[1].c_str()) : 0;
-  return print_ok(session_.list_source(args[0], line));
+  std::uint64_t line = 0;
+  if (args.size() >= 2) {
+    auto n = number("line", args[1], INT_MAX);
+    if (!n.ok()) return n.status();
+    line = *n;
+  }
+  return print_ok(session_.list_source(args[0], static_cast<int>(line)));
 }
 
 Status Interpreter::cmd_print(const std::vector<std::string>& args) {
@@ -471,25 +508,30 @@ Status Interpreter::cmd_tok(const std::vector<std::string>& args) {
   }
   if (verb == "del") {
     if (args.size() < 3) return invalid("usage: tok del <iface> <idx>");
-    std::size_t idx = std::strtoull(args[2].c_str(), nullptr, 0);
-    if (Status s = session_.remove_token(iface, idx); !s.ok()) return s;
-    return println_ok(strformat("Token %zu deleted from `%s'", idx, iface.c_str()));
+    auto idx = number("slot", args[2], SIZE_MAX);
+    if (!idx.ok()) return idx.status();
+    if (Status s = session_.remove_token(iface, *idx); !s.ok()) return s;
+    return println_ok(strformat("Token %zu deleted from `%s'", static_cast<std::size_t>(*idx),
+                                iface.c_str()));
   }
   if (verb == "set") {
     if (args.size() < 4) return invalid("usage: tok set <iface> <idx> <value>");
-    std::size_t idx = std::strtoull(args[2].c_str(), nullptr, 0);
+    auto idx = number("slot", args[2], SIZE_MAX);
+    if (!idx.ok()) return idx.status();
     auto v = parse_value(**type, args[3]);
     if (!v.ok()) return v.status();
-    if (Status s = session_.replace_token(iface, idx, std::move(*v)); !s.ok()) return s;
-    return println_ok(strformat("Token %zu of `%s' modified", idx, iface.c_str()));
+    if (Status s = session_.replace_token(iface, *idx, std::move(*v)); !s.ok()) return s;
+    return println_ok(strformat("Token %zu of `%s' modified", static_cast<std::size_t>(*idx),
+                                iface.c_str()));
   }
   return invalid("unknown tok verb: " + verb);
 }
 
 Status Interpreter::cmd_delete(const std::vector<std::string>& args) {
   if (args.empty()) return invalid("usage: delete <bp-id>");
-  return session_.delete_breakpoint(
-      BpId(static_cast<std::uint32_t>(std::strtoul(args[0].c_str(), nullptr, 0))));
+  auto id = bp_id(args[0]);
+  if (!id.ok()) return id.status();
+  return session_.delete_breakpoint(*id);
 }
 
 Status Interpreter::set_enabled(const std::vector<std::string>& args, bool enable) {
@@ -499,8 +541,9 @@ Status Interpreter::set_enabled(const std::vector<std::string>& args, bool enabl
     return println_ok(std::string("[Data-exchange breakpoints ") +
                       (enable ? "enabled]" : "disabled]"));
   }
-  return session_.set_breakpoint_enabled(
-      BpId(static_cast<std::uint32_t>(std::strtoul(args[0].c_str(), nullptr, 0))), enable);
+  auto id = bp_id(args[0]);
+  if (!id.ok()) return id.status();
+  return session_.set_breakpoint_enabled(*id, enable);
 }
 
 Status Interpreter::cmd_focus(const std::vector<std::string>& args) {
@@ -584,8 +627,10 @@ Status Interpreter::cmd_trace(const std::vector<std::string>& args) {
       return Status::error(ErrCode::kFailedPrecondition, "trace collector already attached");
     std::size_t capacity = 65536;
     if (args.size() > 1) {
-      capacity = std::strtoull(args[1].c_str(), nullptr, 0);
-      if (capacity == 0) return invalid("malformed capacity: " + args[1]);
+      auto n = number("capacity", args[1], SIZE_MAX);
+      if (!n.ok()) return n.status();
+      if (*n == 0) return invalid("malformed capacity: " + args[1]);
+      capacity = *n;
     }
     // `trace on` after `trace off` starts a fresh window: the old collector
     // (still readable via `trace stats` / `profile export`) is replaced.
@@ -640,8 +685,10 @@ Status Interpreter::cmd_journal(const std::vector<std::string>& args) {
   if (args[0] == "last") {
     std::size_t n = 20;
     if (args.size() > 1) {
-      n = std::strtoull(args[1].c_str(), nullptr, 0);
-      if (n == 0) return invalid("malformed count: " + args[1]);
+      auto count = number("count", args[1], SIZE_MAX);
+      if (!count.ok()) return count.status();
+      if (*count == 0) return invalid("malformed count: " + args[1]);
+      n = *count;
     }
     return print_ok(j.format_last(n, session_.app().link_namer()));
   }
@@ -672,10 +719,12 @@ Status Interpreter::cmd_journal(const std::vector<std::string>& args) {
   }
   if (args[0] == "capacity") {
     if (args.size() < 2) return invalid("usage: journal capacity <events>");
-    std::size_t cap = std::strtoull(args[1].c_str(), nullptr, 0);
-    if (cap == 0) return invalid("malformed capacity: " + args[1]);
-    j.set_capacity(cap);
-    console_.println(strformat("[Journal capacity set to %zu event(s); window cleared]", cap));
+    auto cap = number("capacity", args[1], SIZE_MAX);
+    if (!cap.ok()) return cap.status();
+    if (*cap == 0) return invalid("malformed capacity: " + args[1]);
+    j.set_capacity(*cap);
+    console_.println(strformat("[Journal capacity set to %zu event(s); window cleared]",
+                               static_cast<std::size_t>(*cap)));
     return Status{};
   }
   if (args[0] == "on" || args[0] == "off") {
@@ -692,9 +741,9 @@ Status Interpreter::cmd_journal(const std::vector<std::string>& args) {
     // tail (from "now" on first use); `journal tail <cursor>` resumes an
     // explicit position (0 = oldest retained, reporting what was lost).
     if (args.size() > 1) {
-      char* end = nullptr;
-      journal_cursor_ = std::strtoull(args[1].c_str(), &end, 0);
-      if (end == args[1].c_str()) return invalid("malformed cursor: " + args[1]);
+      auto cursor = number("cursor", args[1]);
+      if (!cursor.ok()) return cursor.status();
+      journal_cursor_ = *cursor;
     } else if (!journal_tailing_) {
       journal_cursor_ = j.cursor();
     }
@@ -725,8 +774,18 @@ Status Interpreter::cmd_whence(const std::vector<std::string>& args_in) {
     else args.push_back(a);
   }
   if (args.empty()) return invalid("usage: whence <actor::port> <slot> [depth] [--json]");
-  std::size_t slot = args.size() > 1 ? std::strtoull(args[1].c_str(), nullptr, 0) : 0;
-  std::size_t depth = args.size() > 2 ? std::strtoull(args[2].c_str(), nullptr, 0) : 8;
+  std::uint64_t slot = 0;
+  std::uint64_t depth = 8;
+  if (args.size() > 1) {
+    auto n = number("slot", args[1], SIZE_MAX);
+    if (!n.ok()) return n.status();
+    slot = *n;
+  }
+  if (args.size() > 2) {
+    auto n = number("depth", args[2], SIZE_MAX);
+    if (!n.ok()) return n.status();
+    depth = *n;
+  }
   if (depth == 0) return invalid("depth must be >= 1");
   auto v = session_.whence_chain(args[0], slot, depth);
   if (json) {
@@ -747,9 +806,9 @@ Result<std::pair<std::function<bool(const Value&)>, std::string>> Interpreter::p
   if (words.size() != 3) return invalid("condition must be `<value|field> <op> <number>`");
   const std::string& lhs = words[0];
   const std::string& op = words[1];
-  char* end = nullptr;
-  std::uint64_t rhs = std::strtoull(words[2].c_str(), &end, 0);
-  if (end == words[2].c_str()) return invalid("malformed number: " + words[2]);
+  auto number_rhs = number("number", words[2]);
+  if (!number_rhs.ok()) return number_rhs.status();
+  const std::uint64_t rhs = *number_rhs;
 
   int field_index = -1;
   if (lhs == "value") {
@@ -787,7 +846,9 @@ Result<Value> Interpreter::eval(const std::string& expr_in) const {
   // $N or $N.field
   if (!expr.empty() && expr[0] == '$') {
     auto dot = expr.find('.');
-    int n = std::atoi(expr.c_str() + 1);
+    auto index = number("value history index", expr.substr(1, dot - 1), INT_MAX);
+    if (!index.ok()) return index.status();
+    const int n = static_cast<int>(*index);
     auto v = session_.value_history(n);
     if (!v.ok()) return v.status();
     if (dot == std::string::npos) return *v;

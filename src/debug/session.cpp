@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "dfdbg/common/assert.hpp"
 #include "dfdbg/common/strings.hpp"
@@ -636,19 +637,16 @@ void Session::trigger_stop(StopEvent ev, Rule* rule) {
   }
   ev.time = app_.kernel().now();
   current_actor_ = ev.actor;
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
-    if (j.recording()) {
-      auto it = stop_jnames_.find(ev.actor);
-      if (it == stop_jnames_.end())
-        it = stop_jnames_.emplace(ev.actor, app_.kernel().journal().intern_name(ev.actor)).first;
-      obs::JournalEvent jev;
-      jev.time = ev.time;
-      jev.kind = obs::JournalKind::kCatchpoint;
-      jev.actor = it->second;
-      jev.index = ev.breakpoint.valid() ? ev.breakpoint.value() : 0;
-      j.record(jev);
-    }
+  if (obs::Journal& j = app_.kernel().record_journal(); j.recording_now()) {
+    auto it = stop_jnames_.find(ev.actor);
+    if (it == stop_jnames_.end())
+      it = stop_jnames_.emplace(ev.actor, app_.kernel().journal().intern_name(ev.actor)).first;
+    obs::JournalEvent jev;
+    jev.time = ev.time;
+    jev.kind = obs::JournalKind::kCatchpoint;
+    jev.actor = it->second;
+    jev.index = ev.breakpoint.valid() ? ev.breakpoint.value() : 0;
+    j.append(jev);
   }
   if (stop_observer_) stop_observer_(ev);
   pending_.push_back(std::move(ev));
@@ -1141,13 +1139,23 @@ Result<const pedf::TypeDesc*> Session::link_type(const std::string& iface) const
   return &(*fl)->type();
 }
 
+namespace {
+/// A payload number: all of `text` as decimal, 0x hex or leading-0 octal,
+/// and a leading '-' stores the two's complement bits, as strtoull would.
+std::optional<std::uint64_t> payload_bits(std::string_view text) {
+  const bool negative = !text.empty() && text.front() == '-';
+  std::optional<std::uint64_t> bits = parse_uint(negative ? text.substr(1) : text);
+  if (bits && negative) *bits = 0 - *bits;
+  return bits;
+}
+}  // namespace
+
 Result<pedf::Value> Session::parse_value(const pedf::TypeDesc& type, const std::string& text) {
   if (!type.is_struct()) {
-    char* end = nullptr;
-    std::uint64_t bits = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str()) return Status::error(ErrCode::kInvalidArgument, "malformed scalar value: " + text);
+    const std::optional<std::uint64_t> bits = payload_bits(text);
+    if (!bits) return Status::error(ErrCode::kInvalidArgument, "malformed scalar value: " + text);
     pedf::Value v = pedf::Value::zero_of(type);
-    v.set_scalar_u64(bits);
+    v.set_scalar_u64(*bits);
     return v;
   }
   pedf::Value v = pedf::Value::make_struct(type.struct_type());
@@ -1159,7 +1167,11 @@ Result<pedf::Value> Session::parse_value(const pedf::TypeDesc& type, const std::
     std::string field = part.substr(0, eq);
     if (type.struct_type()->field_index(field) < 0)
       return Status::error(ErrCode::kNotFound, "struct " + type.name() + " has no field '" + field + "'");
-    v.set_field(field, std::strtoull(part.c_str() + eq + 1, nullptr, 0));
+    const std::optional<std::uint64_t> bits = payload_bits(std::string_view(part).substr(eq + 1));
+    if (!bits)
+      return Status::error(ErrCode::kInvalidArgument,
+                           "malformed value of field '" + field + "': " + part.substr(eq + 1));
+    v.set_field(field, *bits);
   }
   return v;
 }

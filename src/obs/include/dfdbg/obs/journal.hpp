@@ -12,12 +12,19 @@
 //
 // Cost model, same contract as the metrics registry:
 //   - `obs::enabled()` off (the default): `record()` is one predictable
-//     branch; call sites additionally gate their event construction, so the
-//     framework pays nothing.
+//     branch; call sites gate their event construction on the same
+//     `recording_now()` check, so the framework pays nothing.
+//   - on: a record is one 48-byte store into the ring and a bump of the
+//     write position, with one compare for the wrap. Nothing is counted on
+//     the way: the journal's monotonic totals of records and evictions follow
+//     from its write position and lap count, and the registry folds them
+//     into `journal.recorded` / `journal.dropped` when it is read (see
+//     `obs::CounterShare`).
 //   - memory is bounded always: the ring overwrites its oldest event and
-//     counts the drops (`journal.dropped` in the metrics registry), the
-//     paper's recording caveat ("may require a significant quantity of
-//     memory") answered the same way as `iface ... record bounded`.
+//     counts the drops, the paper's recording caveat ("may require a
+//     significant quantity of memory") answered the same way as
+//     `iface ... record bounded`. The ring's storage is reserved at the first
+//     record and its pages are touched only as events arrive.
 //   - token ids are allocated even while disabled — a single counter
 //     increment — so provenance stays stable across observers attaching
 //     mid-run, and a `reset()` restarts the sequence for replay-identical
@@ -44,13 +51,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 
 #include "dfdbg/common/json.hpp"
-#include "dfdbg/common/ring_buffer.hpp"
 #include "dfdbg/common/strings.hpp"
 #include "dfdbg/obs/metrics.hpp"
 
@@ -107,7 +114,10 @@ class Journal {
   /// install their shard at thread start.
   static void set_thread_journal(Journal* j);
 
-  explicit Journal(std::size_t capacity = kDefaultCapacity) : ring_(capacity) {}
+  explicit Journal(std::size_t capacity = kDefaultCapacity);
+  ~Journal();
+  Journal(const Journal&) = delete;
+  Journal& operator=(const Journal&) = delete;
 
   /// Turns this journal into a shard of `parent`: intern ids come from the
   /// parent (so merged events resolve names identically), the recording gate
@@ -117,6 +127,7 @@ class Journal {
   void configure_shard(Journal* parent, std::uint64_t uid_base) {
     parent_ = parent;
     uid_base_ = uid_base;
+    gate_ = &parent->recording_;
   }
 
   /// Moves every retained event of `shard` into this journal, oldest first,
@@ -129,11 +140,11 @@ class Journal {
   /// observer keep metrics on while silencing the journal (the overhead
   /// benchmark measures exactly this split). Default on. Shards follow
   /// their parent's gate.
-  [[nodiscard]] bool recording() const {
-    const Journal* j = parent_ != nullptr ? parent_ : this;
-    return j->recording_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool recording() const { return gate_->load(std::memory_order_relaxed); }
   void set_recording(bool on) { recording_.store(on, std::memory_order_relaxed); }
+
+  /// The one gate of a record: `obs::enabled()` and recording().
+  [[nodiscard]] bool recording_now() const { return enabled() && recording(); }
 
   /// Replaces the ring with an empty one of `cap` events (>= 1). Retained
   /// events and the drop count are discarded; interned names and the token
@@ -169,19 +180,35 @@ class Journal {
   }
 
   /// Appends one event; overwrites the oldest when full. No-op unless
-  /// `obs::enabled()` and `recording()`. Also feeds the
-  /// `journal.recorded` / `journal.dropped` registry counters.
-  void record(const JournalEvent& ev);
+  /// recording_now().
+  void record(const JournalEvent& ev) {
+    if (recording_now()) append(ev);
+  }
+
+  /// record() for a caller that has just checked recording_now() itself (the
+  /// framework's hot paths, which build the event only behind that gate).
+  void append(const JournalEvent& ev) {
+    JournalEvent* slot = next_.load(std::memory_order_relaxed);
+    if (slot == end_) [[unlikely]] slot = next_lap();
+    std::construct_at(slot, ev);
+    next_.store(slot + 1, std::memory_order_relaxed);
+  }
 
   // --- window access (oldest first) ----------------------------------------
 
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
-  [[nodiscard]] const JournalEvent& at(std::size_t i) const { return ring_.at(i); }
+  [[nodiscard]] std::size_t size() const {
+    const std::uint64_t n = total_recorded();
+    return n < cap_ ? static_cast<std::size_t>(n) : cap_;
+  }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
+  [[nodiscard]] const JournalEvent& at(std::size_t i) const;
   /// Events ever recorded into the current window (including evicted).
-  [[nodiscard]] std::uint64_t total_recorded() const { return ring_.total_pushed(); }
+  [[nodiscard]] std::uint64_t total_recorded() const {
+    const JournalEvent* next = next_.load(std::memory_order_relaxed);
+    return laps_ * cap_ + static_cast<std::uint64_t>(next - slots_);
+  }
   /// Events evicted from the current window.
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  [[nodiscard]] std::uint64_t dropped() const { return evicted() + window_shard_drops_; }
 
   // --- cursors: resumable tailing over the ring ------------------------------
   // Every event carries an implicit absolute sequence number: the i-th event
@@ -200,7 +227,7 @@ class Journal {
   };
 
   /// The cursor one past the newest recorded event (== total_recorded()).
-  [[nodiscard]] std::uint64_t cursor() const { return ring_.total_pushed(); }
+  [[nodiscard]] std::uint64_t cursor() const { return total_recorded(); }
 
   /// Visits up to `max_n` retained events starting at absolute sequence
   /// `from`, oldest first. If the ring has already evicted part of that
@@ -262,10 +289,59 @@ class Journal {
                          const LinkNamer& link_name = nullptr) const;
 
  private:
-  RingBuffer<JournalEvent> ring_;
+  /// journal.recorded or journal.dropped: one of the journal's totals.
+  class Share final : public CounterShare {
+   public:
+    Share(const Journal& j, std::uint64_t (Journal::*total)() const) : j_(j), total_(total) {}
+    ~Share() { retire(); }
+    using CounterShare::retire;
+
+   private:
+    [[nodiscard]] std::uint64_t share() const override { return (j_.*total_)(); }
+    const Journal& j_;
+    std::uint64_t (Journal::*total_)() const;
+  };
+
+  /// Cold side of append(): reserves the ring at the first record of a window
+  /// (attaching the totals to the registry at the journal's first), or starts
+  /// the next lap at the end of one. Returns the slot to write.
+  JournalEvent* next_lap();
+  /// Starts an empty window of `cap` slots, keeping the storage or releasing
+  /// it (`keep_storage` requires an unchanged capacity).
+  void restart_window(bool keep_storage, std::size_t cap);
+  /// Events the current window's ring has overwritten.
+  [[nodiscard]] std::uint64_t evicted() const {
+    const std::uint64_t n = total_recorded();
+    return n > cap_ ? n - cap_ : 0;
+  }
+  // The totals the registry folds, over every window (under lock_folds()).
+  [[nodiscard]] std::uint64_t recorded_total() const {
+    return recorded_before_ + total_recorded() - window_merged_;
+  }
+  [[nodiscard]] std::uint64_t dropped_total() const {
+    return dropped_before_ + evicted() - uncounted_drops_;
+  }
+
+  // The ring: cap_ slots, reserved at the first record of a window; next_ is
+  // the slot the next append writes and end_ one past the last, so an append
+  // compares two pointers and stores one event (both null until the ring is
+  // reserved). laps_ counts the wraps of the write position: once it is
+  // non-zero, the slot written next holds the oldest event, evicted. The
+  // window's event count is laps_ * cap_ plus the write offset. Everything a
+  // total reads changes under lock_folds(), except next_ within a lap.
+  std::size_t cap_;
+  JournalEvent* slots_ = nullptr;
+  std::atomic<JournalEvent*> next_{nullptr};
+  JournalEvent* end_ = nullptr;
+  std::uint64_t laps_ = 0;
+  std::uint64_t window_merged_ = 0;      ///< shard events merged into the window
+  std::uint64_t window_shard_drops_ = 0; ///< events the merged shards had evicted
+  std::uint64_t recorded_before_ = 0;    ///< records of the windows before this one
+  std::uint64_t dropped_before_ = 0;     ///< evictions of the windows before this one
+  std::uint64_t uncounted_drops_ = 0;    ///< merge evictions while obs was off
   std::atomic<bool> recording_{true};
+  const std::atomic<bool>* gate_ = &recording_;  ///< a shard's is its parent's
   std::atomic<std::uint64_t> last_token_{0};
-  std::uint64_t dropped_ = 0;
   Journal* parent_ = nullptr;     ///< set on shards: intern/gate delegate here
   std::uint64_t uid_base_ = 0;    ///< shard token-id range start (0 = delegate)
   std::uint64_t tokens_reported_ = 0;  ///< shard allocs already merged to base
@@ -276,6 +352,9 @@ class Journal {
   std::deque<std::string> names_;
   std::unordered_map<std::string, std::uint32_t, TransparentStringHash, std::equal_to<>>
       name_index_;
+  // Last, so they retire while the state they read is still there.
+  Share recorded_share_{*this, &Journal::recorded_total};
+  Share dropped_share_{*this, &Journal::dropped_total};
 };
 
 }  // namespace dfdbg::obs

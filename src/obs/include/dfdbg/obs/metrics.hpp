@@ -36,6 +36,17 @@
 // (a CAS only when a mark moves). Interning takes a registry mutex — hot
 // paths intern once and keep the reference, so the lock never sits on a
 // per-token path.
+//
+// Owned tallies: the hottest counters (dispatches, context switches, hook
+// fires, link pushes and pops, journal records) are not kept in cells at
+// all. The object that sees the event — a kernel or shard, a hook port, a
+// link, a journal — keeps a `Tally`, a plain single-writer field of its own,
+// and attaches it to the registry counter when it first counts. A read of the
+// counter folds its cells, every attached share, and the retired total that
+// destroyed owners left behind, so an event costs one load and store on the
+// owner's own cache line and no thread-local lookup. A share may also be
+// computed from the owner's state (a journal's record count is its write
+// position), in which case the event costs nothing extra at all.
 #pragma once
 
 #include <atomic>
@@ -121,6 +132,62 @@ inline void bump(Cell& c, std::uint64_t n) {
 }
 }  // namespace detail
 
+class Counter;
+
+/// A part of a counter's total kept by the object that sees its events (see
+/// "Owned tallies" above). The owner attaches it once, when it first counts;
+/// from then on every read of the counter adds share(). When the owner goes
+/// away, retire() moves the last share into the counter's retired total, so
+/// the counter's reading never goes backwards as owners come and go.
+class CounterShare {
+ public:
+  CounterShare(const CounterShare&) = delete;
+  CounterShare& operator=(const CounterShare&) = delete;
+
+  /// Folds this share into `c` from now on. Once, by the owner; `c` must
+  /// outlive the share (the registry's counters live as long as the process).
+  void attach(Counter& c);
+  [[nodiscard]] bool attached() const { return counter_ != nullptr; }
+
+ protected:
+  CounterShare() = default;
+  virtual ~CounterShare() = default;
+  /// The share's current value, read under the fold lock (lock_folds()).
+  [[nodiscard]] virtual std::uint64_t share() const = 0;
+  /// Detaches, leaving the last share() in the counter; idempotent. The
+  /// owner calls it while the state share() reads is still there, which a
+  /// base-class destructor would be too late for.
+  void retire();
+
+ private:
+  friend class Counter;
+  // The counter's list of attached shares; guarded by the fold lock.
+  Counter* counter_ = nullptr;
+  CounterShare* prev_ = nullptr;
+  CounterShare* next_ = nullptr;
+};
+
+/// The plain share: a monotonic tally the owner adds to. The owner gates its
+/// adds on `enabled()` and is the only writer at any one time; a writer on
+/// another thread must be ordered after the previous one by a handoff, as a
+/// parked kernel's next runner is.
+class Tally final : public CounterShare {
+ public:
+  Tally() = default;
+  ~Tally() { retire(); }
+
+  void add(std::uint64_t n = 1) { detail::bump(v_, n); }
+  [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+
+ private:
+  [[nodiscard]] std::uint64_t share() const override { return value(); }
+  detail::Cell v_{0};
+};
+
+/// The lock counter reads fold under. An owner whose share is computed from
+/// several fields changes them under it, so no read sees them half-changed.
+[[nodiscard]] std::unique_lock<std::mutex> lock_folds();
+
 /// Monotonic event counter.
 class Counter {
  public:
@@ -131,13 +198,21 @@ class Counter {
   void add(std::uint64_t n = 1) {
     if (enabled()) detail::bump(*detail::cells(slot_), n);
   }
-  /// Every thread's cell folded, minus the baseline of the last reset().
+  /// Every thread's cell, every attached share and the retired total,
+  /// minus the baseline of the last reset().
   [[nodiscard]] std::uint64_t value() const;
   void reset();
 
  private:
+  friend class CounterShare;
+  /// Cells + shares + retired. Caller holds the fold lock.
+  [[nodiscard]] std::uint64_t fold_locked() const;
+
   std::uint32_t slot_;
-  std::uint64_t base_ = 0;  ///< fold at the last reset (guarded by the cell pool's lock)
+  // Guarded by the fold lock (the cell pool's).
+  std::uint64_t base_ = 0;            ///< fold at the last reset
+  CounterShare* shares_ = nullptr;    ///< attached shares, newest first
+  std::uint64_t retired_ = 0;         ///< what retired shares left behind
 };
 
 /// Instantaneous level with a high-water mark (e.g. queue occupancy).
@@ -196,11 +271,13 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void observe(std::uint64_t v) {
+  /// Records `v` as `n` observations (a sample standing in for `n` events:
+  /// count and sum then estimate the totals of what was sampled).
+  void observe(std::uint64_t v, std::uint64_t n = 1) {
     if (!enabled()) return;
     detail::Cell* c = detail::cells(slot_);
-    detail::bump(c[bucket_of(v)], 1);
-    detail::bump(c[kSumSlot], v);
+    detail::bump(c[bucket_of(v)], n);
+    detail::bump(c[kSumSlot], v * n);
     detail::raise_max(max_, v);
     detail::lower_min(min_, v);
   }

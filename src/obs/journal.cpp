@@ -1,19 +1,10 @@
 #include "dfdbg/obs/journal.hpp"
 
+#include "dfdbg/common/assert.hpp"
+
 namespace dfdbg::obs {
 
 namespace {
-/// Journal instruments, interned once (stable addresses by construction).
-struct JournalMetrics {
-  Counter& recorded;
-  Counter& dropped;
-  static JournalMetrics& get() {
-    auto& r = Registry::global();
-    static JournalMetrics m{r.counter("journal.recorded"), r.counter("journal.dropped")};
-    return m;
-  }
-};
-
 const std::string kUnknownName = "?";
 }  // namespace
 
@@ -49,19 +40,93 @@ Journal& Journal::global_base() {
 
 void Journal::set_thread_journal(Journal* j) { t_journal = j; }
 
-void Journal::merge_from(Journal& shard) {
-  std::size_t n = shard.ring_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    // Raw append: the shard already fed the registry counters at record
-    // time; only eviction from *this* window counts as a drop here.
-    if (ring_.push(shard.ring_.at(i))) {
-      dropped_++;
-      if (enabled()) JournalMetrics::get().dropped.add();
+Journal::Journal(std::size_t capacity) : cap_(capacity) {
+  DFDBG_CHECK(capacity >= 1);
+}
+
+Journal::~Journal() {
+  recorded_share_.retire();
+  dropped_share_.retire();
+  restart_window(/*keep_storage=*/false, cap_);
+}
+
+JournalEvent* Journal::next_lap() {
+  if (slots_ == nullptr) {
+    if (!recorded_share_.attached()) {
+      Registry& r = Registry::global();
+      recorded_share_.attach(r.counter("journal.recorded"));
+      dropped_share_.attach(r.counter("journal.dropped"));
+    }
+    // Reserved, not touched: pages are committed as events arrive.
+    JournalEvent* s = std::allocator<JournalEvent>().allocate(cap_);
+    auto lk = lock_folds();
+    slots_ = s;
+    end_ = s + cap_;
+    next_.store(s, std::memory_order_relaxed);
+  } else {
+    // Under the lock with the lap count, so no fold sees one without the other.
+    auto lk = lock_folds();
+    laps_++;
+    next_.store(slots_, std::memory_order_relaxed);
+  }
+  return slots_;
+}
+
+void Journal::restart_window(bool keep_storage, std::size_t cap) {
+  JournalEvent* release = nullptr;
+  {
+    auto lk = lock_folds();
+    recorded_before_ = recorded_total();
+    dropped_before_ += evicted();
+    laps_ = 0;
+    window_merged_ = 0;
+    if (!keep_storage) {
+      release = slots_;
+      slots_ = end_ = nullptr;
+    }
+    next_.store(slots_, std::memory_order_relaxed);
+    // Last: the totals above read the old capacity.
+    if (!keep_storage) {
+      if (release != nullptr) std::allocator<JournalEvent>().deallocate(release, cap_);
+      cap_ = cap;
     }
   }
-  dropped_ += shard.dropped_;
-  shard.dropped_ = 0;
-  shard.ring_.clear();  // keeps the allocation; total_pushed is unused on shards
+  window_shard_drops_ = 0;
+}
+
+const JournalEvent& Journal::at(std::size_t i) const {
+  DFDBG_CHECK(i < size());
+  // Once the ring has lapped, the oldest event is the next one to be
+  // overwritten; before that, the first slot.
+  const JournalEvent* next = next_.load(std::memory_order_relaxed);
+  std::size_t head = laps_ != 0 ? static_cast<std::size_t>(next - slots_) : 0;
+  if (head == cap_) head = 0;
+  const std::size_t k = head + i;
+  return slots_[k < cap_ ? k : k - cap_];
+}
+
+void Journal::merge_from(Journal& shard) {
+  const std::size_t n = shard.size();
+  if (n != 0) {
+    if (slots_ == nullptr) next_lap();  // reserves the ring, writing from its first slot
+    auto lk = lock_folds();
+    const std::uint64_t evicted0 = evicted();
+    for (std::size_t i = 0; i < n; ++i) {
+      JournalEvent* slot = next_.load(std::memory_order_relaxed);
+      if (slot == end_) {
+        laps_++;
+        slot = slots_;
+      }
+      std::construct_at(slot, shard.at(i));
+      next_.store(slot + 1, std::memory_order_relaxed);
+    }
+    window_merged_ += n;
+    // An eviction here is this ring's drop (the shard counted its own
+    // record), counted like a record: only while obs is on.
+    if (!enabled()) uncounted_drops_ += evicted() - evicted0;
+  }
+  window_shard_drops_ += shard.dropped();
+  shard.restart_window(/*keep_storage=*/true, shard.cap_);
   // Fold the shard's token-allocation count into this journal's counter so
   // `last_token()` — and the token-budget quota built on it — sees tokens
   // allocated from disjoint shard uid ranges. Delta-tracked: the shard's own
@@ -76,28 +141,14 @@ void Journal::merge_from(Journal& shard) {
 }
 
 void Journal::set_capacity(std::size_t cap) {
-  ring_ = RingBuffer<JournalEvent>(cap < 1 ? 1 : cap);
-  dropped_ = 0;
+  restart_window(/*keep_storage=*/false, cap < 1 ? 1 : cap);
 }
 
-void Journal::clear() {
-  ring_ = RingBuffer<JournalEvent>(ring_.capacity());
-  dropped_ = 0;
-}
+void Journal::clear() { restart_window(/*keep_storage=*/false, cap_); }
 
 void Journal::reset() {
   clear();
   last_token_.store(0, std::memory_order_relaxed);
-}
-
-void Journal::record(const JournalEvent& ev) {
-  if (!enabled() || !recording()) return;
-  JournalMetrics& m = JournalMetrics::get();
-  m.recorded.add();
-  if (ring_.push(ev)) {
-    dropped_++;
-    m.dropped.add();
-  }
 }
 
 std::uint32_t Journal::intern_name(std::string_view name) {
@@ -126,16 +177,16 @@ std::size_t Journal::name_count() const {
 
 std::string Journal::summary() const {
   std::uint64_t by_kind[9] = {};
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    auto k = static_cast<std::size_t>(ring_.at(i).kind);
+  for (std::size_t i = 0; i < size(); ++i) {
+    auto k = static_cast<std::size_t>(at(i).kind);
     if (k < 9) by_kind[k]++;
   }
   std::string out = strformat(
       "journal: %s, capacity %zu, retained %zu, recorded %llu, dropped %llu\n"
       "token ids allocated: %llu\n",
       recording() ? (enabled() ? "recording" : "idle (obs disabled)") : "off",
-      ring_.capacity(), ring_.size(), static_cast<unsigned long long>(ring_.total_pushed()),
-      static_cast<unsigned long long>(dropped_),
+      capacity(), size(), static_cast<unsigned long long>(total_recorded()),
+      static_cast<unsigned long long>(dropped()),
       static_cast<unsigned long long>(last_token()));
   for (std::size_t k = 0; k < 9; ++k) {
     if (by_kind[k] == 0) continue;
@@ -194,11 +245,12 @@ std::string Journal::format_event(const JournalEvent& ev, const LinkNamer& link_
 }
 
 std::string Journal::format_last(std::size_t n, const LinkNamer& link_name) const {
-  std::size_t count = n < ring_.size() ? n : ring_.size();
-  std::size_t start = ring_.size() - count;
+  const std::size_t retained = size();
+  std::size_t count = n < retained ? n : retained;
+  std::size_t start = retained - count;
   std::string out;
-  for (std::size_t i = start; i < ring_.size(); ++i) {
-    out += format_event(ring_.at(i), link_name);
+  for (std::size_t i = start; i < retained; ++i) {
+    out += format_event(at(i), link_name);
     out += "\n";
   }
   return out;
@@ -207,29 +259,29 @@ std::string Journal::format_last(std::size_t n, const LinkNamer& link_name) cons
 Journal::Slice Journal::read_from(std::uint64_t from, std::size_t max_n,
                                   const std::function<void(const JournalEvent&)>& fn) const {
   Slice s;
-  std::uint64_t total = ring_.total_pushed();
-  std::uint64_t oldest = total - ring_.size();
+  std::uint64_t total = total_recorded();
+  std::uint64_t oldest = total - size();
   if (from > total) from = total;  // a cursor from a cleared window restarts
   std::uint64_t start = from < oldest ? oldest : from;
   s.gap = start - from;
   std::uint64_t avail = total - start;
   s.count = static_cast<std::size_t>(avail < max_n ? avail : max_n);
   for (std::size_t i = 0; i < s.count; ++i)
-    fn(ring_.at(static_cast<std::size_t>(start - oldest) + i));
+    fn(at(static_cast<std::size_t>(start - oldest) + i));
   s.next = start + s.count;
   return s;
 }
 
 void Journal::write_json(JsonWriter& w, const LinkNamer& link_name) const {
   w.begin_object()
-      .kv("capacity", static_cast<std::uint64_t>(ring_.capacity()))
+      .kv("capacity", static_cast<std::uint64_t>(capacity()))
       .kv("recorded", total_recorded())
-      .kv("retained", static_cast<std::uint64_t>(ring_.size()))
-      .kv("dropped", dropped_)
+      .kv("retained", static_cast<std::uint64_t>(size()))
+      .kv("dropped", dropped())
       .kv("token_ids", last_token())
       .key("events")
       .begin_array();
-  for (std::size_t i = 0; i < ring_.size(); ++i) write_event_json(w, ring_.at(i), link_name);
+  for (std::size_t i = 0; i < size(); ++i) write_event_json(w, at(i), link_name);
   w.end_array().end_object();
 }
 
@@ -249,8 +301,8 @@ Journal::Slice Journal::write_delta_json(JsonWriter& w, std::uint64_t from, std:
                                          const LinkNamer& link_name) const {
   // Two passes would re-walk the ring; instead record where `events` starts
   // and let read_from stream straight into the writer.
-  std::uint64_t total = ring_.total_pushed();
-  std::uint64_t oldest = total - ring_.size();
+  std::uint64_t total = total_recorded();
+  std::uint64_t oldest = total - size();
   std::uint64_t effective = from > total ? total : (from < oldest ? oldest : from);
   w.begin_object().kv("from", effective);
   // `next`/`gap` are known before the events are emitted (read_from computes

@@ -130,13 +130,45 @@ std::size_t cell_block_count() {
 }
 }  // namespace detail
 
-std::uint64_t Counter::value() const {
-  std::uint64_t v;
-  read_cells(slot_, 1, &base_, &v);
+std::unique_lock<std::mutex> lock_folds() {
+  return std::unique_lock<std::mutex>(CellPool::get().mu);
+}
+
+std::uint64_t Counter::fold_locked() const {
+  std::uint64_t v = retired_;
+  CellPool::get().fold(slot_, 1, &v);
+  for (const CounterShare* s = shares_; s != nullptr; s = s->next_) v += s->share();
   return v;
 }
 
-void Counter::reset() { rebase_cells(slot_, 1, &base_); }
+std::uint64_t Counter::value() const {
+  auto lk = lock_folds();
+  return fold_locked() - base_;
+}
+
+void Counter::reset() {
+  auto lk = lock_folds();
+  base_ = fold_locked();
+}
+
+void CounterShare::attach(Counter& c) {
+  auto lk = lock_folds();
+  DFDBG_CHECK_MSG(counter_ == nullptr, "obs: counter share attached twice");
+  counter_ = &c;
+  next_ = c.shares_;
+  if (next_ != nullptr) next_->prev_ = this;
+  c.shares_ = this;
+}
+
+void CounterShare::retire() {
+  if (counter_ == nullptr) return;
+  auto lk = lock_folds();
+  counter_->retired_ += share();
+  (prev_ != nullptr ? prev_->next_ : counter_->shares_) = next_;
+  if (next_ != nullptr) next_->prev_ = prev_;
+  counter_ = nullptr;
+  prev_ = next_ = nullptr;
+}
 
 std::uint64_t HistogramTotals::percentile(double p) const {
   if (count == 0) return 0;
@@ -173,8 +205,10 @@ void Histogram::reset() {
 }
 
 Registry& Registry::global() {
-  static Registry r;
-  return r;
+  // Leaked on purpose, like the cell pool: owners of attached tallies (a
+  // static journal, say) may retire them during static destruction.
+  static Registry* r = new Registry;
+  return *r;
 }
 
 template <typename T>

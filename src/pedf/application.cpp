@@ -894,8 +894,7 @@ void Application::rt_link_push(Actor& actor, Port& port, const Value& v) {
   actor.set_blocked(BlockInfo{});
   if (model_latencies_) model_transfer_cost(*link);
   std::uint64_t idx = link->push_raw(v);
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
+  if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenPush;
@@ -904,7 +903,7 @@ void Application::rt_link_push(Actor& actor, Port& port, const Value& v) {
     ev.token = link->last_pushed_uid();
     ev.index = idx;
     ev.firing = firing_of(actor);
-    j.record(ev);
+    j.append(ev);
   }
   scope.set_return(ArgValue::of_u64("index", idx));
   // Coalesced wakeup: a consumer only ever blocks on the empty->non-empty
@@ -935,10 +934,9 @@ void Application::rt_link_push_boundary(Actor& actor, Port& port, Link& link, co
   // The producer's shard allocates the uid (disjoint per-partition ranges)
   // and journals the push at send time in its own shard; delivery into the
   // link at the barrier adds no further journal traffic.
-  const std::uint64_t uid = obs::Journal::global().alloc_token();
+  const std::uint64_t uid = kernel().record_journal().alloc_token();
   const std::uint64_t idx = ob.send(Value(v), uid);
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
+  if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenPush;
@@ -947,7 +945,7 @@ void Application::rt_link_push_boundary(Actor& actor, Port& port, Link& link, co
     ev.token = uid;
     ev.index = idx;
     ev.firing = firing_of(actor);
-    j.record(ev);
+    j.append(ev);
   }
   scope.set_return(ArgValue::of_u64("index", idx));
   // No data_avail notify here: the token is not in the link yet. The
@@ -983,8 +981,7 @@ void Application::rt_link_push_n(Actor& actor, Port& port, const Value* vs, std:
     const std::size_t chunk = std::min(n - done, link->capacity() - link->occupancy());
     if (model_latencies_) model_transfer_cost(*link, chunk);
     const std::uint64_t idx0 = link->push_raw_n(vs + done, chunk);
-    if (obs::enabled()) {
-      obs::Journal& j = obs::Journal::global();
+    if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
       obs::JournalEvent ev;
       ev.time = kernel().now();
       ev.kind = obs::JournalKind::kTokenPush;
@@ -995,7 +992,7 @@ void Application::rt_link_push_n(Actor& actor, Port& port, const Value* vs, std:
       for (std::size_t i = 0; i < chunk; ++i) {
         ev.token = uid0 + i;
         ev.index = idx0 + i;
-        j.record(ev);
+        j.append(ev);
       }
     }
     done += chunk;
@@ -1029,8 +1026,7 @@ std::optional<Value> Application::rt_link_pop(Actor& actor, Port& port) {
     if (model_latencies_) model_transfer_cost(*link);
     std::uint64_t idx = link->pop_index();
     result = link->pop_raw();
-    if (obs::enabled()) {
-      obs::Journal& j = obs::Journal::global();
+    if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
       obs::JournalEvent ev;
       ev.time = kernel().now();
       ev.kind = obs::JournalKind::kTokenPop;
@@ -1039,7 +1035,7 @@ std::optional<Value> Application::rt_link_pop(Actor& actor, Port& port) {
       ev.token = link->last_popped_uid();
       ev.index = idx;
       ev.firing = firing_of(actor);
-      j.record(ev);
+      j.append(ev);
     }
     scope.set_return(ArgValue::of_ptr("value", &*result));
     // Producers only block on the full->non-full edge (see rt_link_push).
@@ -1083,10 +1079,9 @@ std::size_t Application::rt_link_pop_n(Actor& actor, Port& port, Value* out, std
     const std::size_t chunk = std::min(n - done, link->occupancy());
     if (model_latencies_) model_transfer_cost(*link, chunk);
     const std::uint64_t idx0 = link->pop_index();
-    if (obs::enabled()) {
-      // With observers attached take the token-at-a-time pops so journal
+    if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
+      // With the journal recording take the token-at-a-time pops so its
       // records are identical in content and order to `chunk` single pops.
-      obs::Journal& j = obs::Journal::global();
       obs::JournalEvent ev;
       ev.time = kernel().now();
       ev.kind = obs::JournalKind::kTokenPop;
@@ -1097,7 +1092,7 @@ std::size_t Application::rt_link_pop_n(Actor& actor, Port& port, Value* out, std
         out[done + i] = link->pop_raw();
         ev.token = link->last_popped_uid();
         ev.index = idx0 + i;
-        j.record(ev);
+        j.append(ev);
       }
     } else {
       link->pop_raw_n(out + done, chunk);
@@ -1120,15 +1115,14 @@ void Application::rt_work_enter(Filter& f) {
       ArgValue::of_u64("firing", f.firings()),
   };
   kernel().instrument().fire_enter(kernel(), syms_.work_enter, args);
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
+  if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kFireBegin;
     ev.actor = f.journal_name();
     ev.index = step;
     ev.firing = f.firings();
-    j.record(ev);
+    j.append(ev);
   }
   if (m != nullptr && !f.free_running_) {
     m->started_count_++;
@@ -1146,15 +1140,14 @@ void Application::rt_work_exit(Filter& f) {
       ArgValue::of_u64("firing", f.firings()),
   };
   kernel().instrument().fire_enter(kernel(), syms_.work_exit, args);
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
+  if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kFireEnd;
     ev.actor = f.journal_name();
     ev.index = m != nullptr ? m->step() : f.firings();
     ev.firing = f.firings();
-    j.record(ev);
+    j.append(ev);
   }
   if (m != nullptr && !f.free_running_) {
     m->done_count_++;
@@ -1280,8 +1273,7 @@ std::uint64_t Application::debug_inject(Link& link, Value v) {
                   "inject type mismatch on " + link.name() + ": " + v.type().name());
   DFDBG_CHECK_MSG(!link.full(), "inject on full link " + link.name());
   std::uint64_t idx = link.push_raw(std::move(v));
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
+  if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenInject;
@@ -1289,7 +1281,7 @@ std::uint64_t Application::debug_inject(Link& link, Value v) {
     ev.actor = debugger_jname_;
     ev.token = link.last_pushed_uid();
     ev.index = idx;
-    j.record(ev);
+    j.append(ev);
   }
   const ArgValue args[] = {
       ArgValue::of_u64("link", link.id().value()),
@@ -1304,8 +1296,7 @@ std::uint64_t Application::debug_inject(Link& link, Value v) {
 Value Application::debug_remove(Link& link, std::size_t idx) {
   std::uint64_t uid = link.token_uid_at(idx);
   Value v = link.erase_at(idx);
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
+  if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenRemove;
@@ -1313,7 +1304,7 @@ Value Application::debug_remove(Link& link, std::size_t idx) {
     ev.actor = debugger_jname_;
     ev.token = uid;
     ev.index = idx;
-    j.record(ev);
+    j.append(ev);
   }
   const ArgValue args[] = {
       ArgValue::of_u64("link", link.id().value()),
@@ -1330,8 +1321,7 @@ void Application::debug_replace(Link& link, std::size_t idx, Value v) {
   // poke keeps the slot's token uid: an altered token keeps its identity
   // (and thereby its provenance chain) — only its payload changes.
   link.poke(idx, std::move(v));
-  if (obs::enabled()) {
-    obs::Journal& j = obs::Journal::global();
+  if (obs::Journal& j = kernel().record_journal(); j.recording_now()) {
     obs::JournalEvent ev;
     ev.time = kernel().now();
     ev.kind = obs::JournalKind::kTokenReplace;
@@ -1339,7 +1329,7 @@ void Application::debug_replace(Link& link, std::size_t idx, Value v) {
     ev.actor = debugger_jname_;
     ev.token = link.token_uid_at(idx);
     ev.index = idx;
-    j.record(ev);
+    j.append(ev);
   }
   const ArgValue args[] = {
       ArgValue::of_u64("link", link.id().value()),

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "dfdbg/common/ids.hpp"
+#include "dfdbg/obs/metrics.hpp"
 #include "dfdbg/pedf/value.hpp"
 #include "dfdbg/sim/event.hpp"
 
@@ -153,6 +154,15 @@ class Link {
   /// doubled ring when out of room.
   void reserve_slots(std::size_t needed);
 
+  /// Registry instruments a link feeds (link.cpp).
+  struct ObsMetrics;
+  /// Obs bookkeeping of `n` tokens pushed (occupancy already updated) or
+  /// popped. Callers gate on obs::enabled().
+  void obs_pushed(std::size_t n);
+  void obs_popped(std::size_t n);
+  /// The instruments, resolved (and the tallies attached) on first use.
+  const ObsMetrics& obs_metrics();
+
   [[nodiscard]] Slot& slot(std::size_t i) { return ring_[(head_ + i) & mask_]; }
 
   LinkId id_;
@@ -174,6 +184,11 @@ class Link {
   BoundaryChannel* outbox_ = nullptr;
   sim::Event data_avail_;
   sim::Event space_avail_;
+  // Obs: the link tallies its own pushes and pops (its producer and consumer
+  // write them, one at a time), folded into link.push / link.pop on read.
+  const ObsMetrics* obs_m_ = nullptr;
+  obs::Tally obs_pushes_;
+  obs::Tally obs_pops_;
 };
 
 }  // namespace dfdbg::pedf

@@ -6,24 +6,42 @@
 
 namespace dfdbg::pedf {
 
-namespace {
 /// FIFO instruments, aggregated across every link of every application.
 /// Per-link high watermarks stay on the Link itself (high_watermark()).
-struct LinkMetrics {
+struct Link::ObsMetrics {
   obs::Counter& pushes;
   obs::Counter& pops;
   obs::Histogram& occupancy;
   obs::Gauge& occupancy_hwm;
-  static LinkMetrics& get() {
-    auto& r = obs::Registry::global();
-    static LinkMetrics m{r.counter("link.push"), r.counter("link.pop"),
-                         r.histogram("link.occupancy"), r.gauge("link.occupancy_hwm")};
-    return m;
-  }
 };
 
+namespace {
 constexpr std::size_t kInitialSlots = 8;
 }  // namespace
+
+const Link::ObsMetrics& Link::obs_metrics() {
+  if (obs_m_ == nullptr) [[unlikely]] {
+    auto& r = obs::Registry::global();
+    static const ObsMetrics m{r.counter("link.push"), r.counter("link.pop"),
+                              r.histogram("link.occupancy"), r.gauge("link.occupancy_hwm")};
+    obs_m_ = &m;
+    obs_pushes_.attach(m.pushes);
+    obs_pops_.attach(m.pops);
+  }
+  return *obs_m_;
+}
+
+void Link::obs_pushed(std::size_t n) {
+  const ObsMetrics& m = obs_metrics();
+  obs_pushes_.add(n);
+  m.occupancy.observe(count_);
+  m.occupancy_hwm.set(static_cast<std::int64_t>(count_));
+}
+
+void Link::obs_popped(std::size_t n) {
+  obs_metrics();
+  obs_pops_.add(n);
+}
 
 const char* to_string(LinkTransport t) {
   switch (t) {
@@ -57,12 +75,7 @@ void Link::push_delivered(Value v, std::uint64_t uid) {
   ++count_;
   dcheck_slots();
   if (count_ > high_watermark_) high_watermark_ = count_;
-  if (obs::enabled()) {
-    LinkMetrics& m = LinkMetrics::get();
-    m.pushes.add();
-    m.occupancy.observe(count_);
-    m.occupancy_hwm.set(static_cast<std::int64_t>(count_));
-  }
+  if (obs::enabled()) obs_pushed(1);
   push_index_++;
 }
 
@@ -76,12 +89,7 @@ std::uint64_t Link::push_raw(Value v) {
   ++count_;
   dcheck_slots();
   if (count_ > high_watermark_) high_watermark_ = count_;
-  if (obs::enabled()) {
-    LinkMetrics& m = LinkMetrics::get();
-    m.pushes.add();
-    m.occupancy.observe(count_);
-    m.occupancy_hwm.set(static_cast<std::int64_t>(count_));
-  }
+  if (obs::enabled()) obs_pushed(1);
   return push_index_++;
 }
 
@@ -101,12 +109,7 @@ std::uint64_t Link::push_raw_n(const Value* vs, std::size_t n) {
   count_ += n;
   dcheck_slots();
   if (count_ > high_watermark_) high_watermark_ = count_;
-  if (obs::enabled()) {
-    LinkMetrics& m = LinkMetrics::get();
-    m.pushes.add(n);
-    m.occupancy.observe(count_);
-    m.occupancy_hwm.set(static_cast<std::int64_t>(count_));
-  }
+  if (obs::enabled()) obs_pushed(n);
   std::uint64_t first = push_index_;
   push_index_ += n;
   return first;
@@ -121,7 +124,7 @@ Value Link::pop_raw() {
   --count_;
   dcheck_slots();
   pop_index_++;
-  if (obs::enabled()) LinkMetrics::get().pops.add();
+  if (obs::enabled()) obs_popped(1);
   return v;
 }
 
@@ -136,7 +139,7 @@ void Link::pop_raw_n(Value* out, std::size_t n) {
   count_ -= n;
   dcheck_slots();
   pop_index_ += n;
-  if (obs::enabled()) LinkMetrics::get().pops.add(n);
+  if (obs::enabled()) obs_popped(n);
 }
 
 void Link::poke(std::size_t i, Value v) {

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -39,10 +40,7 @@
 #include "dfdbg/common/assert.hpp"
 #include "dfdbg/common/ids.hpp"
 #include "dfdbg/common/strings.hpp"
-
-namespace dfdbg::obs {
-class Counter;
-}  // namespace dfdbg::obs
+#include "dfdbg/obs/metrics.hpp"
 
 namespace dfdbg::sim {
 
@@ -243,6 +241,23 @@ class InstrumentPort {
     bool active_;  ///< kernel is parallel: the bracket applies
   };
 
+  // --- dispatch-time sampling (hook.dispatch_ns) ---------------------------
+
+  /// hook.dispatch_ns times the first fire of each symbol (enter and exit
+  /// apart), recorded as itself, and each later fire with probability
+  /// 1/kDispatchSample, recorded with weight kDispatchSample, so its count
+  /// and sum estimate the totals over every fire at 2 clock reads per
+  /// kDispatchSample fires. The draw is pseudo-random, not every
+  /// kDispatchSample-th fire: a dataflow graph fires its symbols in fixed
+  /// cycles (so many per macroblock), and a fixed stride would time the same
+  /// point of the cycle every time — after a stop, say, when caches are cold.
+  static constexpr std::uint64_t kDispatchSample = 64;
+  /// True while a sampled fire is being timed: Kernel::debug_break() then
+  /// measures how long the stop sat parked and reports it through
+  /// add_parked_ns(), and the sample leaves that time out.
+  [[nodiscard]] bool timing() const { return timing_ != 0; }
+  void add_parked_ns(std::uint64_t ns) { parked_ns_ += ns; }
+
   // --- statistics (benchmarks & tests) -------------------------------------
 
   [[nodiscard]] std::uint64_t enter_fired() const { return enter_fired_; }
@@ -298,8 +313,25 @@ class InstrumentPort {
   }
   void fire_list(Kernel& kernel, SymbolId symbol, bool is_enter, std::span<const ArgValue> args,
                  const ArgValue* ret);
-  /// Registry counter "hook.sym.<name>.enter|exit", interned on first fire.
-  obs::Counter& symbol_counter(SymbolId symbol, bool is_enter);
+
+  /// hook.* registry instruments (instrument.cpp).
+  struct HookMetrics;
+  /// Times one sampled fire into hook.dispatch_ns (instrument.cpp).
+  class SampledFire;
+  /// Resolves the hook.* instruments and attaches the port's tallies: at the
+  /// port's first fire, whether or not obs is on (when the names were
+  /// always interned).
+  void resolve_obs();
+  /// This symbol's fire tally, feeding "hook.sym.<name>.enter|exit": made and
+  /// attached (interning the name) at the symbol's first counted fire.
+  obs::Tally& symbol_tally(SymbolId symbol, bool is_enter);
+  /// True with probability 1/kDispatchSample (xorshift64: deterministic).
+  bool sample_draw() {
+    sample_rng_ ^= sample_rng_ << 13;
+    sample_rng_ ^= sample_rng_ >> 7;
+    sample_rng_ ^= sample_rng_ << 17;
+    return (sample_rng_ & (kDispatchSample - 1)) == 0;
+  }
 
   bool enabled_ = false;
   bool teardown_ = false;
@@ -318,10 +350,20 @@ class InstrumentPort {
   std::uint64_t enter_fired_ = 0;
   std::uint64_t exit_fired_ = 0;
   std::uint64_t hook_invocations_ = 0;
-  // Per-symbol obs counters, indexed by SymbolId and interned on first use
-  // so hot fires never pay a name lookup (see symbol_counter()).
-  std::vector<obs::Counter*> enter_counters_;
-  std::vector<obs::Counter*> exit_counters_;
+  // Obs: the port tallies hook.enter, hook.exit, hook.invocation and
+  // hook.sym.* itself (counted only while obs is on, never reset, folded by
+  // the registry on read), so a hooked fire adds to its own fields instead
+  // of registry cells.
+  const HookMetrics* obs_m_ = nullptr;
+  obs::Tally obs_enter_;
+  obs::Tally obs_exit_;
+  obs::Tally obs_invocations_;
+  std::deque<obs::Tally> sym_tallies_;  ///< stable addresses as it grows
+  std::vector<obs::Tally*> enter_tallies_;  ///< by SymbolId, null until first counted
+  std::vector<obs::Tally*> exit_tallies_;
+  std::uint64_t sample_rng_ = 0x9e3779b97f4a7c15;  ///< sample_draw() state
+  int timing_ = 0;               ///< sampled fires being timed (nested fires nest)
+  std::uint64_t parked_ns_ = 0;  ///< time parked at stops inside timed fires
 };
 
 /// RAII frame used by framework functions: fires the enter hook on

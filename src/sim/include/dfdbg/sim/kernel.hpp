@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "dfdbg/common/strings.hpp"
+#include "dfdbg/obs/metrics.hpp"
 #include "dfdbg/sim/context.hpp"
 #include "dfdbg/sim/event.hpp"
 #include "dfdbg/sim/instrument.hpp"
@@ -48,8 +49,6 @@
 #include "dfdbg/sim/time.hpp"
 
 namespace dfdbg::obs {
-class Counter;
-class Histogram;
 class Journal;
 }  // namespace dfdbg::obs
 
@@ -132,6 +131,13 @@ class Kernel {
   /// framework's actor paths, are interned into it once, at spawn and
   /// elaboration, so journal records carry ready-made name ids.
   [[nodiscard]] obs::Journal& journal() const { return *journal_base_; }
+
+  /// The journal a record made by the calling code belongs in: journal(),
+  /// except on a parallel-backend worker, which records into its own shard
+  /// (race-free; the coordinator merges shards into journal()).
+  [[nodiscard]] obs::Journal& record_journal() const {
+    return parallel_ ? shard_journal() : *journal_base_;
+  }
 
   /// Creates a process executing `body`. May be called before run() or from
   /// inside a running process. The process becomes ready immediately. Under
@@ -327,6 +333,18 @@ class Kernel {
  private:
   friend class Process;
 
+  /// Registry instruments a scheduler feeds (kernel.cpp).
+  struct SchedMetrics;
+  /// One scheduler's obs state — the kernel's own, or one shard's, so each
+  /// has a single writer: its share of sim.dispatch and sim.context_switch,
+  /// tallied here, and the registry instruments, resolved (and the tallies
+  /// attached) at its first counted event.
+  struct SchedObs {
+    const SchedMetrics* m = nullptr;
+    obs::Tally dispatches;
+    obs::Tally switches;
+  };
+
   struct TimedEntry {
     SimTime when;
     std::uint64_t seq;  // FIFO tie-break
@@ -353,6 +371,7 @@ class Kernel {
     std::vector<Event*> deferred_notifies;  ///< cross-partition, flushed at barrier
     FiberContext sched_ctx;                 ///< this worker's scheduler anchor
     std::unique_ptr<obs::Journal> journal;  ///< per-worker flight-recorder shard
+    SchedObs obs;                           ///< written by this shard's worker
     obs::Counter* m_dispatches = nullptr;   ///< sim.worker.<i>.dispatch
     std::thread thread;
 
@@ -398,8 +417,13 @@ class Kernel {
   /// Records the (single) transition to kTerminated: state + live count.
   void mark_terminated(Process* p);
 
+  /// `o`'s registry instruments, resolved on first use (by `o`'s writer).
+  static const SchedMetrics& sched(SchedObs& o);
+
   // --- parallel backend internals (kernel.cpp) ------------------------------
   [[nodiscard]] Process* current_parallel() const;
+  /// record_journal() under the parallel backend.
+  [[nodiscard]] obs::Journal& shard_journal() const;
   RunResult run_parallel(SimTime until);
   void ensure_workers_started();
   void worker_main(int shard);
@@ -446,6 +470,7 @@ class Kernel {
   ReadyPolicy policy_ = ReadyPolicy::kFifo;
   FiberContext sched_ctx_;  ///< the scheduler's context (fibers backend; teardown on both)
   InstrumentPort instrument_;
+  SchedObs obs_;  ///< the fibers scheduler's, and the parallel coordinator's
 
   // Parallel backend state.
   obs::Journal* journal_base_ = nullptr;  ///< journal shards delegate/merge here

@@ -1,7 +1,9 @@
 #include "dfdbg/sim/instrument.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
+#include <optional>
 
 #include "dfdbg/common/assert.hpp"
 #include "dfdbg/obs/metrics.hpp"
@@ -9,20 +11,44 @@
 
 namespace dfdbg::sim {
 
-namespace {
 /// Hook-dispatch instruments (aggregate across all ports).
-struct HookMetrics {
+struct InstrumentPort::HookMetrics {
   obs::Counter& enter_fired;
   obs::Counter& exit_fired;
   obs::Counter& invocations;
   obs::Histogram& dispatch_ns;
-  static HookMetrics& get() {
-    auto& r = obs::Registry::global();
-    static HookMetrics m{r.counter("hook.enter"), r.counter("hook.exit"),
-                         r.counter("hook.invocation"), r.histogram("hook.dispatch_ns")};
-    return m;
-  }
 };
+
+/// RAII: times one sampled fire, less the time a stop inside it sat parked,
+/// and records it in hook.dispatch_ns as `weight` fires.
+class InstrumentPort::SampledFire {
+ public:
+  SampledFire(InstrumentPort& port, std::uint64_t weight)
+      : port_(port), weight_(weight), parked0_(port.parked_ns_),
+        t0_(std::chrono::steady_clock::now()) {
+    port_.timing_++;
+  }
+  ~SampledFire() {
+    port_.timing_--;
+    if (!obs::enabled()) return;
+    const auto elapsed = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                             t0_)
+            .count());
+    const std::uint64_t parked = port_.parked_ns_ - parked0_;
+    port_.obs_m_->dispatch_ns.observe(elapsed > parked ? elapsed - parked : 0, weight_);
+  }
+  SampledFire(const SampledFire&) = delete;
+  SampledFire& operator=(const SampledFire&) = delete;
+
+ private:
+  InstrumentPort& port_;
+  std::uint64_t weight_;
+  std::uint64_t parked0_;
+  std::chrono::steady_clock::time_point t0_;
+};
+
+namespace {
 /// Re-entrancy depth of DispatchScope on this thread (a hook that triggers
 /// another armed framework call must not re-lock the dispatch mutex).
 thread_local int t_dispatch_depth = 0;
@@ -159,15 +185,27 @@ bool InstrumentPort::has_any_hook(SymbolId s) const {
   return !h.enter.empty() || !h.exit.empty();
 }
 
-obs::Counter& InstrumentPort::symbol_counter(SymbolId symbol, bool is_enter) {
-  auto& cache = is_enter ? enter_counters_ : exit_counters_;
-  std::size_t idx = symbol.value();
-  if (idx >= cache.size()) cache.resize(idx + 1, nullptr);
-  if (cache[idx] == nullptr) {
-    cache[idx] = &obs::Registry::global().counter("hook.sym." + symbol_names_[idx] +
-                                                  (is_enter ? ".enter" : ".exit"));
+void InstrumentPort::resolve_obs() {
+  auto& r = obs::Registry::global();
+  static const HookMetrics m{r.counter("hook.enter"), r.counter("hook.exit"),
+                             r.counter("hook.invocation"), r.histogram("hook.dispatch_ns")};
+  obs_m_ = &m;
+  obs_enter_.attach(m.enter_fired);
+  obs_exit_.attach(m.exit_fired);
+  obs_invocations_.attach(m.invocations);
+}
+
+obs::Tally& InstrumentPort::symbol_tally(SymbolId symbol, bool is_enter) {
+  auto& index = is_enter ? enter_tallies_ : exit_tallies_;
+  const std::size_t idx = symbol.value();
+  if (idx >= index.size()) index.resize(idx + 1, nullptr);
+  if (index[idx] == nullptr) {
+    obs::Tally& t = sym_tallies_.emplace_back();
+    t.attach(obs::Registry::global().counter("hook.sym." + symbol_names_[idx] +
+                                             (is_enter ? ".enter" : ".exit")));
+    index[idx] = &t;
   }
-  return *cache[idx];
+  return *index[idx];
 }
 
 InstrumentPort::RunningInvocation::RunningInvocation(InstrumentPort& port, std::uint32_t idx)
@@ -183,11 +221,18 @@ InstrumentPort::RunningInvocation::~RunningInvocation() {
 void InstrumentPort::fire_list(Kernel& kernel, SymbolId symbol, bool is_enter,
                                std::span<const ArgValue> args, const ArgValue* ret) {
   if (hook_list(symbol, is_enter).empty()) return;
-  // Per-symbol dispatch count plus the wall-clock cost of running the hooks
-  // — the debugger's own overhead, measured from inside (see OBSERVABILITY.md).
-  obs::ScopedTimer timer(HookMetrics::get().dispatch_ns);
-  if (obs::enabled()) symbol_counter(symbol, is_enter).add();
   per_symbol_[symbol.value()].hits += hook_list(symbol, is_enter).size();
+  // The debugger's own overhead, measured from inside (see OBSERVABILITY.md):
+  // an exact per-symbol fire count, and the wall time of a sample of fires.
+  std::optional<SampledFire> sample;
+  if (obs::enabled()) {
+    obs::Tally& fires = symbol_tally(symbol, is_enter);
+    if (fires.value() == 0)
+      sample.emplace(*this, 1);
+    else if (sample_draw())
+      sample.emplace(*this, kDispatchSample);
+    fires.add();
+  }
   // Walk the live list, not a copy. Hooks may add or remove hooks while they
   // run (temporary breakpoints), and may intern symbols, which moves the
   // lists: so fetch the list again after every call and resume after the id
@@ -203,7 +248,7 @@ void InstrumentPort::fire_list(Kernel& kernel, SymbolId symbol, bool is_enter,
     HookRecord& rec = hooks_[idx];
     if (rec.enabled) {
       hook_invocations_++;
-      HookMetrics::get().invocations.add();
+      if (obs::enabled()) obs_invocations_.add();
       // The hook may stop the simulation and park here while the debugger
       // adds hooks (moving `rec`) or removes this one: call through the
       // heap-stable callable, kept alive by the running count.
@@ -225,7 +270,8 @@ void InstrumentPort::fire_enter(Kernel& kernel, SymbolId symbol, std::span<const
   if (!enabled_ || teardown_) return;
   DispatchScope scope(*this, kernel);
   enter_fired_++;
-  HookMetrics::get().enter_fired.add();
+  if (obs_m_ == nullptr) [[unlikely]] resolve_obs();
+  if (obs::enabled()) obs_enter_.add();
   if (symbol.valid() && symbol.value() < per_symbol_.size())
     fire_list(kernel, symbol, /*is_enter=*/true, args, nullptr);
   if (instance.valid() && instance.value() < per_symbol_.size())
@@ -237,7 +283,8 @@ void InstrumentPort::fire_exit(Kernel& kernel, SymbolId symbol, std::span<const 
   if (!enabled_ || teardown_) return;
   DispatchScope scope(*this, kernel);
   exit_fired_++;
-  HookMetrics::get().exit_fired.add();
+  if (obs_m_ == nullptr) [[unlikely]] resolve_obs();
+  if (obs::enabled()) obs_exit_.add();
   if (symbol.valid() && symbol.value() < per_symbol_.size())
     fire_list(kernel, symbol, /*is_enter=*/false, args, ret);
   if (instance.valid() && instance.value() < per_symbol_.size())

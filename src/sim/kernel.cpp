@@ -16,33 +16,6 @@ namespace {
 /// cleanly through RAII frames.
 struct ProcessKilled {};
 
-/// Scheduler instruments, interned once (stable addresses by construction).
-struct SchedMetrics {
-  obs::Counter& dispatches;
-  obs::Counter& context_switches;
-  obs::Counter& spawns;
-  obs::Counter& timed_wakeups;
-  obs::Counter& breaks;
-  obs::Counter& rounds;
-  obs::Counter& elided;            ///< sim.barrier.elided_rounds
-  obs::Histogram& ready_depth;
-  obs::Histogram& round_wall_ns;   ///< sim.barrier.round_wall_ns
-  obs::Histogram& round_drain_ns;  ///< sim.barrier.drain_ns
-  obs::Gauge& boundary_hwm;        ///< sim.barrier.boundary_hwm
-  static SchedMetrics& get() {
-    auto& r = obs::Registry::global();
-    static SchedMetrics m{r.counter("sim.dispatch"),      r.counter("sim.context_switch"),
-                          r.counter("sim.process_spawn"), r.counter("sim.timed_wakeup"),
-                          r.counter("sim.debug_break"),   r.counter("sim.barrier.round"),
-                          r.counter("sim.barrier.elided_rounds"),
-                          r.histogram("sim.ready_depth"),
-                          r.histogram("sim.barrier.round_wall_ns"),
-                          r.histogram("sim.barrier.drain_ns"),
-                          r.gauge("sim.barrier.boundary_hwm")};
-    return m;
-  }
-};
-
 /// Monotonic wall clock for shard time attribution. Never feeds back into
 /// scheduling decisions, so measurement cannot perturb determinism.
 std::uint64_t mono_ns() {
@@ -63,6 +36,43 @@ struct WorkerTls {
 thread_local WorkerTls t_worker;
 
 }  // namespace
+
+/// Scheduler instruments, interned once (stable addresses by construction).
+/// sim.dispatch and sim.context_switch are fed by each scheduler's tallies.
+struct Kernel::SchedMetrics {
+  obs::Counter& dispatches;
+  obs::Counter& context_switches;
+  obs::Counter& spawns;
+  obs::Counter& timed_wakeups;
+  obs::Counter& breaks;
+  obs::Counter& rounds;
+  obs::Counter& elided;            ///< sim.barrier.elided_rounds
+  obs::Histogram& ready_depth;
+  obs::Histogram& round_wall_ns;   ///< sim.barrier.round_wall_ns
+  obs::Histogram& round_drain_ns;  ///< sim.barrier.drain_ns
+  obs::Gauge& boundary_hwm;        ///< sim.barrier.boundary_hwm
+  static SchedMetrics make() {
+    auto& r = obs::Registry::global();
+    return {r.counter("sim.dispatch"),      r.counter("sim.context_switch"),
+            r.counter("sim.process_spawn"), r.counter("sim.timed_wakeup"),
+            r.counter("sim.debug_break"),   r.counter("sim.barrier.round"),
+            r.counter("sim.barrier.elided_rounds"),
+            r.histogram("sim.ready_depth"),
+            r.histogram("sim.barrier.round_wall_ns"),
+            r.histogram("sim.barrier.drain_ns"),
+            r.gauge("sim.barrier.boundary_hwm")};
+  }
+};
+
+const Kernel::SchedMetrics& Kernel::sched(SchedObs& o) {
+  if (o.m == nullptr) [[unlikely]] {
+    static const SchedMetrics m = SchedMetrics::make();
+    o.m = &m;
+    o.dispatches.attach(m.dispatches);
+    o.switches.attach(m.context_switches);
+  }
+  return *o.m;
+}
 
 // ---------------------------------------------------------------------------
 // Process
@@ -215,7 +225,8 @@ ProcessId Kernel::spawn_in(int partition, std::string name, std::function<void()
   name_index_.emplace(p->name(), id);  // keeps the first binding on collision
   live_count_.fetch_add(1, std::memory_order_relaxed);
   make_ready(p);
-  if (obs::enabled()) SchedMetrics::get().spawns.add();
+  // A worker spawns under spawn_mu_, so the coordinator's state is safe here.
+  if (obs::enabled()) sched(obs_).spawns.add();
   return id;
 }
 
@@ -289,24 +300,23 @@ void Kernel::dispatch(Process* p) {
   p->state_ = ProcessState::kRunning;
   p->activations_++;
   dispatches_++;
-  const bool prof = obs::enabled();
-  if (prof) {
-    SchedMetrics& m = SchedMetrics::get();
-    m.dispatches.add();
+  if (obs::enabled()) {
+    const SchedMetrics& m = sched(obs_);
+    obs_.dispatches.add();
     // Two control transfers per dispatch: one FiberContext::switch_to into
     // the process, one back to the scheduler when it yields.
-    m.context_switches.add(2);
+    obs_.switches.add(2);
     // Depth observed when the process left the queue, i.e. the backlog it
     // waited behind.
     m.ready_depth.observe(ready_.size());
-    obs::Journal& j = obs::Journal::global();
+    obs::Journal& j = *journal_base_;
     if (j.recording()) {
       obs::JournalEvent ev;
       ev.time = now_;
       ev.kind = obs::JournalKind::kDispatch;
       ev.actor = p->jname_;
       ev.index = p->activations_;
-      j.record(ev);
+      j.append(ev);
     }
   }
   current_ = p;
@@ -344,7 +354,7 @@ RunResult Kernel::run(SimTime until) {
         Process* p = timed_.top().process;
         timed_.pop();
         make_ready(p);
-        if (obs::enabled()) SchedMetrics::get().timed_wakeups.add();
+        if (obs::enabled()) sched(obs_).timed_wakeups.add();
       }
       continue;
     }
@@ -397,8 +407,16 @@ void Kernel::debug_break() {
   p->state_ = ProcessState::kReady;
   ready_.push_front(p);  // resume exactly here on the next run()
   stop_requested_ = true;
-  if (obs::enabled()) SchedMetrics::get().breaks.add();
+  if (obs::enabled()) sched(obs_).breaks.add();
+  if (!instrument_.timing()) {
+    p->park();
+    return;
+  }
+  // Stopped inside a hooked fire whose dispatch time is being sampled: the
+  // time parked here is the user's, not the hooks'.
+  const std::uint64_t t0 = mono_ns();
   p->park();
+  instrument_.add_parked_ns(mono_ns() - t0);
 }
 
 void Kernel::notify(Event& e) {
@@ -457,6 +475,11 @@ void Kernel::notify(Event& e) {
 Process* Kernel::current_parallel() const {
   if (t_worker.kernel != this) return nullptr;
   return shards_[t_worker.shard]->current;
+}
+
+obs::Journal& Kernel::shard_journal() const {
+  if (t_worker.kernel != this) return *journal_base_;
+  return *shards_[t_worker.shard]->journal;
 }
 
 void Kernel::ensure_workers_started() {
@@ -528,7 +551,7 @@ void Kernel::worker_main(int shard) {
 
 void Kernel::run_round() {
   rounds_++;
-  if (obs::enabled()) SchedMetrics::get().rounds.add();
+  if (obs::enabled()) sched(obs_).rounds.add();
   std::unique_lock<std::mutex> lk(round_mu_);
   int participants = 0;
   for (auto& sh : shards_) {
@@ -558,9 +581,9 @@ void Kernel::dispatch_shard(Shard& s, Process* p) {
   s.dispatches++;
   const bool prof = obs::enabled();
   if (prof) {
-    SchedMetrics& m = SchedMetrics::get();
-    m.dispatches.add();
-    m.context_switches.add(2);
+    const SchedMetrics& m = sched(s.obs);
+    s.obs.dispatches.add();
+    s.obs.switches.add(2);
     m.ready_depth.observe(s.ready.size());
     s.m_dispatches->add();
     obs::Journal& j = *s.journal;
@@ -570,7 +593,7 @@ void Kernel::dispatch_shard(Shard& s, Process* p) {
       ev.kind = obs::JournalKind::kDispatch;
       ev.actor = p->jname_;
       ev.index = p->activations_;
-      j.record(ev);
+      j.append(ev);
     }
   }
   s.current = p;
@@ -633,7 +656,7 @@ void Kernel::debug_break_parallel() {
   s.ready.push_front(p);  // resume exactly here on the next run()
   s.stop_round = true;    // this shard ends its round; others drain naturally
   stop_flag_.store(true, std::memory_order_release);
-  if (obs::enabled()) SchedMetrics::get().breaks.add();
+  if (obs::enabled()) sched(s.obs).breaks.add();
   p->park();
 }
 
@@ -735,7 +758,7 @@ void Kernel::record_round(std::uint64_t t0, std::uint64_t t1, std::uint64_t t2,
     sh->h_round_work->observe(d.work_ns);
     rec.partitions.push_back(d);
   }
-  SchedMetrics& m = SchedMetrics::get();
+  const SchedMetrics& m = sched(obs_);
   m.round_wall_ns.observe(wall);
   m.round_drain_ns.observe(drain);
   if (elided) m.elided.add();
@@ -943,7 +966,7 @@ RunResult Kernel::run_parallel(SimTime until) {
         Process* p = sh->timed.top().process;
         sh->timed.pop();
         make_ready(p);
-        if (obs::enabled()) SchedMetrics::get().timed_wakeups.add();
+        if (obs::enabled()) sched(obs_).timed_wakeups.add();
       }
     }
   }

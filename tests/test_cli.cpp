@@ -302,6 +302,83 @@ TEST(Cli, TokInsertStructValue) {
   EXPECT_NE(out.find("error:"), std::string::npos);
 }
 
+// Every numeric operand is read whole: a malformed, signed or out-of-range
+// number is an error, never a number strtoul happened to find in it (which
+// made `delete xyz` delete breakpoint 0, and `delete 4294967296` too).
+TEST(Cli, MalformedNumbersAreRefused) {
+  CliRig rig;
+  rig.exec("filter pipe catch work");   // breakpoint 0
+  rig.exec("filter ipred catch work");  // breakpoint 1
+  const char* const kBad[] = {
+      "delete xyz",
+      "delete 1x",
+      "delete -1",
+      "delete 4294967296",
+      "disable 0x",
+      "enable 1.5",
+      "ignore 0 abc",
+      "ignore x 1",
+      "filter ipred catch Pipe_in=1x",
+      "iface pipe::coeff_in catch occupancy many",
+      "iface hwcfg::pipe_MbType_out record bounded 6four",
+      "break ipred:22x",
+      "list ipred 2a1",
+      "tok del ipred::Hwcfg_in 0z",
+      "tok set ipred::Hwcfg_in -1 5",
+      "whence pipe::coeff_in 1x",
+      "whence pipe::coeff_in 0 -2",
+      "print $1x",
+      "trace on 12k",
+      "journal last 3x",
+      "journal tail 5-",
+      "run 10q",
+      "run -5",
+      "journal capacity -8",
+      "journal capacity 99999999999999999999",
+  };
+  for (const char* line : kBad) {
+    const Status s = rig.gdb->execute(line);
+    EXPECT_EQ(s.code(), ErrCode::kInvalidArgument) << line << ": " << s.message();
+    rig.gdb->console().take();
+  }
+  // Nothing was acted on: both breakpoints remain and the decode never ran.
+  EXPECT_EQ(split(rig.exec("info breakpoints"), '\n').size(), 3u);  // 2 lines + ""
+  EXPECT_EQ(rig.session->stop_count(), 0u);
+  // Hex and decimal ids still work.
+  EXPECT_TRUE(rig.gdb->execute("delete 0x1").ok());
+  EXPECT_TRUE(rig.gdb->execute("disable 0").ok());
+}
+
+// `tok insert|set` payloads are read whole too: trailing characters or a
+// malformed struct field are refused instead of storing what strtoull found.
+TEST(Cli, MalformedTokenPayloadsAreRefused) {
+  CliRig rig;
+  const char* const kBad[] = {
+      "tok insert pipe::MbType_in 5x",
+      "tok insert pipe::MbType_in ''",
+      "tok insert pipe::Red2PipeCbMB_in Addr=zz",
+      "tok insert pipe::Red2PipeCbMB_in Addr=0x145D,Izz=",
+      "tok insert pipe::Red2PipeCbMB_in Addr=1,Izz=7q",
+  };
+  for (const char* line : kBad) {
+    const Status s = rig.gdb->execute(line);
+    EXPECT_EQ(s.code(), ErrCode::kInvalidArgument) << line << ": " << s.message();
+    rig.gdb->console().take();
+  }
+  EXPECT_EQ(rig.app->app().link_by_iface("pipe::MbType_in")->occupancy(), 0u);
+  EXPECT_EQ(rig.app->app().link_by_iface("pipe::Red2PipeCbMB_in")->occupancy(), 0u);
+  // Decimal, hex and negative text still parse (negative: two's complement).
+  ASSERT_TRUE(rig.gdb->execute("tok insert pipe::MbType_in 0x1f").ok());
+  ASSERT_TRUE(rig.gdb->execute("tok insert pipe::MbType_in -1").ok());
+  ASSERT_TRUE(rig.gdb->execute("tok set pipe::MbType_in 0 12").ok());
+  const pedf::Link* l = rig.app->app().link_by_iface("pipe::MbType_in");
+  ASSERT_EQ(l->occupancy(), 2u);
+  EXPECT_EQ(l->peek(0).as_u64(), 12u);
+  EXPECT_EQ(l->peek(1).as_u64(), 0xffffu);  // U16
+  EXPECT_FALSE(rig.gdb->execute("tok set pipe::MbType_in 0 12.5").ok());
+  EXPECT_EQ(l->peek(0).as_u64(), 12u);
+}
+
 TEST(Cli, DataExchangeToggleAndFocus) {
   CliRig rig;
   std::string out = rig.exec("disable data-exchange");

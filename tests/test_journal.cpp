@@ -127,6 +127,34 @@ TEST(Journal, WraparoundOverwritesOldestAndCountsDrops) {
   for (std::size_t i = 0; i < j.size(); i++) EXPECT_EQ(j.at(i).time, 7 + i);
 }
 
+// journal.recorded / journal.dropped fold the journal's own totals, which
+// outlive its windows and the journal itself.
+TEST(Journal, RegistryTotalsSurviveClearSetCapacityAndTheJournal) {
+  EnabledGuard on(true);
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t rec0 = reg.counter("journal.recorded").value();
+  const std::uint64_t drop0 = reg.counter("journal.dropped").value();
+  {
+    obs::Journal j(4);
+    obs::JournalEvent ev;
+    for (int i = 0; i < 10; ++i) j.record(ev);  // 6 evicted
+    j.clear();
+    for (int i = 0; i < 3; ++i) j.record(ev);
+    j.set_capacity(2);
+    for (int i = 0; i < 5; ++i) j.record(ev);  // 3 evicted
+    {
+      EnabledGuard off(false);
+      j.record(ev);  // gated: counts nothing
+    }
+    EXPECT_EQ(j.total_recorded(), 5u);  // the window's own view
+    EXPECT_EQ(j.dropped(), 3u);
+    EXPECT_EQ(reg.counter("journal.recorded").value() - rec0, 18u);
+    EXPECT_EQ(reg.counter("journal.dropped").value() - drop0, 9u);
+  }
+  EXPECT_EQ(reg.counter("journal.recorded").value() - rec0, 18u);
+  EXPECT_EQ(reg.counter("journal.dropped").value() - drop0, 9u);
+}
+
 TEST(Journal, SetCapacityClearsWindowButKeepsNamesAndIds) {
   EnabledGuard on(true);
   obs::Journal j(4);

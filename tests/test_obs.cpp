@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +22,7 @@
 
 #include "dfdbg/dbgcli/cli.hpp"
 #include "dfdbg/h264/app.hpp"
+#include "dfdbg/obs/journal.hpp"
 #include "dfdbg/obs/metrics.hpp"
 #include "dfdbg/pedf/application.hpp"
 #include "dfdbg/sim/context.hpp"
@@ -108,6 +110,49 @@ TEST(ObsHistogram, ResetClearsEverything) {
   h.observe(2);  // usable after reset, min re-seeds
   EXPECT_EQ(h.min(), 2u);
   EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(ObsHistogram, WeightedObserveCountsTheSampleNTimes) {
+  EnabledGuard on(true);
+  obs::Histogram h;
+  h.observe(100, 64);  // one sample standing in for 64 events
+  h.observe(3);
+  EXPECT_EQ(h.count(), 65u);
+  EXPECT_EQ(h.sum(), 6403u);
+  EXPECT_EQ(h.bucket(obs::Histogram::bucket_of(100)), 64u);
+  EXPECT_EQ(h.min(), 3u);
+  EXPECT_EQ(h.max(), 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Owned tallies
+// ---------------------------------------------------------------------------
+
+TEST(ObsTally, CounterFoldsLiveTalliesAndWhatRetiredOnesLeft) {
+  EnabledGuard on(true);
+  obs::Counter c;
+  c.add(5);
+  {
+    obs::Tally a;
+    obs::Tally b;
+    a.attach(c);
+    b.attach(c);
+    a.add(3);
+    b.add(4);
+    EXPECT_EQ(c.value(), 12u);
+    c.reset();  // a baseline over cells and tallies alike
+    EXPECT_EQ(c.value(), 0u);
+    a.add(2);
+    EXPECT_EQ(c.value(), 2u);
+  }
+  EXPECT_EQ(c.value(), 2u) << "destroyed tallies keep their counts in the counter";
+  obs::Tally d;
+  d.attach(c);
+  d.add();
+  EXPECT_EQ(c.value(), 3u);
+  obs::Tally unattached;
+  unattached.add(100);
+  EXPECT_EQ(c.value(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,6 +840,134 @@ TEST(TraceStats, SummaryReportsKindsAndDrops) {
   std::uint64_t kind_total = 0;
   for (const auto& [kind, n] : tc.counts_by_kind()) kind_total += n;
   EXPECT_EQ(kind_total, tc.events().size());
+}
+
+// ---------------------------------------------------------------------------
+// Folded counters and sampled hook timing on a live kernel
+// ---------------------------------------------------------------------------
+
+/// TwoActorRig with a chosen backend and a longer stream.
+struct FlipRig {
+  static constexpr int kSteps = 40;
+  sim::Kernel kernel;
+  sim::Platform platform;
+  pedf::Application app;
+
+  FlipRig(sim::ProcessBackend backend, int workers)
+      : kernel(backend, workers), platform(kernel, TwoActorRig::small()), app(platform, "flip") {
+    auto mod = std::make_unique<pedf::Module>("m");
+    mod->add_port("in", pedf::PortDir::kIn, pedf::TypeDesc());
+    mod->add_port("out", pedf::PortDir::kOut, pedf::TypeDesc());
+    mod->add_filter(std::make_unique<DoublerFilter>("dbl"));
+    mod->add_filter(std::make_unique<IncFilter>("inc"));
+    mod->set_controller(all_fire_controller("controller", kSteps));
+    mod->bind("this.in", "dbl.in");
+    mod->bind("dbl.out", "inc.in");
+    mod->bind("inc.out", "this.out");
+    app.set_root(std::move(mod));
+    app.add_host_source("src", "m.in", std::vector<pedf::Value>(kSteps, pedf::Value::u32(1)));
+    app.add_host_sink("snk", "m.out", kSteps);
+    EXPECT_TRUE(app.elaborate().ok());
+  }
+
+  /// What the kernel, port and links count whether or not obs is on.
+  struct Exact {
+    std::uint64_t dispatches, enters, invocations, pushes, pops, recorded;
+  };
+  Exact exact() {
+    Exact e{kernel.dispatch_count(), kernel.instrument().enter_fired(),
+            kernel.instrument().hook_invocations(), 0, 0, kernel.journal().total_recorded()};
+    for (const auto& l : app.links()) {
+      e.pushes += l->push_index();
+      e.pops += l->pop_index();
+    }
+    return e;
+  }
+};
+
+/// Runs a FlipRig with obs off for its first third (by simulated time), on
+/// for the second, off again to the end, and checks that every counter the
+/// registry folds from its owners counts exactly the middle span — also
+/// once the owners are gone.
+void check_flip_counts_enabled_span(sim::ProcessBackend backend, int workers) {
+  sim::SimTime end = 0;
+  {
+    FlipRig probe(backend, workers);
+    probe.app.start();
+    ASSERT_EQ(probe.kernel.run(), sim::RunResult::kFinished);
+    end = probe.kernel.now();
+  }
+  ASSERT_GT(end, 3u);
+  obs::Journal::global().clear();  // room for the span's records (no drops)
+  obs::Registry& reg = obs::Registry::global();
+  EnabledGuard off(false);
+  reg.reset();
+  FlipRig::Exact before{};
+  FlipRig::Exact after{};
+  {
+    auto rig = std::make_unique<FlipRig>(backend, workers);
+    sim::InstrumentPort& port = rig->kernel.instrument();
+    port.set_enabled(true);
+    port.add_enter_hook(port.lookup("pedf__work_enter"), [](sim::Frame&) {});
+    rig->app.start();
+    ASSERT_EQ(rig->kernel.run(end / 3), sim::RunResult::kTimeLimit);
+    before = rig->exact();
+    obs::set_enabled(true);
+    ASSERT_EQ(rig->kernel.run(2 * end / 3), sim::RunResult::kTimeLimit);
+    obs::set_enabled(false);
+    after = rig->exact();
+    ASSERT_EQ(rig->kernel.run(), sim::RunResult::kFinished);
+    ASSERT_GT(after.dispatches, before.dispatches);
+    ASSERT_GT(after.invocations, before.invocations);
+    ASSERT_GT(after.pushes, before.pushes);
+  }
+  const std::uint64_t works = reg.counter("hook.sym.pedf__work_enter.enter").value();
+  for (int pass = 0; pass < 2; ++pass) {  // with the owners live, then destroyed
+    SCOPED_TRACE(pass == 0 ? "owners live" : "owners destroyed");
+    EXPECT_EQ(reg.counter("sim.dispatch").value(), after.dispatches - before.dispatches);
+    EXPECT_EQ(reg.counter("sim.context_switch").value(),
+              2 * (after.dispatches - before.dispatches));
+    EXPECT_EQ(reg.counter("hook.enter").value(), after.enters - before.enters);
+    EXPECT_EQ(reg.counter("hook.invocation").value(), after.invocations - before.invocations);
+    EXPECT_EQ(works, after.invocations - before.invocations);  // the one hook
+    EXPECT_EQ(reg.counter("link.push").value(), after.pushes - before.pushes);
+    EXPECT_EQ(reg.counter("link.pop").value(), after.pops - before.pops);
+    EXPECT_EQ(reg.counter("journal.recorded").value(), after.recorded - before.recorded);
+    EXPECT_EQ(reg.counter("journal.dropped").value(), 0u);
+  }
+}
+
+TEST(ObsInstrumentation, MidRunFlipCountsExactlyTheEnabledSpanOnFibers) {
+  check_flip_counts_enabled_span(sim::ProcessBackend::kFibers, 1);
+}
+
+TEST(ObsInstrumentation, MidRunFlipCountsExactlyTheEnabledSpanOnParallel2) {
+  check_flip_counts_enabled_span(sim::ProcessBackend::kParallel, 2);
+}
+
+// hook.dispatch_ns is the hooks' own cost: a stop taken inside a sampled
+// fire parks the process there, and the time the user spends at that stop
+// is left out of the sample.
+TEST(ObsInstrumentation, DispatchTimeLeavesOutTimeParkedAtAStop) {
+  EnabledGuard on(true);
+  obs::Histogram& h = obs::Registry::global().histogram("hook.dispatch_ns");
+  TwoActorRig rig;
+  sim::InstrumentPort& port = rig.kernel.instrument();
+  port.set_enabled(true);
+  bool stopped = false;
+  // The first fire of a symbol is always sampled: stop there.
+  port.add_enter_hook(port.lookup("pedf__work_enter"), [&](sim::Frame& f) {
+    if (stopped) return;
+    stopped = true;
+    f.kernel().debug_break();
+  });
+  rig.app.start();
+  const std::uint64_t sum0 = h.sum();
+  ASSERT_EQ(rig.kernel.run(), sim::RunResult::kStopped);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(rig.kernel.run(), sim::RunResult::kFinished);
+  EXPECT_LT(h.sum() - sum0, 25'000'000u) << "the 50 ms parked at the stop were counted";
+  EXPECT_GT(h.count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

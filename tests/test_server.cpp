@@ -146,6 +146,24 @@ TEST(ServerProtocol, ErrorCodeMapping) {
             kErrNotFound);
 }
 
+// `inject`/`replace` payloads are read whole: trailing characters or a
+// malformed struct field are invalid params, and nothing is altered.
+TEST(ServerProtocol, MalformedTokenPayloadsAreInvalidParams) {
+  Rig rig;
+  EXPECT_EQ(rig.error_code(
+                R"({"id":1,"method":"inject","params":{"iface":"pipe::MbType_in","value":"5x"}})"),
+            kErrInvalidParams);
+  EXPECT_EQ(rig.error_code(R"({"id":2,"method":"inject","params":{"iface":"pipe::Red2PipeCbMB_in","value":"Addr=zz"}})"),
+            kErrInvalidParams);
+  EXPECT_EQ(rig.app->app().link_by_iface("pipe::MbType_in")->occupancy(), 0u);
+  EXPECT_EQ(rig.app->app().link_by_iface("pipe::Red2PipeCbMB_in")->occupancy(), 0u);
+  rig.result(R"({"id":3,"method":"inject","params":{"iface":"pipe::MbType_in","value":"7"}})");
+  EXPECT_EQ(rig.error_code(R"({"id":4,"method":"replace","params":{"iface":"pipe::MbType_in","slot":0,"value":"0x"}})"),
+            kErrInvalidParams);
+  rig.result(R"({"id":5,"method":"replace","params":{"iface":"pipe::MbType_in","slot":0,"value":"-2"}})");
+  EXPECT_EQ(rig.app->app().link_by_iface("pipe::MbType_in")->peek(0).as_u64(), 0xfffeu);
+}
+
 // A method name is client input: unknown names are rejected and counted as
 // errors without minting a `server.req.<name>` instrument each, so a client
 // cannot grow the registry (or its cell slots) without bound.
