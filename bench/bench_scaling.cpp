@@ -182,7 +182,10 @@ BENCHMARK(BM_StopsVsArmedCatchpoints)->Arg(0)->Arg(4)->Arg(16);
 // processes yields `yields` times, so one run is ~procs*yields dispatches
 // of pure scheduling with trivial process bodies — the cost under the
 // microscope is the hand-over itself: two fiber switches plus the
-// scheduler's own work around them.
+// scheduler's own work around them. The yields are advance(0), which the
+// kernel never resumes in place (only a lone timed wait is), so every
+// dispatch here makes both switches and ns_per_context_switch stays half a
+// dispatch.
 void BM_DispatchRate(benchmark::State& state) {
   const int procs = 64;
   const int yields = 256;
@@ -196,10 +199,10 @@ void BM_DispatchRate(benchmark::State& state) {
       });
     secs += benchutil::time_s([&] { DFDBG_CHECK(k.run() == sim::RunResult::kFinished); });
     dispatches += k.dispatch_count();
+    DFDBG_CHECK(k.context_switch_count() == 2 * k.dispatch_count());
   }
   state.counters["dispatches"] = static_cast<double>(dispatches);
   state.counters["dispatches_per_sec"] = secs > 0 ? static_cast<double>(dispatches) / secs : 0;
-  // A dispatch is two context switches (in and out of the process).
   state.counters["ns_per_dispatch"] =
       dispatches > 0 ? secs * 1e9 / static_cast<double>(dispatches) : 0;
   state.counters["ns_per_context_switch"] =
@@ -460,6 +463,11 @@ BENCHMARK(BM_AttachedHotPath)->Unit(benchmark::kMillisecond);
 // by more than 0.001: turning obs on must add no allocation per event);
 // wide_per_push is the share of pushes whose payload is wider than Value's
 // inline words, each of which the mirror snapshots with one allocation.
+// switches_per_dispatch and dispatches_per_push come from the kernel's exact
+// counts (scripts/check_build.sh fails unless /0 resumes some timed waits in
+// place, i.e. makes fewer than 2 switches per dispatch, and unless all three
+// variants dispatch the same per push: attaching must not change the
+// schedule).
 void BM_AttachedDecode(benchmark::State& state) {
   const bool attach = state.range(0) != 0;
   const bool obs_on = state.range(0) == 2;
@@ -471,6 +479,8 @@ void BM_AttachedDecode(benchmark::State& state) {
   std::uint64_t pushes = 0;
   std::uint64_t wide = 0;
   std::uint64_t allocs = 0;
+  std::uint64_t dispatches = 0;
+  std::uint64_t switches = 0;
   const bool saved_obs = obs::enabled();
   obs::set_enabled(obs_on);
   obs::Journal::global().set_recording(true);
@@ -498,6 +508,8 @@ void BM_AttachedDecode(benchmark::State& state) {
     }
     state.PauseTiming();
     DFDBG_CHECK(app.decoded_matches_golden());
+    dispatches += app.kernel().dispatch_count();
+    switches += app.kernel().context_switch_count();
     for (const auto& l : app.app().links()) {
       pushes += l->push_index();
       const pedf::StructType* st = l->type().struct_type();
@@ -515,6 +527,10 @@ void BM_AttachedDecode(benchmark::State& state) {
   state.counters["pushes"] = p / static_cast<double>(state.iterations());
   state.counters["allocs_per_push"] = pushes > 0 ? static_cast<double>(allocs) / p : 0;
   state.counters["wide_per_push"] = pushes > 0 ? static_cast<double>(wide) / p : 0;
+  state.counters["dispatches_per_push"] =
+      pushes > 0 ? static_cast<double>(dispatches) / p : 0;
+  state.counters["switches_per_dispatch"] =
+      dispatches > 0 ? static_cast<double>(switches) / static_cast<double>(dispatches) : 0;
 }
 BENCHMARK(BM_AttachedDecode)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 

@@ -457,6 +457,18 @@ on = rows["BM_AttachedDecode/2"]["counters"]["allocs_per_push"]
 assert on - off <= 0.001, f"BM_AttachedDecode/2 allocs_per_push {on} exceeds /1 {off} by > 0.001"
 print(f"ok: BM_AttachedDecode allocs_per_push obs on {on:.6f} vs off {off:.6f} (<= +0.001)")' \
       || { echo "FAIL: obs-on decode allocates per event"; exit 1; }
+    # The kernel resumes a lone timed wait in place: the plain decode makes
+    # fewer than two fiber switches per dispatch. And attaching a debugger
+    # (obs off or on) must not change the schedule: all three variants
+    # dispatch the same per push. Both are exact kernel counts, not timings.
+    printf '%s\n' "$out" | sed -n 's/^BENCH_JSON //p' | python3 -c 'import json,sys
+rows = {r["name"]: r["counters"] for r in map(json.loads, sys.stdin)}
+spd = rows["BM_AttachedDecode/0"]["switches_per_dispatch"]
+assert spd < 2, f"BM_AttachedDecode/0 switches_per_dispatch {spd} is not below 2: no timed wait resumed in place"
+dpp = {a: rows[f"BM_AttachedDecode/{a}"]["dispatches_per_push"] for a in (0, 1, 2)}
+assert len(set(dpp.values())) == 1, f"BM_AttachedDecode dispatches_per_push differ: {dpp}"
+print(f"ok: BM_AttachedDecode/0 switches_per_dispatch {spd:.5f} < 2; dispatches_per_push {dpp[0]:.5f} on /0 /1 /2")' \
+      || { echo "FAIL: decode schedule counts"; exit 1; }
     # A journal record next to the bare ring store it performs: both rows
     # must be there; the ratio is printed, not gated (timing is host noise).
     printf '%s\n' "$out" | sed -n 's/^BENCH_JSON //p' | python3 -c 'import json,sys

@@ -1,5 +1,6 @@
 // Filter and controller implementations of the PEDF H.264 decoder, plus the
 // MIND architecture description they plug into.
+#include <array>
 #include <memory>
 
 #include "dfdbg/common/assert.hpp"
@@ -207,17 +208,81 @@ std::uint32_t red_izz(std::uint32_t summary) {
 const char* kCoefFieldNames[16] = {"C0", "C1", "C2",  "C3",  "C4",  "C5",  "C6",  "C7",
                                    "C8", "C9", "C10", "C11", "C12", "C13", "C14", "C15"};
 
+// Token layouts, resolved once per filter at bind(): the struct type a port
+// carries and the indices of the fields the filter reads or writes, so a
+// token costs field_u64_at/set_field_at instead of a hashed name per field.
+
+/// The struct type a port handle (FilterContext::In or Out) carries.
+template <class Handle>
+const pedf::StructType* struct_of(const Handle& h) {
+  return h.port()->type().struct_type();
+}
+
+std::size_t field_of(const pedf::StructType* st, std::string_view field) {
+  DFDBG_CHECK(st != nullptr);
+  const int i = st->field_index(field);
+  DFDBG_CHECK_MSG(i >= 0, st->name() + " has no field " + std::string(field));
+  return static_cast<std::size_t>(i);
+}
+
+/// MbHdr_t.
+struct MbHdrFields {
+  const pedf::StructType* type = nullptr;
+  std::size_t addr = 0, mode = 0, dx = 0, dy = 0;
+  static MbHdrFields of(const pedf::StructType* st) {
+    return {st, field_of(st, "Addr"), field_of(st, "Mode"), field_of(st, "Dx"),
+            field_of(st, "Dy")};
+  }
+};
+
+/// Blk_t.
+struct BlkFields {
+  const pedf::StructType* type = nullptr;
+  std::size_t addr = 0, plane = 0, blk_idx = 0, mode = 0, dx = 0, dy = 0, n = 0;
+  std::array<std::size_t, 16> coef{};
+  static BlkFields of(const pedf::StructType* st) {
+    BlkFields f{st,
+                field_of(st, "Addr"),
+                field_of(st, "Plane"),
+                field_of(st, "BlkIdx"),
+                field_of(st, "Mode"),
+                field_of(st, "Dx"),
+                field_of(st, "Dy"),
+                field_of(st, "N")};
+    for (std::size_t i = 0; i < f.coef.size(); ++i) f.coef[i] = field_of(st, kCoefFieldNames[i]);
+    return f;
+  }
+};
+
+/// CbCrMB_t.
+struct CbCrFields {
+  const pedf::StructType* type = nullptr;
+  std::size_t addr = 0, inter = 0, izz = 0;
+  static CbCrFields of(const pedf::StructType* st) {
+    return {st, field_of(st, "Addr"), field_of(st, "InterNotIntra"), field_of(st, "Izz")};
+  }
+};
+
+/// MbDone_t.
+struct MbDoneFields {
+  const pedf::StructType* type = nullptr;
+  std::size_t addr = 0, izz = 0;
+  static MbDoneFields of(const pedf::StructType* st) {
+    return {st, field_of(st, "Addr"), field_of(st, "Izz")};
+  }
+};
+
 /// Reads one Blk_t token into MbSyntax block storage; returns block index.
-int read_blk(const Value& blk, MbSyntax* mb, std::uint32_t* addr) {
-  *addr = static_cast<std::uint32_t>(blk.field_u64("Addr"));
-  mb->mode = static_cast<MbMode>(blk.field_u64("Mode"));
-  mb->mv.dx = unpack_i32(blk.field_u64("Dx"));
-  mb->mv.dy = unpack_i32(blk.field_u64("Dy"));
-  int b = static_cast<int>(blk.field_u64("BlkIdx"));
+int read_blk(const Value& blk, const BlkFields& f, MbSyntax* mb, std::uint32_t* addr) {
+  *addr = static_cast<std::uint32_t>(blk.field_u64_at(f.addr));
+  mb->mode = static_cast<MbMode>(blk.field_u64_at(f.mode));
+  mb->mv.dx = unpack_i32(blk.field_u64_at(f.dx));
+  mb->mv.dy = unpack_i32(blk.field_u64_at(f.dy));
+  int b = static_cast<int>(blk.field_u64_at(f.blk_idx));
   auto& q = mb->qcoef[static_cast<std::size_t>(b)];
-  int n = static_cast<int>(blk.field_u64("N"));
-  for (int i = 0; i < 16; ++i)
-    q[static_cast<std::size_t>(i)] = i < n ? unpack_i32(blk.field_u64(kCoefFieldNames[i])) : 0;
+  int n = static_cast<int>(blk.field_u64_at(f.n));
+  for (std::size_t i = 0; i < f.coef.size(); ++i)
+    q[i] = static_cast<int>(i) < n ? unpack_i32(blk.field_u64_at(f.coef[i])) : 0;
   return b;
 }
 
@@ -240,15 +305,20 @@ class VldFilter : public pedf::Filter {
                 "  pedf.io.coeff_out[n] = mb.block[b];"});
   }
 
+  void bind(FilterContext& pedf) override {
+    src_.bits = pedf.in("bits_in");
+    mbhdr_out_ = pedf.out("mbhdr_out");
+    coeff_out_ = pedf.out("coeff_out");
+    mbs_parsed_ = &pedf.data("mbs_parsed");
+    hdr_ = MbHdrFields::of(struct_of(mbhdr_out_));
+    blk_ = BlkFields::of(struct_of(coeff_out_));
+  }
+
   void work(FilterContext& pedf) override {
-    if (reader_ == nullptr) {
-      src_ = std::make_unique<TokenSource>(&pedf);
-      reader_ = std::make_unique<StreamBitReader>(*src_);
-    }
     StreamInfo& info = store_->info;
     pedf.line(101);
     if (!info.header_parsed) {
-      StreamHeader h = parse_header(*reader_);
+      StreamHeader h = parse_header(reader_);
       DFDBG_CHECK_MSG(h.valid, "vld: malformed stream header");
       info.params = h.params;
       info.header_parsed = true;
@@ -256,63 +326,65 @@ class VldFilter : public pedf::Filter {
     }
     if (info.parsed_mbs >= info.params.total_mbs()) return;
     if (info.parsed_mbs % info.params.mbs_per_frame() == 0)
-      parsed_frame_intra_ = parse_frame_marker(*reader_);
+      parsed_frame_intra_ = parse_frame_marker(reader_);
 
     pedf.line(102);
-    MbSyntax mb = parse_mb(*reader_);
-    DFDBG_CHECK_MSG(!reader_->overrun(), "vld: bitstream truncated");
+    MbSyntax mb = parse_mb(reader_);
+    DFDBG_CHECK_MSG(!reader_.overrun(), "vld: bitstream truncated");
     int idx = info.parsed_mbs;
     pedf.compute(40);
 
     pedf.line(103);
-    Value hdr = Value::make_struct(port("mbhdr_out")->type().struct_type());
-    hdr.set_field("Addr", mb_addr(idx));
-    hdr.set_field("Mode", static_cast<std::uint64_t>(mb.mode));
-    hdr.set_field("Dx", pack_i32(mb.mv.dx));
-    hdr.set_field("Dy", pack_i32(mb.mv.dy));
-    pedf.out("mbhdr_out").put(hdr);
+    Value hdr = Value::make_struct(hdr_.type);
+    hdr.set_field_at(hdr_.addr, mb_addr(idx));
+    hdr.set_field_at(hdr_.mode, static_cast<std::uint64_t>(mb.mode));
+    hdr.set_field_at(hdr_.dx, pack_i32(mb.mv.dx));
+    hdr.set_field_at(hdr_.dy, pack_i32(mb.mv.dy));
+    mbhdr_out_.put(hdr);
 
     pedf.line(104);
-    const pedf::StructType* blk_st = port("coeff_out")->type().struct_type();
     for (int b = 0; b < CodecParams::kBlocksPerMb; ++b) {
       pedf.line(105);
-      Value blk = Value::make_struct(blk_st);
-      blk.set_field("Addr", mb_addr(idx));
-      blk.set_field("Plane", static_cast<std::uint64_t>(block_geom(0, 0, b).plane));
-      blk.set_field("BlkIdx", static_cast<std::uint64_t>(b));
-      blk.set_field("Mode", static_cast<std::uint64_t>(mb.mode));
-      blk.set_field("Dx", pack_i32(mb.mv.dx));
-      blk.set_field("Dy", pack_i32(mb.mv.dy));
+      Value blk = Value::make_struct(blk_.type);
+      blk.set_field_at(blk_.addr, mb_addr(idx));
+      blk.set_field_at(blk_.plane, static_cast<std::uint64_t>(block_geom(0, 0, b).plane));
+      blk.set_field_at(blk_.blk_idx, static_cast<std::uint64_t>(b));
+      blk.set_field_at(blk_.mode, static_cast<std::uint64_t>(mb.mode));
+      blk.set_field_at(blk_.dx, pack_i32(mb.mv.dx));
+      blk.set_field_at(blk_.dy, pack_i32(mb.mv.dy));
       const auto& q = mb.qcoef[static_cast<std::size_t>(b)];
       int n = 16;
       while (n > 0 && q[static_cast<std::size_t>(n - 1)] == 0) n--;
-      blk.set_field("N", static_cast<std::uint64_t>(n));
-      for (int i = 0; i < n; ++i) blk.set_field(kCoefFieldNames[i], pack_i32(q[static_cast<std::size_t>(i)]));
-      pedf.out("coeff_out").put(blk);
+      blk.set_field_at(blk_.n, static_cast<std::uint64_t>(n));
+      for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i)
+        blk.set_field_at(blk_.coef[i], pack_i32(q[i]));
+      coeff_out_.put(blk);
     }
     info.parsed_mbs++;
-    pedf.data("mbs_parsed").set_scalar_u64(static_cast<std::uint64_t>(info.parsed_mbs));
+    mbs_parsed_->set_scalar_u64(static_cast<std::uint64_t>(info.parsed_mbs));
   }
 
  private:
-  class TokenSource : public ByteSource {
-   public:
-    explicit TokenSource(FilterContext* ctx) : ctx_(ctx) {}
+  /// The bit reader's byte supply: one bits_in token per byte.
+  struct TokenSource : ByteSource {
     bool next(std::uint8_t* out) override {
-      auto v = ctx_->in("bits_in").get_opt();
+      auto v = bits.get_opt();
       if (!v.has_value()) return false;
       *out = static_cast<std::uint8_t>(v->as_u64() & 0xff);
       return true;
     }
-
-   private:
-    FilterContext* ctx_;
+    FilterContext::In bits;
   };
 
   SharedStore* store_;
-  std::unique_ptr<TokenSource> src_;
-  std::unique_ptr<StreamBitReader> reader_;
+  TokenSource src_;
+  StreamBitReader reader_{src_};
   bool parsed_frame_intra_ = true;
+  FilterContext::Out mbhdr_out_;
+  FilterContext::Out coeff_out_;
+  Value* mbs_parsed_ = nullptr;
+  MbHdrFields hdr_;
+  BlkFields blk_;
 };
 
 /// bh: block-header processing. Summarizes each MB header for the reorder
@@ -328,21 +400,32 @@ class BhFilter : public pedf::Filter {
                 "pedf.io.bh2hwcfg_out[n] = summary;"});
   }
 
+  void bind(FilterContext& pedf) override {
+    mbhdr_in_ = pedf.in("mbhdr_in");
+    red_out_ = pedf.out("bh2red_out");
+    hwcfg_out_ = pedf.out("bh2hwcfg_out");
+    hdr_ = MbHdrFields::of(struct_of(mbhdr_in_));
+  }
+
   void work(FilterContext& pedf) override {
     pedf.line(51);
-    Value hdr = pedf.in("mbhdr_in").get();
-    int idx = mb_index_of(hdr.field_u64("Addr"));
-    std::uint32_t mode = static_cast<std::uint32_t>(hdr.field_u64("Mode"));
+    Value hdr = mbhdr_in_.get();
+    int idx = mb_index_of(hdr.field_u64_at(hdr_.addr));
+    std::uint32_t mode = static_cast<std::uint32_t>(hdr.field_u64_at(hdr_.mode));
     pedf.compute(10);
     std::uint32_t summary = (static_cast<std::uint32_t>(idx) << 8) | mode;
     pedf.line(53);
-    pedf.out("bh2red_out").put(Value::u32(summary));
+    red_out_.put(Value::u32(summary));
     pedf.line(54);
-    pedf.out("bh2hwcfg_out").put(Value::u32(summary));
+    hwcfg_out_.put(Value::u32(summary));
   }
 
  private:
   SharedStore* store_;
+  FilterContext::In mbhdr_in_;
+  FilterContext::Out red_out_;
+  FilterContext::Out hwcfg_out_;
+  MbHdrFields hdr_;
 };
 
 /// hwcfg: hardware configuration. Emits the MbType code to pipe and, for
@@ -359,24 +442,33 @@ class HwcfgFilter : public pedf::Filter {
                 "  pedf.io.ipred_cfg_out[n] = qp;"});
   }
 
+  void bind(FilterContext& pedf) override {
+    bh_in_ = pedf.in("bh_in");
+    mbtype_out_ = pedf.out("pipe_MbType_out");
+    ipred_cfg_out_ = pedf.out("ipred_cfg_out");
+  }
+
   void work(FilterContext& pedf) override {
     pedf.line(71);
-    std::uint32_t s = static_cast<std::uint32_t>(pedf.in("bh_in").get().as_u64());
+    std::uint32_t s = static_cast<std::uint32_t>(bh_in_.get().as_u64());
     auto mode = static_cast<MbMode>(s & 0xff);
     int idx = static_cast<int>(s >> 8);
     pedf.compute(5);
     pedf.line(72);
-    pedf.out("pipe_MbType_out").put(Value::u16(mbtype_code(mode)));
+    mbtype_out_.put(Value::u16(mbtype_code(mode)));
     if (!is_inter_mode(mode)) {
       if (store_->fault.kind == FaultPlan::Kind::kDropConfig && store_->fault.triggers(idx))
         return;  // the seeded bug: config token silently dropped
       pedf.line(74);
-      pedf.out("ipred_cfg_out").put(Value::u32(static_cast<std::uint32_t>(store_->info.params.qp)));
+      ipred_cfg_out_.put(Value::u32(static_cast<std::uint32_t>(store_->info.params.qp)));
     }
   }
 
  private:
   SharedStore* store_;
+  FilterContext::In bh_in_;
+  FilterContext::Out mbtype_out_;
+  FilterContext::Out ipred_cfg_out_;
 };
 
 /// red: reorder/dispatch stage (a *splitter* in the paper's terms). Expands
@@ -394,28 +486,39 @@ class RedFilter : public pedf::Filter {
                 "  pedf.io.red_mc_out[n] = s;"});
   }
 
+  void bind(FilterContext& pedf) override {
+    bh_in_ = pedf.in("bh_in");
+    cbcr_out_ = pedf.out("Red2PipeCbMB_out");
+    mc_out_ = pedf.out("red_mc_out");
+    cbcr_ = CbCrFields::of(struct_of(cbcr_out_));
+  }
+
   void work(FilterContext& pedf) override {
     pedf.line(31);
-    std::uint32_t s = static_cast<std::uint32_t>(pedf.in("bh_in").get().as_u64());
+    std::uint32_t s = static_cast<std::uint32_t>(bh_in_.get().as_u64());
     int idx = static_cast<int>(s >> 8);
     bool inter = is_inter_mode(static_cast<MbMode>(s & 0xff));
     if (store_->fault.kind == FaultPlan::Kind::kCorruptSplitter && store_->fault.triggers(idx))
       inter = !inter;  // the seeded bug: routing flag corrupted
     pedf.compute(8);
     pedf.line(33);
-    Value cb = Value::make_struct(port("Red2PipeCbMB_out")->type().struct_type());
-    cb.set_field("Addr", mb_addr(idx));
-    cb.set_field("InterNotIntra", inter ? 1 : 0);
-    cb.set_field("Izz", red_izz(s));
-    pedf.out("Red2PipeCbMB_out").put(cb);
+    Value cb = Value::make_struct(cbcr_.type);
+    cb.set_field_at(cbcr_.addr, mb_addr(idx));
+    cb.set_field_at(cbcr_.inter, inter ? 1 : 0);
+    cb.set_field_at(cbcr_.izz, red_izz(s));
+    cbcr_out_.put(cb);
     if (inter) {
       pedf.line(35);
-      pedf.out("red_mc_out").put(Value::u32(s));
+      mc_out_.put(Value::u32(s));
     }
   }
 
  private:
   SharedStore* store_;
+  FilterContext::In bh_in_;
+  FilterContext::Out cbcr_out_;
+  FilterContext::Out mc_out_;
+  CbCrFields cbcr_;
 };
 
 /// pipe: per-MB dispatch pipeline. Consumes the MbType token, the chroma
@@ -439,38 +542,59 @@ class PipeFilter : public pedf::Filter {
                 "pedf.io.pipe_ipf_out[n] = ctl(inter, cbcr.Addr);"});
   }
 
+  void bind(FilterContext& pedf) override {
+    mbtype_in_ = pedf.in("MbType_in");
+    cbcr_in_ = pedf.in("Red2PipeCbMB_in");
+    coeff_in_ = pedf.in("coeff_in");
+    mc_out_ = pedf.out("pipe_mc_out");
+    ipred_out_ = pedf.out("Pipe_out");
+    ipf_out_ = pedf.out("pipe_ipf_out");
+    last_mb_intra_ = &pedf.attr("last_mb_intra");
+    last_addr_ = &pedf.attr("last_addr");
+    cbcr_ = CbCrFields::of(struct_of(cbcr_in_));
+  }
+
   void work(FilterContext& pedf) override {
     pedf.line(141);
-    Value mbtype = pedf.in("MbType_in").get();
+    Value mbtype = mbtype_in_.get();
     (void)mbtype;
     pedf.line(142);
-    Value cb = pedf.in("Red2PipeCbMB_in").get();
-    bool inter = cb.field_u64("InterNotIntra") != 0;
-    std::uint32_t addr = static_cast<std::uint32_t>(cb.field_u64("Addr"));
+    Value cb = cbcr_in_.get();
+    bool inter = cb.field_u64_at(cbcr_.inter) != 0;
+    std::uint32_t addr = static_cast<std::uint32_t>(cb.field_u64_at(cbcr_.addr));
     int idx = mb_index_of(addr);
-    pedf.attr("last_mb_intra").set_scalar_u64(inter ? 0 : 1);
-    pedf.attr("last_addr").set_scalar_u64(addr);
+    last_mb_intra_->set_scalar_u64(inter ? 0 : 1);
+    last_addr_->set_scalar_u64(addr);
     pedf.compute(15);
     bool rate_bug =
         store_->fault.kind == FaultPlan::Kind::kRateMismatch && store_->fault.triggers(idx);
     std::uint32_t ctl = (inter ? 0x80000000u : 0u) | addr;
     for (int b = 0; b < CodecParams::kBlocksPerMb; ++b) {
       pedf.line(145);
-      Value blk = pedf.in("coeff_in").get();
+      Value blk = coeff_in_.get();
       if (inter)
-        pedf.out("pipe_mc_out").put(blk);
+        mc_out_.put(blk);
       else
-        pedf.out("Pipe_out").put(blk);
-      if (rate_bug) pedf.out("pipe_ipf_out").put(Value::u32(ctl));  // seeded bug
+        ipred_out_.put(blk);
+      if (rate_bug) ipf_out_.put(Value::u32(ctl));  // seeded bug
     }
     if (!rate_bug) {
       pedf.line(149);
-      pedf.out("pipe_ipf_out").put(Value::u32(ctl));
+      ipf_out_.put(Value::u32(ctl));
     }
   }
 
  private:
   SharedStore* store_;
+  FilterContext::In mbtype_in_;
+  FilterContext::In cbcr_in_;
+  FilterContext::In coeff_in_;
+  FilterContext::Out mc_out_;
+  FilterContext::Out ipred_out_;
+  FilterContext::Out ipf_out_;
+  Value* last_mb_intra_ = nullptr;
+  Value* last_addr_ = nullptr;
+  CbCrFields cbcr_;
 };
 
 /// ipred: intra prediction + reconstruction engine. One intra MB per firing.
@@ -490,17 +614,26 @@ class IpredFilter : public pedf::Filter {
                 "pedf.io.Add2Dblock_MB_out[n] = izz;"});
   }
 
+  void bind(FilterContext& pedf) override {
+    cfg_in_ = pedf.in("Hwcfg_in");
+    blk_in_ = pedf.in("Pipe_in");
+    done_out_ = pedf.out("Add2Dblock_ipf_out");
+    izz_out_ = pedf.out("Add2Dblock_MB_out");
+    blk_ = BlkFields::of(struct_of(blk_in_));
+    done_ = MbDoneFields::of(struct_of(done_out_));
+  }
+
   void work(FilterContext& pedf) override {
     pedf.line(215);
-    Value cfg = pedf.in("Hwcfg_in").get();
+    Value cfg = cfg_in_.get();
     int qp = static_cast<int>(cfg.as_u64());
     MbSyntax mb;
     std::uint32_t addr = 0;
     pedf.line(216);
     for (int b = 0; b < CodecParams::kBlocksPerMb; ++b) {
       pedf.line(217);
-      Value blk = pedf.in("Pipe_in").get();
-      read_blk(blk, &mb, &addr);
+      Value blk = blk_in_.get();
+      read_blk(blk, blk_, &mb, &addr);
     }
     const CodecParams& p = store_->info.params;
     int idx = mb_index_of(addr);
@@ -511,16 +644,22 @@ class IpredFilter : public pedf::Filter {
                                        fidx / p.mbs_x(), mb, qp);
     pedf.line(220);
     pedf.line(221);
-    Value done = Value::make_struct(port("Add2Dblock_ipf_out")->type().struct_type());
-    done.set_field("Addr", addr);
-    done.set_field("Izz", izz);
-    pedf.out("Add2Dblock_ipf_out").put(done);
+    Value done = Value::make_struct(done_.type);
+    done.set_field_at(done_.addr, addr);
+    done.set_field_at(done_.izz, izz);
+    done_out_.put(done);
     pedf.line(222);
-    pedf.out("Add2Dblock_MB_out").put(Value::u32(izz));
+    izz_out_.put(Value::u32(izz));
   }
 
  private:
   SharedStore* store_;
+  FilterContext::In cfg_in_;
+  FilterContext::In blk_in_;
+  FilterContext::Out done_out_;
+  FilterContext::Out izz_out_;
+  BlkFields blk_;
+  MbDoneFields done_;
 };
 
 /// mc: motion-compensation engine. One inter MB per firing; always applies
@@ -538,17 +677,25 @@ class McFilter : public pedf::Filter {
                 "pedf.io.mc_ipf_out[n] = done(izz);"});
   }
 
+  void bind(FilterContext& pedf) override {
+    order_in_ = pedf.in("red_in");
+    blk_in_ = pedf.in("pipe_in");
+    done_out_ = pedf.out("mc_ipf_out");
+    blk_ = BlkFields::of(struct_of(blk_in_));
+    done_ = MbDoneFields::of(struct_of(done_out_));
+  }
+
   void work(FilterContext& pedf) override {
     pedf.line(181);
-    Value order = pedf.in("red_in").get();
+    Value order = order_in_.get();
     (void)order;
     MbSyntax mb;
     std::uint32_t addr = 0;
     pedf.line(182);
     for (int b = 0; b < CodecParams::kBlocksPerMb; ++b) {
       pedf.line(183);
-      Value blk = pedf.in("pipe_in").get();
-      read_blk(blk, &mb, &addr);
+      Value blk = blk_in_.get();
+      read_blk(blk, blk_, &mb, &addr);
     }
     const CodecParams& p = store_->info.params;
     int idx = mb_index_of(addr);
@@ -567,15 +714,20 @@ class McFilter : public pedf::Filter {
     std::uint32_t izz =
         reconstruct_mb(store_->work, ref, fidx % p.mbs_x(), fidx / p.mbs_x(), mb, p.qp);
     pedf.line(185);
-    Value done = Value::make_struct(port("mc_ipf_out")->type().struct_type());
-    done.set_field("Addr", addr);
-    done.set_field("Izz", izz);
-    pedf.out("mc_ipf_out").put(done);
+    Value done = Value::make_struct(done_.type);
+    done.set_field_at(done_.addr, addr);
+    done.set_field_at(done_.izz, izz);
+    done_out_.put(done);
   }
 
  private:
   SharedStore* store_;
   Frame gray_;
+  FilterContext::In order_in_;
+  FilterContext::In blk_in_;
+  FilterContext::Out done_out_;
+  BlkFields blk_;
+  MbDoneFields done_;
 };
 
 /// ipf: in-loop filter and write-back. Consumes one control token per MB,
@@ -595,26 +747,37 @@ class IpfFilter : public pedf::Filter {
                 "pedf.io.ipf_out[n] = done.Addr;"});
   }
 
+  void bind(FilterContext& pedf) override {
+    ctl_in_ = pedf.in("pipe_in");
+    mc_in_ = pedf.in("Add2Dblock_mc_in");
+    ipred_in_ = pedf.in("Add2Dblock_ipred_in");
+    izz_in_ = pedf.in("Add2Dblock_MB_in");
+    out_ = pedf.out("ipf_out");
+    mbs_done_ = &pedf.data("mbs_done");
+    done_ = MbDoneFields::of(struct_of(mc_in_));
+    DFDBG_CHECK(struct_of(ipred_in_) == done_.type);
+  }
+
   void work(FilterContext& pedf) override {
     pedf.line(241);
-    std::uint32_t ctl = static_cast<std::uint32_t>(pedf.in("pipe_in").get().as_u64());
+    std::uint32_t ctl = static_cast<std::uint32_t>(ctl_in_.get().as_u64());
     bool inter = (ctl & 0x80000000u) != 0;
     Value done;
     if (inter) {
       pedf.line(242);
-      done = pedf.in("Add2Dblock_mc_in").get();
+      done = mc_in_.get();
     } else {
       pedf.line(243);
-      done = pedf.in("Add2Dblock_ipred_in").get();
+      done = ipred_in_.get();
       pedf.line(244);
-      (void)pedf.in("Add2Dblock_MB_in").get();  // per-MB checksum, consumed
+      (void)izz_in_.get();  // per-MB checksum, consumed
     }
     pedf.compute(25);
     StreamInfo& info = store_->info;
     pedf.line(245);
     info.frame_mbs_done++;
     info.done_mbs++;
-    pedf.data("mbs_done").set_scalar_u64(static_cast<std::uint64_t>(info.done_mbs));
+    mbs_done_->set_scalar_u64(static_cast<std::uint64_t>(info.done_mbs));
     if (info.frame_mbs_done >= info.params.mbs_per_frame()) {
       pedf.line(246);
       store_->decoded.push_back(info.params.deblock ? deblock_frame(store_->work)
@@ -624,11 +787,18 @@ class IpfFilter : public pedf::Filter {
       info.cur_frame++;
     }
     pedf.line(247);
-    pedf.out("ipf_out").put(Value::u32(static_cast<std::uint32_t>(done.field_u64("Addr"))));
+    out_.put(Value::u32(static_cast<std::uint32_t>(done.field_u64_at(done_.addr))));
   }
 
  private:
   SharedStore* store_;
+  FilterContext::In ctl_in_;
+  FilterContext::In mc_in_;
+  FilterContext::In ipred_in_;
+  FilterContext::In izz_in_;
+  FilterContext::Out out_;
+  Value* mbs_done_ = nullptr;
+  MbDoneFields done_;
 };
 
 // ---------------------------------------------------------------------------

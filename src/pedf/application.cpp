@@ -769,8 +769,9 @@ bool Application::publish_boundaries() {
 }
 
 void Application::spawn_filter_process(Filter* f) {
+  f->bind(f->pedf_.emplace(*this, *f));
   kernel().spawn_in(actor_partition(*f), f->path(), [this, f] {
-    FilterContext ctx(*this, *f);
+    FilterContext& ctx = *f->pedf_;
     for (;;) {
       if (!f->free_running_) {
         while (f->step_state_ != StepState::kScheduled && !f->terminate_) {
@@ -1350,16 +1351,18 @@ HostSource::HostSource(std::string name, TypeDesc type, std::vector<Value> strea
   set_free_running(true);
 }
 
+void HostSource::bind(FilterContext& pedf) { out_ = pedf.out("out"); }
+
 void HostSource::work(FilterContext& pedf) {
   const std::size_t batch = pedf.fire_batch();
   while (produced_ < stream_.size() && !terminate_requested()) {
     if (period_ > 0) pedf.compute(period_);
     if (batch > 1) {
       const std::size_t n = std::min(batch, stream_.size() - produced_);
-      pedf.out("out").put_n(stream_.data() + produced_, n);
+      out_.put_n(stream_.data() + produced_, n);
       produced_ += n;
     } else {
-      pedf.out("out").put(stream_[produced_]);
+      out_.put(stream_[produced_]);
       produced_++;
     }
   }
@@ -1372,6 +1375,8 @@ HostSink::HostSink(std::string name, TypeDesc type, std::size_t expected)
   set_free_running(true);
 }
 
+void HostSink::bind(FilterContext& pedf) { in_ = pedf.in("in"); }
+
 void HostSink::work(FilterContext& pedf) {
   if (expected_ != SIZE_MAX) received_.reserve(expected_);
   const std::size_t batch = pedf.fire_batch();
@@ -1380,13 +1385,13 @@ void HostSink::work(FilterContext& pedf) {
     while (received_.size() < expected_) {
       const std::size_t want =
           expected_ == SIZE_MAX ? batch : std::min(batch, expected_ - received_.size());
-      const std::size_t got = pedf.in("in").get_n(buf.data(), want);
+      const std::size_t got = in_.get_n(buf.data(), want);
       for (std::size_t i = 0; i < got; ++i) received_.push_back(std::move(buf[i]));
       if (got < want) break;  // I/O shutdown
     }
   } else {
     while (received_.size() < expected_) {
-      auto v = pedf.in("in").get_opt();
+      auto v = in_.get_opt();
       if (!v.has_value()) break;
       received_.push_back(std::move(*v));
     }

@@ -17,12 +17,15 @@ const char* to_string(StepState s) {
 }
 
 Value& Filter::declare_data(std::string name, Value init) {
+  // bind() may hold pointers into data_ from the spawn on.
+  DFDBG_CHECK_MSG(!pedf_.has_value(), "data '" + name + "' declared after spawn");
   DFDBG_CHECK_MSG(data(name) == nullptr, "duplicate data '" + name + "'");
   data_.emplace_back(std::move(name), std::move(init));
   return data_.back().second;
 }
 
 Value& Filter::declare_attribute(std::string name, Value init) {
+  DFDBG_CHECK_MSG(!pedf_.has_value(), "attribute '" + name + "' declared after spawn");
   DFDBG_CHECK_MSG(attribute(name) == nullptr, "duplicate attribute '" + name + "'");
   attrs_.emplace_back(std::move(name), std::move(init));
   return attrs_.back().second;

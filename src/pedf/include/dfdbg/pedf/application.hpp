@@ -348,6 +348,7 @@ class HostSource : public Filter {
  public:
   HostSource(std::string name, TypeDesc type, std::vector<Value> stream, sim::SimTime period);
 
+  void bind(FilterContext& pedf) override;
   void work(FilterContext& pedf) override;
 
   /// Tokens pushed so far.
@@ -359,6 +360,7 @@ class HostSource : public Filter {
   std::vector<Value> stream_;
   sim::SimTime period_;
   std::size_t produced_ = 0;
+  FilterContext::Out out_;
 };
 
 /// Free-running host-side consumer: drains a graph output and keeps the
@@ -367,6 +369,7 @@ class HostSink : public Filter {
  public:
   HostSink(std::string name, TypeDesc type, std::size_t expected);
 
+  void bind(FilterContext& pedf) override;
   void work(FilterContext& pedf) override;
 
   [[nodiscard]] const std::vector<Value>& received() const { return received_; }
@@ -374,6 +377,7 @@ class HostSink : public Filter {
  private:
   std::size_t expected_;
   std::vector<Value> received_;
+  FilterContext::In in_;
 };
 
 }  // namespace dfdbg::pedf

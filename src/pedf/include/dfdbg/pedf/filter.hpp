@@ -40,9 +40,13 @@ class FilterContext {
  public:
   FilterContext(Application& app, Filter& self) : app_(app), self_(self) {}
 
-  /// Read side of an inbound interface.
+  /// Read side of an inbound interface: a port handle. in() resolves it by
+  /// name; a filter's bind() keeps it, so WORK reads without the lookup. A
+  /// default-constructed handle is unbound. A handle is valid as long as
+  /// the FilterContext it was resolved through.
   class In {
    public:
+    In() = default;
     /// Blocking read of the next token (paper: pedf.io.an_input[n]).
     Value get();
     /// Blocking read that returns nullopt if the application is shutting
@@ -54,27 +58,32 @@ class FilterContext {
     std::size_t get_n(Value* out, std::size_t n);
     /// Tokens currently waiting on this interface.
     [[nodiscard]] std::size_t available() const;
+    /// The port this handle reads (nullptr when unbound).
+    [[nodiscard]] Port* port() const { return port_; }
 
    private:
     friend class FilterContext;
     In(FilterContext* ctx, Port* port) : ctx_(ctx), port_(port) {}
-    FilterContext* ctx_;
-    Port* port_;
+    FilterContext* ctx_ = nullptr;
+    Port* port_ = nullptr;
   };
 
-  /// Write side of an outbound interface.
+  /// Write side of an outbound interface: a port handle, like In.
   class Out {
    public:
+    Out() = default;
     /// Blocking write of one token (paper: pedf.io.an_output[n] = d).
     void put(const Value& v);
     /// Batched blocking write of `n` tokens (the batched firing fast path).
     void put_n(const Value* vs, std::size_t n);
+    /// The port this handle writes (nullptr when unbound).
+    [[nodiscard]] Port* port() const { return port_; }
 
    private:
     friend class FilterContext;
     Out(FilterContext* ctx, Port* port) : ctx_(ctx), port_(port) {}
-    FilterContext* ctx_;
-    Port* port_;
+    FilterContext* ctx_ = nullptr;
+    Port* port_ = nullptr;
   };
 
   /// Inbound interface accessor; checks the port exists and is inbound.
@@ -121,6 +130,14 @@ class Filter : public Actor {
 
   /// One step of processing.
   virtual void work(FilterContext& pedf) = 0;
+
+  /// Resolves, once and before the first work(), what work() would look up
+  /// by name per token: port handles (FilterContext::in/out), data and
+  /// attribute slots, struct field indices (StructType::field_index). The
+  /// runtime calls it when it spawns the filter's process, with the context
+  /// every work() call then gets; the filter owns that context, so the
+  /// handles cannot outlive it. Default: nothing to resolve.
+  virtual void bind(FilterContext& pedf) { (void)pedf; }
 
   // --- architecture-declared state -----------------------------------------
 
@@ -189,6 +206,8 @@ class Filter : public Actor {
   std::uint64_t firings_ = 0;
   int current_line_ = 0;
   sim::Event start_event_;
+  /// The WORK view, made when the runtime spawns the filter's process.
+  std::optional<FilterContext> pedf_;
 };
 
 /// Filter whose WORK is a std::function (for tests and small examples).

@@ -150,7 +150,9 @@ class Kernel {
   ProcessId spawn_in(int partition, std::string name, std::function<void()> body);
 
   /// Runs the simulation until it finishes, deadlocks, breaks, or simulated
-  /// time would exceed `until`. Resumable after kStopped / kTimeLimit.
+  /// time would exceed `until`. Resumable after kStopped / kTimeLimit. The
+  /// clock never moves backwards: with `until` below now() the run does
+  /// nothing and returns kTimeLimit.
   RunResult run(SimTime until = kMaxSimTime);
 
   /// Current simulated time in cycles.
@@ -184,7 +186,10 @@ class Kernel {
   /// Blocks the calling process until `e` is notified.
   void wait(Event& e);
 
-  /// Blocks the calling process for `dt` simulated cycles.
+  /// Blocks the calling process for `dt` simulated cycles. On the fibers
+  /// backend a wait that nothing else can precede — the dispatch run() would
+  /// make next is this process's own wakeup — resumes in place, without
+  /// parking (docs/KERNEL.md, "Scheduler hot path").
   void advance(SimTime dt);
 
   /// Suspends the whole simulation; run() returns kStopped. When run() is
@@ -315,6 +320,11 @@ class Kernel {
   /// Parallel backend: aggregated over all partitions.
   [[nodiscard]] std::uint64_t dispatch_count() const;
 
+  /// Fiber switches made by dispatches so far: two per dispatch (into the
+  /// process and back), none for a timed wait resumed in place. Counted
+  /// whether or not obs is on; `sim.context_switch` tallies the same.
+  [[nodiscard]] std::uint64_t context_switch_count() const;
+
   /// Count of live (non-terminated) processes. O(1): maintained at
   /// spawn/terminate rather than scanned.
   [[nodiscard]] std::size_t live_process_count() const {
@@ -411,6 +421,10 @@ class Kernel {
 
   /// Hands the CPU to `p` and blocks until it yields back.
   void dispatch(Process* p);
+  /// The bookkeeping of dispatching `p` on the fibers backend — state,
+  /// counts, obs and the journal `dispatch` record — with the `switches`
+  /// fiber switches it makes (2, or 0 for a wait resumed in place).
+  void count_dispatch(Process* p, std::uint64_t switches);
   /// Enqueues a newly-ready process according to the active policy (parallel:
   /// into the process's own partition).
   void make_ready(Process* p);
@@ -465,7 +479,9 @@ class Kernel {
   Process* current_ = nullptr;
   bool stop_requested_ = false;
   bool shutting_down_ = false;
+  SimTime run_until_ = kMaxSimTime;  ///< the current run()'s bound (fibers)
   std::uint64_t dispatches_ = 0;
+  std::uint64_t switches_ = 0;  ///< fiber switches made by dispatch() (fibers)
   std::uint64_t wait_seq_counter_ = 0;
   ReadyPolicy policy_ = ReadyPolicy::kFifo;
   FiberContext sched_ctx_;  ///< the scheduler's context (fibers backend; teardown on both)

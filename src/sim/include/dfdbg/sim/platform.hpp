@@ -121,8 +121,11 @@ class DmaEngine {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Transfers `bytes` from `src` to `dst`; advances time by setup plus
-  /// bytes/bandwidth, serializing concurrent users of this engine. Must be
+  /// Transfers `bytes` from `src` to `dst`, serializing concurrent users of
+  /// this engine. Three timed waits: `src`'s access latency, `dst`'s access
+  /// latency (zero-byte MemoryModel::access calls, which also count the
+  /// touches), then setup plus bytes/bandwidth — with the default config, an
+  /// L2<->L3 transfer of 64 B takes 8 + 32 + 16 + 8 = 64 cycles. Must be
   /// called from process context. Parallel backend: a DMA engine is the one
   /// platform resource deliberately shared across partitions, so exclusivity
   /// is waived there — each worker pays the full transfer latency but engine

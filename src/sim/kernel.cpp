@@ -263,6 +263,11 @@ std::uint64_t Kernel::dispatch_count() const {
   return n;
 }
 
+std::uint64_t Kernel::context_switch_count() const {
+  // A shard never resumes a wait in place: each of its dispatches is two.
+  return parallel_ ? 2 * dispatch_count() : switches_;
+}
+
 int Kernel::current_partition() const {
   if (!parallel_ || t_worker.kernel != this) return -1;
   return t_worker.shard;
@@ -295,17 +300,15 @@ void Kernel::hook_dispatch_exit() {
 // Kernel — fibers backend
 // ---------------------------------------------------------------------------
 
-void Kernel::dispatch(Process* p) {
-  DFDBG_DCHECK(p->state_ == ProcessState::kReady);
+void Kernel::count_dispatch(Process* p, std::uint64_t switches) {
   p->state_ = ProcessState::kRunning;
   p->activations_++;
   dispatches_++;
+  switches_ += switches;
   if (obs::enabled()) {
     const SchedMetrics& m = sched(obs_);
     obs_.dispatches.add();
-    // Two control transfers per dispatch: one FiberContext::switch_to into
-    // the process, one back to the scheduler when it yields.
-    obs_.switches.add(2);
+    obs_.switches.add(switches);
     // Depth observed when the process left the queue, i.e. the backlog it
     // waited behind.
     m.ready_depth.observe(ready_.size());
@@ -319,6 +322,13 @@ void Kernel::dispatch(Process* p) {
       j.append(ev);
     }
   }
+}
+
+void Kernel::dispatch(Process* p) {
+  DFDBG_DCHECK(p->state_ == ProcessState::kReady);
+  // Two control transfers: one FiberContext::switch_to into the process, one
+  // back to the scheduler when it yields.
+  count_dispatch(p, 2);
   current_ = p;
   // No per-fire wall-time accumulation here: the time profile only ever
   // feeds the parallel backend's partitioner, and two clock reads per
@@ -333,7 +343,9 @@ void Kernel::dispatch(Process* p) {
 RunResult Kernel::run(SimTime until) {
   if (parallel_) return run_parallel(until);
   DFDBG_CHECK_MSG(current_ == nullptr, "Kernel::run called from process context");
+  if (until < now_) return RunResult::kTimeLimit;  // the clock never runs backwards
   stop_requested_ = false;
+  run_until_ = until;
   while (true) {
     if (stop_requested_) {
       stop_requested_ = false;
@@ -390,10 +402,21 @@ void Kernel::advance(SimTime dt) {
     p->park();
     return;
   }
-  p->state_ = ProcessState::kWaitingTime;
-  p->wake_time_ = now_ + dt;
+  const SimTime wake = now_ + dt;
+  p->wake_time_ = wake;
   p->consumed_time_ += dt;
-  timed_.push(TimedEntry{now_ + dt, wait_seq_counter_++, p});
+  if (ready_.empty() && !stop_requested_ && !shutting_down_ && wake <= run_until_ &&
+      (timed_.empty() || timed_.top().when > wake)) {
+    // Nothing can run before this wakeup: run() would pop this entry alone,
+    // advance the clock to it and dispatch this process next. Make that
+    // dispatch here, minus the two switches and the timed-heap round trip.
+    now_ = wake;
+    if (obs::enabled()) sched(obs_).timed_wakeups.add();
+    count_dispatch(p, 0);
+    return;
+  }
+  p->state_ = ProcessState::kWaitingTime;
+  timed_.push(TimedEntry{wake, wait_seq_counter_++, p});
   p->park();
 }
 
@@ -828,6 +851,7 @@ bool Kernel::flush_barrier() {
 RunResult Kernel::run_parallel(SimTime until) {
   DFDBG_CHECK_MSG(t_worker.kernel == nullptr && current() == nullptr,
                   "Kernel::run called from process context");
+  if (until < now_) return RunResult::kTimeLimit;  // the clock never runs backwards
   ensure_workers_started();
   // Refreshed here, not only at construction: observers typically flip
   // obs::enabled() after the kernel exists, and a gated set would be lost.

@@ -40,7 +40,9 @@ void DmaEngine::transfer(Kernel& kernel, MemoryModel& src, MemoryModel& dst,
   }
   transfers_.fetch_add(1, std::memory_order_relaxed);
   bytes_moved_.fetch_add(bytes, std::memory_order_relaxed);
-  src.access(kernel, 0);  // count the touch, no extra advance for 0 bytes
+  // Touch both ends: each zero-byte access counts and waits its memory's
+  // latency (no per-word cost), then the engine's setup and bandwidth.
+  src.access(kernel, 0);
   dst.access(kernel, 0);
   SimTime cost = setup_ + (bw_ > 0 ? bytes / bw_ : 0);
   kernel.advance(cost);

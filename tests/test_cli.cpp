@@ -349,6 +349,27 @@ TEST(Cli, MalformedNumbersAreRefused) {
   EXPECT_TRUE(rig.gdb->execute("disable 0").ok());
 }
 
+// A run bound behind the clock leaves the clock where it is. `run 5` after
+// `run 2000` used to set it back to 5, and that run's dbg.run_cycles sample
+// wrapped to nearly 2^64.
+TEST(Cli, RunBelowTheClockLeavesItWhereItIs) {
+  CliRig rig;
+  rig.exec("run 2000");
+  ASSERT_EQ(rig.app->kernel().now(), 2000u);  // the decode runs past the bound
+  obs::Histogram& cycles = obs::Registry::global().histogram("dbg.run_cycles");
+  const std::uint64_t sum0 = cycles.sum();
+  const std::uint64_t count0 = cycles.count();
+  EXPECT_TRUE(rig.gdb->execute("run 5").ok());
+  rig.gdb->console().take();
+  EXPECT_EQ(rig.app->kernel().now(), 2000u);
+  EXPECT_EQ(cycles.count(), count0 + 1);
+  EXPECT_EQ(cycles.sum(), sum0);  // a zero-cycle run
+  // The decode goes on from where it stood.
+  rig.exec("run");
+  EXPECT_GT(rig.app->kernel().now(), 2000u);
+  EXPECT_TRUE(rig.app->decoded_matches_golden());
+}
+
 // `tok insert|set` payloads are read whole too: trailing characters or a
 // malformed struct field are refused instead of storing what strtoull found.
 TEST(Cli, MalformedTokenPayloadsAreRefused) {

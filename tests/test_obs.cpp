@@ -872,11 +872,16 @@ struct FlipRig {
 
   /// What the kernel, port and links count whether or not obs is on.
   struct Exact {
-    std::uint64_t dispatches, enters, invocations, pushes, pops, recorded;
+    std::uint64_t dispatches, switches, enters, invocations, pushes, pops, recorded;
   };
   Exact exact() {
-    Exact e{kernel.dispatch_count(), kernel.instrument().enter_fired(),
-            kernel.instrument().hook_invocations(), 0, 0, kernel.journal().total_recorded()};
+    Exact e{kernel.dispatch_count(),
+            kernel.context_switch_count(),
+            kernel.instrument().enter_fired(),
+            kernel.instrument().hook_invocations(),
+            0,
+            0,
+            kernel.journal().total_recorded()};
     for (const auto& l : app.links()) {
       e.pushes += l->push_index();
       e.pops += l->pop_index();
@@ -925,8 +930,7 @@ void check_flip_counts_enabled_span(sim::ProcessBackend backend, int workers) {
   for (int pass = 0; pass < 2; ++pass) {  // with the owners live, then destroyed
     SCOPED_TRACE(pass == 0 ? "owners live" : "owners destroyed");
     EXPECT_EQ(reg.counter("sim.dispatch").value(), after.dispatches - before.dispatches);
-    EXPECT_EQ(reg.counter("sim.context_switch").value(),
-              2 * (after.dispatches - before.dispatches));
+    EXPECT_EQ(reg.counter("sim.context_switch").value(), after.switches - before.switches);
     EXPECT_EQ(reg.counter("hook.enter").value(), after.enters - before.enters);
     EXPECT_EQ(reg.counter("hook.invocation").value(), after.invocations - before.invocations);
     EXPECT_EQ(works, after.invocations - before.invocations);  // the one hook

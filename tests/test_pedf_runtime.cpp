@@ -435,5 +435,104 @@ TEST(PedfRuntime, WorkloadScalesWithSteps) {
   }
 }
 
+/// Swaps the X and Y fields of every Pt token through the handles its bind()
+/// resolved, alternating with the lookups by name on every other firing, and
+/// checks on each firing that both name the same port, slot and field.
+class BoundSwapFilter : public Filter {
+ public:
+  BoundSwapFilter(std::string name, const StructType* pt) : Filter(std::move(name)) {
+    add_port("in", PortDir::kIn, TypeDesc(pt));
+    add_port("out", PortDir::kOut, TypeDesc(pt));
+    declare_data("swapped", Value::u32(0));
+    declare_attribute("last_x", Value::u32(0));
+  }
+
+  void bind(FilterContext& pedf) override {
+    binds++;
+    in_ = pedf.in("in");
+    out_ = pedf.out("out");
+    swapped_ = &pedf.data("swapped");
+    last_x_ = &pedf.attr("last_x");
+    const StructType* st = in_.port()->type().struct_type();
+    x_ = static_cast<std::size_t>(st->field_index("X"));
+    y_ = static_cast<std::size_t>(st->field_index("Y"));
+  }
+
+  void work(FilterContext& pedf) override {
+    EXPECT_EQ(in_.port(), pedf.in("in").port());
+    EXPECT_EQ(out_.port(), pedf.out("out").port());
+    EXPECT_EQ(swapped_, &pedf.data("swapped"));
+    EXPECT_EQ(last_x_, &pedf.attr("last_x"));
+    const bool by_handle = swapped_->as_u64() % 2 == 0;
+    Value v = by_handle ? in_.get() : pedf.in("in").get();
+    EXPECT_EQ(v.field_u64_at(x_), v.field_u64("X"));
+    EXPECT_EQ(v.field_u64_at(y_), v.field_u64("Y"));
+    Value w = Value::make_struct(v.type().struct_type());
+    if (by_handle) {
+      w.set_field_at(x_, v.field_u64_at(y_));
+      w.set_field_at(y_, v.field_u64_at(x_));
+      out_.put(w);
+    } else {
+      w.set_field("X", v.field_u64("Y"));
+      w.set_field("Y", v.field_u64("X"));
+      pedf.out("out").put(w);
+    }
+    swapped_->set_scalar_u64(swapped_->as_u64() + 1);
+    Value& last_x = by_handle ? *last_x_ : pedf.attr("last_x");
+    last_x.set_scalar_u64(w.field_u64_at(x_));
+  }
+
+  int binds = 0;
+
+ private:
+  FilterContext::In in_;
+  FilterContext::Out out_;
+  Value* swapped_ = nullptr;
+  Value* last_x_ = nullptr;
+  std::size_t x_ = 0;
+  std::size_t y_ = 0;
+};
+
+TEST(PedfRuntime, HandlesResolvedOnceMatchTheLookupsByName) {
+  Fixture fx;
+  const StructType* pt = fx.app.types().define_struct(
+      "Pt", {{"X", ScalarType::kU32, false}, {"Y", ScalarType::kU32, false}});
+  constexpr int kSteps = 6;
+  auto mod = std::make_unique<Module>("m");
+  mod->add_port("in", PortDir::kIn, TypeDesc(pt));
+  mod->add_port("out", PortDir::kOut, TypeDesc(pt));
+  auto swap = std::make_unique<BoundSwapFilter>("swap", pt);
+  BoundSwapFilter* f = swap.get();
+  mod->add_filter(std::move(swap));
+  mod->set_controller(all_fire_controller("ctl", kSteps));
+  mod->bind("this.in", "swap.in");
+  mod->bind("swap.out", "this.out");
+  fx.app.set_root(std::move(mod));
+  std::vector<Value> stream;
+  for (int i = 0; i < kSteps; ++i) {
+    Value v = Value::make_struct(pt);
+    v.set_field("X", static_cast<std::uint64_t>(i));
+    v.set_field("Y", static_cast<std::uint64_t>(100 + i));
+    stream.push_back(v);
+  }
+  fx.app.add_host_source("src", "m.in", std::move(stream));
+  auto& sink = fx.app.add_host_sink("snk", "m.out", kSteps);
+  ASSERT_TRUE(fx.app.elaborate().ok());
+  EXPECT_EQ(f->binds, 0);
+  fx.app.start();
+  EXPECT_EQ(f->binds, 1);  // at spawn, before the first token
+  EXPECT_EQ(fx.kernel.run(), sim::RunResult::kFinished);
+  EXPECT_EQ(f->binds, 1);
+  ASSERT_EQ(sink.received().size(), static_cast<std::size_t>(kSteps));
+  for (int i = 0; i < kSteps; ++i) {
+    const Value& v = sink.received()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(v.field_u64("X"), static_cast<std::uint64_t>(100 + i));
+    EXPECT_EQ(v.field_u64("Y"), static_cast<std::uint64_t>(i));
+  }
+  // The slots written through the handles are the ones the names find.
+  EXPECT_EQ(f->data("swapped")->as_u64(), static_cast<std::uint64_t>(kSteps));
+  EXPECT_EQ(f->attribute("last_x")->as_u64(), static_cast<std::uint64_t>(100 + kSteps - 1));
+}
+
 }  // namespace
 }  // namespace dfdbg::pedf

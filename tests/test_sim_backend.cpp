@@ -21,6 +21,8 @@
 #include "dfdbg/common/prng.hpp"
 #include "dfdbg/common/strings.hpp"
 #include "dfdbg/h264/app.hpp"
+#include "dfdbg/obs/journal.hpp"
+#include "dfdbg/obs/metrics.hpp"
 #include "dfdbg/sim/kernel.hpp"
 #include "dfdbg/trace/trace.hpp"
 
@@ -36,12 +38,23 @@ constexpr Subject kFibers{ProcessBackend::kFibers, 1};
 constexpr Subject kParallelOne{ProcessBackend::kParallel, 1};
 constexpr Subject kBoth[] = {kFibers, kParallelOne};
 
-/// A seeded workload exercising every scheduling primitive: yields, timed
-/// waits, event wait/notify, spawn-from-process and debug_break. Returns a
-/// full observational transcript of the run.
-std::vector<std::string> run_mixed_workload(Subject subject, std::uint64_t seed) {
-  Kernel k(subject.backend, subject.workers);
+/// One run of the mixed workload: its full observational transcript, its
+/// dispatches, and the fiber switches it made (the one count the backends
+/// may disagree on).
+struct MixedRun {
   std::vector<std::string> log;
+  std::uint64_t dispatches = 0;
+  std::uint64_t switches = 0;
+};
+
+/// A seeded workload exercising every scheduling primitive: yields, timed
+/// waits, event wait/notify, spawn-from-process and debug_break.
+MixedRun run_mixed_workload(Subject subject, std::uint64_t seed,
+                            ReadyPolicy policy = ReadyPolicy::kFifo) {
+  Kernel k(subject.backend, subject.workers);
+  k.set_ready_policy(policy);
+  MixedRun run;
+  std::vector<std::string>& log = run.log;
   Event ping("ping");
   Event pong("pong");
   for (int i = 0; i < 6; ++i) {
@@ -94,15 +107,79 @@ std::vector<std::string> run_mixed_workload(Subject subject, std::uint64_t seed)
   for (const auto& p : k.processes())
     log.push_back(p->name() + ":acts=" + std::to_string(p->activation_count()) +
                   ",state=" + to_string(p->state()));
-  return log;
+  run.dispatches = k.dispatch_count();
+  run.switches = k.context_switch_count();
+  return run;
+}
+
+/// Fibers resume a lone timed wait in place (no switches); the parallel
+/// backend never does. Checks both sides of that on one pair of runs.
+void expect_in_place_resumes(const MixedRun& fibers, const MixedRun& parallel) {
+  EXPECT_LT(fibers.switches, 2 * fibers.dispatches) << "no wait was resumed in place";
+  EXPECT_EQ(parallel.switches, 2 * parallel.dispatches);
 }
 
 TEST(BackendEquivalence, MixedWorkloadTranscriptsIdentical) {
-  for (std::uint64_t seed : {1u, 42u, 1337u}) {
-    auto fibers = run_mixed_workload(kFibers, seed);
-    auto parallel = run_mixed_workload(kParallelOne, seed);
-    EXPECT_EQ(fibers, parallel) << "seed " << seed;
+  for (ReadyPolicy policy : {ReadyPolicy::kFifo, ReadyPolicy::kLifo}) {
+    for (std::uint64_t seed : {1u, 42u, 1337u}) {
+      SCOPED_TRACE(policy == ReadyPolicy::kFifo ? "fifo" : "lifo");
+      auto fibers = run_mixed_workload(kFibers, seed, policy);
+      auto parallel = run_mixed_workload(kParallelOne, seed, policy);
+      EXPECT_EQ(fibers.log, parallel.log) << "seed " << seed;
+      expect_in_place_resumes(fibers, parallel);
+    }
   }
+}
+
+/// A wait resumed in place is still a dispatch to everything that observes
+/// one: with obs on, the registry and the journal see on fibers what they
+/// see on a one-partition parallel kernel, except sim.context_switch, which
+/// counts the switches actually made. With obs off the schedule is the same.
+TEST(BackendEquivalence, InPlaceResumesObservedLikeDispatches) {
+  struct Observed {
+    MixedRun run;
+    std::uint64_t dispatch = 0, context_switch = 0, timed_wakeup = 0, ready_depth = 0;
+    std::string journal;
+  };
+  obs::Registry& reg = obs::Registry::global();
+  obs::Journal& journal = obs::Journal::global();
+  auto observe = [&](Subject subject, std::uint64_t seed) {
+    reg.reset();
+    journal.clear();
+    Observed o;
+    o.run = run_mixed_workload(subject, seed);
+    o.dispatch = reg.counter("sim.dispatch").value();
+    o.context_switch = reg.counter("sim.context_switch").value();
+    o.timed_wakeup = reg.counter("sim.timed_wakeup").value();
+    o.ready_depth = reg.histogram("sim.ready_depth").count();
+    o.journal = journal.format_last(journal.size());
+    return o;
+  };
+  const bool saved = obs::enabled();
+  for (std::uint64_t seed : {1u, 42u}) {
+    SCOPED_TRACE(seed);
+    obs::set_enabled(false);
+    const MixedRun off = run_mixed_workload(kFibers, seed);
+    obs::set_enabled(true);
+    const Observed fibers = observe(kFibers, seed);
+    const Observed parallel = observe(kParallelOne, seed);
+    obs::set_enabled(false);
+    EXPECT_EQ(off.log, fibers.run.log);
+    EXPECT_EQ(off.switches, fibers.run.switches);
+    EXPECT_EQ(fibers.run.log, parallel.run.log);
+    expect_in_place_resumes(fibers.run, parallel.run);
+    for (const Observed* o : {&fibers, &parallel}) {
+      EXPECT_EQ(o->dispatch, o->run.dispatches);
+      EXPECT_EQ(o->context_switch, o->run.switches);
+      EXPECT_EQ(o->ready_depth, o->run.dispatches);
+    }
+    EXPECT_EQ(fibers.timed_wakeup, parallel.timed_wakeup);
+    EXPECT_GT(fibers.timed_wakeup, 0u);
+    EXPECT_FALSE(fibers.journal.empty());
+    EXPECT_EQ(fibers.journal, parallel.journal);
+  }
+  obs::set_enabled(saved);
+  journal.clear();
 }
 
 TEST(BackendEquivalence, LifoPolicyIdentical) {
@@ -160,7 +237,8 @@ TEST(BackendEquivalence, TeardownUnwindRunsDestructorsInOrder) {
 /// builds its own kernel, so the default backend and the
 /// DFDBG_PARALLEL_WORKERS environment variable steer it.
 TEST(BackendEquivalence, H264TraceByteIdentical) {
-  auto run_traced = [](Subject subject, std::string* csv, std::uint64_t* dispatches) {
+  auto run_traced = [](Subject subject, std::string* csv, std::uint64_t* dispatches,
+                       std::uint64_t* switches) {
     set_default_process_backend(subject.backend);
     h264::H264AppConfig cfg;
     cfg.params.width = 32;
@@ -177,6 +255,7 @@ TEST(BackendEquivalence, H264TraceByteIdentical) {
     EXPECT_TRUE((*app)->decoded_matches_golden());
     *csv = tc.to_csv();
     *dispatches = (*app)->kernel().dispatch_count();
+    *switches = (*app)->kernel().context_switch_count();
   };
   const auto saved = default_process_backend();
   const char* saved_workers = std::getenv("DFDBG_PARALLEL_WORKERS");
@@ -184,8 +263,9 @@ TEST(BackendEquivalence, H264TraceByteIdentical) {
   ::setenv("DFDBG_PARALLEL_WORKERS", "1", 1);
   std::string csv_fibers, csv_parallel;
   std::uint64_t disp_fibers = 0, disp_parallel = 0;
-  run_traced(kFibers, &csv_fibers, &disp_fibers);
-  run_traced(kParallelOne, &csv_parallel, &disp_parallel);
+  std::uint64_t sw_fibers = 0, sw_parallel = 0;
+  run_traced(kFibers, &csv_fibers, &disp_fibers, &sw_fibers);
+  run_traced(kParallelOne, &csv_parallel, &disp_parallel, &sw_parallel);
   set_default_process_backend(saved);
   if (saved_workers != nullptr)
     ::setenv("DFDBG_PARALLEL_WORKERS", saved_workers_value.c_str(), 1);
@@ -193,6 +273,10 @@ TEST(BackendEquivalence, H264TraceByteIdentical) {
     ::unsetenv("DFDBG_PARALLEL_WORKERS");
   EXPECT_GT(disp_fibers, 0u);
   EXPECT_EQ(disp_fibers, disp_parallel);
+  // The decode's timed waits were resumed in place on fibers, so the
+  // equality above covers that path.
+  EXPECT_LT(sw_fibers, 2 * disp_fibers);
+  EXPECT_EQ(sw_parallel, 2 * disp_parallel);
   EXPECT_FALSE(csv_fibers.empty());
   EXPECT_EQ(csv_fibers, csv_parallel);
 }

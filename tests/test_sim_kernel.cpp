@@ -169,6 +169,100 @@ TEST(Kernel, TimeLimitIsResumable) {
   EXPECT_EQ(k.now(), 100u);
 }
 
+// --- the clock bound and timed waits resumed in place -----------------------
+//
+// On the fibers backend a timed wait that nothing can precede resumes in
+// place (docs/KERNEL.md, "Scheduler hot path"); a one-partition parallel
+// kernel never does, so each case runs on both and must read the same.
+
+constexpr ProcessBackend kBackends[] = {ProcessBackend::kFibers, ProcessBackend::kParallel};
+
+TEST(Kernel, RunBelowTheClockLeavesItWhereItIs) {
+  for (ProcessBackend b : kBackends) {
+    SCOPED_TRACE(to_string(b));
+    Kernel k(b, 1);
+    std::vector<SimTime> woke;
+    k.spawn("ticker", [&] {
+      for (int i = 0; i < 3; ++i) {
+        k.advance(100);
+        woke.push_back(k.now());
+      }
+    });
+    EXPECT_EQ(k.run(150), RunResult::kTimeLimit);
+    EXPECT_EQ(k.now(), 150u);
+    EXPECT_EQ(k.run(50), RunResult::kTimeLimit);
+    EXPECT_EQ(k.now(), 150u);
+    EXPECT_EQ(woke, (std::vector<SimTime>{100}));
+    EXPECT_EQ(k.run(), RunResult::kFinished);
+    EXPECT_EQ(woke, (std::vector<SimTime>{100, 200, 300}));
+  }
+}
+
+TEST(Kernel, LoneTimedWaitResumesInPlace) {
+  std::uint64_t dispatches[2] = {};
+  std::uint64_t switches[2] = {};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(to_string(kBackends[i]));
+    Kernel k(kBackends[i], 1);
+    ProcessId id = k.spawn("ticker", [&k] {
+      for (int j = 0; j < 10; ++j) k.advance(7);
+    });
+    EXPECT_EQ(k.run(), RunResult::kFinished);
+    EXPECT_EQ(k.now(), 70u);
+    EXPECT_EQ(k.process(id)->activation_count(), 11u);
+    dispatches[i] = k.dispatch_count();
+    switches[i] = k.context_switch_count();
+  }
+  EXPECT_EQ(dispatches[0], 11u);
+  EXPECT_EQ(dispatches[1], 11u);
+  EXPECT_EQ(switches[0], 2u);  // the first dispatch; every wakeup resumed in place
+  EXPECT_EQ(switches[1], 22u);
+}
+
+TEST(Kernel, WakeupTiedWithAnEarlierWaiterIsNotResumedInPlace) {
+  for (ProcessBackend b : kBackends) {
+    SCOPED_TRACE(to_string(b));
+    Kernel k(b, 1);
+    std::vector<std::string> log;
+    k.spawn("a", [&] {
+      k.advance(10);
+      log.push_back("a@" + std::to_string(k.now()));
+    });
+    k.spawn("b", [&] {
+      k.advance(5);  // alone before a's wakeup
+      log.push_back("b@" + std::to_string(k.now()));
+      k.advance(5);  // ties with a's wakeup, which was queued first
+      log.push_back("b@" + std::to_string(k.now()));
+    });
+    EXPECT_EQ(k.run(), RunResult::kFinished);
+    EXPECT_EQ(log, (std::vector<std::string>{"b@5", "a@10", "b@10"}));
+    EXPECT_EQ(k.dispatch_count(), 5u);
+    // Fibers resume only b's first wakeup in place.
+    EXPECT_EQ(k.context_switch_count(), b == ProcessBackend::kFibers ? 8u : 10u);
+  }
+}
+
+TEST(Kernel, AdvancePastTheBoundWaitsForTheNextRun) {
+  for (ProcessBackend b : kBackends) {
+    SCOPED_TRACE(to_string(b));
+    Kernel k(b, 1);
+    std::vector<SimTime> woke;
+    k.spawn("p", [&] {
+      k.advance(10);   // within the bound
+      woke.push_back(k.now());
+      k.advance(100);  // crosses it
+      woke.push_back(k.now());
+    });
+    EXPECT_EQ(k.run(50), RunResult::kTimeLimit);
+    EXPECT_EQ(k.now(), 50u);
+    EXPECT_EQ(woke, (std::vector<SimTime>{10}));
+    EXPECT_EQ(k.run(), RunResult::kFinished);
+    EXPECT_EQ(woke, (std::vector<SimTime>{10, 110}));
+    EXPECT_EQ(k.now(), 110u);
+    EXPECT_EQ(k.dispatch_count(), 3u);
+  }
+}
+
 TEST(Kernel, SpawnFromProcess) {
   Kernel k;
   std::vector<int> order;
