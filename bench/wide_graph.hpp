@@ -58,23 +58,12 @@ struct WideGraphConfig {
   std::size_t tokens = 128;    ///< tokens per lane
   std::uint32_t spin = 512;    ///< spin_work iterations per token per stage
   std::uint32_t seed = 1;      ///< payload PRNG seed
-  /// Deliberate load skew: lane p carries `stages + p * stage_skew` filters,
-  /// so later lanes do linearly more work (more activations AND more spin)
-  /// per token. The cluster-modulo default map keeps a whole lane on one
-  /// worker — the worst case for this shape — while the adaptive partitioner
-  /// may split a hot lane's stages across workers. 0 = uniform lanes.
-  int stage_skew = 0;
   /// When true, installs an explicit per-pipeline partition map
   /// (set_partition(stage, pipeline % workers)) instead of relying on the
   /// platform's cluster-derived default. The two coincide on this topology;
   /// tests use the explicit form to pin determinism to a fixed map.
   bool fixed_partitions = false;
 };
-
-/// Filters in lane `p` under the configured skew.
-inline int wide_stages(const WideGraphConfig& cfg, int p) {
-  return cfg.stages + p * cfg.stage_skew;
-}
 
 struct WideWorld {
   WideGraphConfig cfg;
@@ -98,14 +87,13 @@ inline std::uint32_t wide_payload_seed(const WideGraphConfig& cfg, int p) {
 inline std::unique_ptr<WideWorld> build_wide_world(
     const WideGraphConfig& cfg, sim::ProcessBackend backend = sim::default_process_backend(),
     int workers = 0) {
-  DFDBG_CHECK(cfg.pipelines >= 1 && cfg.stages >= 1 && cfg.stage_skew >= 0);
+  DFDBG_CHECK(cfg.pipelines >= 1 && cfg.stages >= 1);
   auto w = std::make_unique<WideWorld>();
   w->cfg = cfg;
   w->kernel = std::make_unique<sim::Kernel>(backend, workers);
-  const int max_stages = wide_stages(cfg, cfg.pipelines - 1);
   sim::PlatformConfig pc;
   pc.clusters = cfg.pipelines;
-  pc.pes_per_cluster = max_stages + 1;
+  pc.pes_per_cluster = cfg.stages + 1;
   w->platform = std::make_unique<sim::Platform>(*w->kernel, pc);
   w->app = std::make_unique<pedf::Application>(*w->platform, "wide");
   w->app->set_model_latencies(false);
@@ -116,7 +104,7 @@ inline std::unique_ptr<WideWorld> build_wide_world(
   const std::uint32_t spin = cfg.spin;
   for (int p = 0; p < cfg.pipelines; ++p) {
     root->add_port("in" + std::to_string(p), pedf::PortDir::kIn, u32);
-    for (int s = 0; s < wide_stages(cfg, p); ++s) {
+    for (int s = 0; s < cfg.stages; ++s) {
       auto* f = new pedf::FnFilter("s" + std::to_string(p) + "_" + std::to_string(s),
                                    [spin](pedf::FilterContext& pedf) {
                                      auto v = pedf.in("in").get_opt();
@@ -153,9 +141,9 @@ inline std::unique_ptr<WideWorld> build_wide_world(
   merge->set_free_running(true);
   root->add_filter(std::unique_ptr<pedf::Filter>(merge));
 
+  const int stages = cfg.stages;
   for (int p = 0; p < cfg.pipelines; ++p) {
     std::string lane = std::to_string(p);
-    const int stages = wide_stages(cfg, p);
     root->bind("this.in" + lane, "s" + lane + "_0.in");
     for (int s = 1; s < stages; ++s)
       root->bind("s" + lane + "_" + std::to_string(s - 1) + ".out",
@@ -167,7 +155,6 @@ inline std::unique_ptr<WideWorld> build_wide_world(
   app.set_root(std::move(root));
 
   for (int p = 0; p < cfg.pipelines; ++p) {
-    const int stages = wide_stages(cfg, p);
     for (int s = 0; s < stages; ++s)
       app.map_actor("top.s" + std::to_string(p) + "_" + std::to_string(s),
                     "c" + std::to_string(p) + "p" + std::to_string(s));
@@ -184,14 +171,14 @@ inline std::unique_ptr<WideWorld> build_wide_world(
     app.add_host_source("src" + std::to_string(p), "top.in" + std::to_string(p),
                         std::move(stream));
   }
-  app.map_actor("top.merge", "c0p" + std::to_string(max_stages));
+  app.map_actor("top.merge", "c0p" + std::to_string(stages));
   w->expected_tokens = static_cast<std::uint64_t>(cfg.pipelines) * cfg.tokens;
   w->sink = &app.add_host_sink("snk", "top.out", static_cast<std::size_t>(w->expected_tokens));
 
   if (cfg.fixed_partitions) {
     const int K = w->kernel->partition_count();
     for (int p = 0; p < cfg.pipelines; ++p)
-      for (int s = 0; s < wide_stages(cfg, p); ++s)
+      for (int s = 0; s < stages; ++s)
         app.set_partition("top.s" + std::to_string(p) + "_" + std::to_string(s), p % K);
   }
   DFDBG_CHECK(app.elaborate().ok());

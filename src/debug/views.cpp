@@ -198,7 +198,6 @@ ShardProfileView Session::shard_profile() const {
   v.backend = sim::to_string(k.backend());
   v.workers = k.partition_count();
   v.rounds = k.round_count();
-  v.elided_rounds = k.elided_round_count();
   v.records = k.round_records().size();
   for (const sim::BarrierRoundRecord& r : k.round_records())
     if (r.boundary_hwm > v.boundary_hwm) v.boundary_hwm = r.boundary_hwm;
@@ -214,7 +213,6 @@ ShardProfileView Session::shard_profile() const {
     row.drain_ns = t.drain_ns;
     row.idle_ns = t.idle_ns;
     row.skipped_wakes = t.skipped_wakes;
-    row.eager_drained = t.eager_drained;
     const std::uint64_t total = t.work_ns + t.barrier_wait_ns + t.drain_ns + t.idle_ns;
     if (total > 0)
       row.utilization = static_cast<double>(t.work_ns) / static_cast<double>(total);
@@ -342,7 +340,6 @@ void to_json(JsonWriter& w, const ShardProfileView& v) {
       .kv("backend", v.backend)
       .kv("workers", static_cast<std::uint64_t>(v.workers))
       .kv("rounds", v.rounds)
-      .kv("elided_rounds", v.elided_rounds)
       .kv("records", v.records)
       .kv("boundary_hwm", v.boundary_hwm)
       .key("shards")
@@ -357,7 +354,6 @@ void to_json(JsonWriter& w, const ShardProfileView& v) {
         .kv("drain_ns", r.drain_ns)
         .kv("idle_ns", r.idle_ns)
         .kv("skipped_wakes", r.skipped_wakes)
-        .kv("eager_drained", r.eager_drained)
         .kv("utilization", r.utilization)
         .end_object();
   }
@@ -371,13 +367,11 @@ void to_json(JsonWriter& w, const sim::BarrierRoundRecord& r) {
       .kv("wall_ns", r.wall_ns)
       .kv("drain_ns", r.drain_ns)
       .kv("boundary_hwm", r.boundary_hwm)
-      .kv("elided", r.elided)
       .key("partitions")
       .begin_array();
   for (const auto& p : r.partitions) {
     w.begin_object()
         .kv("dispatches", p.dispatches)
-        .kv("eager", p.eager)
         .kv("work_ns", p.work_ns)
         .kv("wait_ns", p.wait_ns)
         .kv("stalled", p.stalled)

@@ -19,71 +19,25 @@ BoundaryChannel::BoundaryChannel(Link& link, std::size_t capacity)
       mask_(next_pow2(capacity_) - 1), ring_(next_pow2(capacity_)),
       space_event_("boundary-space:" + link.name()) {}
 
-bool BoundaryChannel::link_has_room() const { return !link_->full(); }
-
 std::uint64_t BoundaryChannel::send(Value v, std::uint64_t uid) {
-  const std::uint64_t s = sent_.load(std::memory_order_relaxed);
-  DFDBG_CHECK_MSG(s - freed_ < capacity_,
-                  "send on full boundary channel of " + link_->name());
-  Slot& slot = ring_[s & mask_];
+  DFDBG_CHECK_MSG(!full(), "send on full boundary channel of " + link_->name());
+  Slot& slot = ring_[sent_ & mask_];
   slot.value = std::move(v);
   slot.uid = uid;
-  sent_.store(s + 1, std::memory_order_release);
-  return s;
-}
-
-std::size_t BoundaryChannel::drain_eligible(sim::Kernel& kernel) {
-  std::uint64_t d = delivered_.load(std::memory_order_relaxed);
-  std::size_t moved = 0;
-  while (d != limit_ && !link_->full()) {
-    Slot& slot = ring_[d & mask_];
-    link_->push_delivered(std::move(slot.value), slot.uid);
-    delivered_.store(++d, std::memory_order_release);
-    ++moved;
-  }
-  // Consumer-shard (or coordinator) context: the wake delivers straight into
-  // the consumer's own ready queue, same-round.
-  if (moved != 0) kernel.notify_if_waiting(link_->data_avail());
-  return moved;
-}
-
-bool BoundaryChannel::publish(sim::Kernel& kernel) {
-  limit_ = sent_.load(std::memory_order_relaxed);
-  const std::uint64_t d = delivered_.load(std::memory_order_relaxed);
-  if (d == freed_) return false;
-  freed_ = d;
-  return kernel.notify_if_waiting(space_event_);
+  return sent_++;
 }
 
 bool BoundaryChannel::drain(sim::Kernel& kernel) {
-  limit_ = sent_.load(std::memory_order_relaxed);
-  const bool moved = drain_eligible(kernel) != 0;
-  const std::uint64_t d = delivered_.load(std::memory_order_relaxed);
-  bool woke = false;
-  if (d != freed_) {
-    freed_ = d;
-    woke = kernel.notify_if_waiting(space_event_);
+  const std::uint64_t d0 = delivered_;
+  while (delivered_ != sent_ && !link_->full()) {
+    Slot& slot = ring_[delivered_++ & mask_];
+    link_->push_delivered(std::move(slot.value), slot.uid);
   }
-  return moved || woke;
-}
-
-bool BoundaryChannel::spsc_send(Value v, std::uint64_t uid) {
-  const std::uint64_t s = sent_.load(std::memory_order_relaxed);
-  if (s - delivered_.load(std::memory_order_acquire) >= capacity_) return false;
-  Slot& slot = ring_[s & mask_];
-  slot.value = std::move(v);
-  slot.uid = uid;
-  sent_.store(s + 1, std::memory_order_release);
-  return true;
-}
-
-bool BoundaryChannel::spsc_take(Value& v, std::uint64_t& uid) {
-  const std::uint64_t d = delivered_.load(std::memory_order_relaxed);
-  if (d == sent_.load(std::memory_order_acquire)) return false;
-  Slot& slot = ring_[d & mask_];
-  v = std::move(slot.value);
-  uid = slot.uid;
-  delivered_.store(d + 1, std::memory_order_release);
+  if (delivered_ == d0) return false;
+  // Coordinator context: both wakes land at once, in the consumer's and the
+  // producer's partitions.
+  kernel.notify_if_waiting(link_->data_avail());
+  kernel.notify_if_waiting(space_event_);
   return true;
 }
 

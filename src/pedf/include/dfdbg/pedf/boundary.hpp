@@ -3,39 +3,25 @@
 // A Link whose producer and consumer live in different partitions cannot be
 // mutated from both sides: all link state (ring, indexes, events) belongs to
 // the *consumer's* partition. Instead the producer enqueues {value, uid}
-// pairs into a BoundaryChannel — a lock-free single-producer/single-consumer
-// ring. Two monotonic counters index it: `sent_` (advanced by the producing
-// worker with a release store) and `delivered_` (advanced by the consuming
-// worker as it moves tokens into the link). On top of the SPSC ring sits the
-// deterministic round protocol:
+// pairs into a BoundaryChannel, a ring indexed by two monotonic counters:
+// `sent_`, advanced by the producing worker as it sends during a round, and
+// `delivered_`, advanced by the coordinator as it drains the channel into the
+// link at the barrier that ends every round. The two sides never run at once
+// (the coordinator drains only while every worker is parked), and the round
+// handshake's mutex orders each side's writes before the other's reads, so
+// both counters are plain fields.
 //
-//   publish (coordinator, between rounds): snapshots `sent_` into `limit_`
-//     and `delivered_` into `freed_`. Both snapshots are plain fields — only
-//     the coordinator writes them, and the round handshake's mutex orders
-//     them against both workers.
-//   eager drain (consumer shard, during a round): delivers tokens strictly
-//     below `limit_` into the link, in channel order, waking local
-//     data_avail waiters immediately. Because eligibility is bounded by the
-//     coordinator's snapshot — not by the live `sent_` — the delivered set
-//     is a pure function of the round number, independent of worker timing:
-//     run-to-run determinism survives the missing barrier.
-//   producer flow control: full() compares `sent_` against the snapshot
-//     `freed_`, not the live `delivered_`, for the same reason; a producer
-//     blocks on space_avail() and the coordinator wakes it at publish when
-//     slots were reclaimed.
+// The drain delivers every pending token the link has room for, in channel
+// order, then wakes the consumer and any producer blocked on a full channel.
+// What a drain delivers depends only on the channel and link contents at the
+// barrier, never on worker timing, and per-link FIFO order — the
+// Kahn-network property every determinism argument rests on — holds by
+// construction (docs/KERNEL.md, "Boundary channels and the barrier
+// protocol").
 //
-// Tokens therefore traverse a boundary with one round of latency (publish)
-// instead of parking until the coordinator serially drained every ring, and
-// per-link FIFO order — the Kahn-network property every determinism argument
-// rests on — is preserved by construction. drain() remains the coordinator's
-// full drain, used at quiescence and on debug stops.
-//
-// Slot safety: the consumer reads slots in [delivered_, limit_) while the
-// producer writes slots in [sent_, freed_ + capacity); limit_ <= sent_ and
-// freed_ <= delivered_, and the physical ring holds >= capacity slots, so
-// the two ranges never alias modulo the ring size. The raw spsc_send /
-// spsc_take surface (used by the TSan stress test) instead synchronizes
-// purely through the acquire/release counters, classic SPSC style.
+// Slot safety: the producer writes slots in [sent_, delivered_ + capacity)
+// and the coordinator reads slots in [delivered_, sent_); the physical ring
+// holds >= capacity slots, so the two ranges never alias modulo its size.
 //
 // Provenance: the producer allocates the token uid from its own shard
 // journal (disjoint per-partition id ranges) and records the kTokenPush
@@ -45,7 +31,6 @@
 // journal streams stay per-link identical to a sequential run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -78,73 +63,25 @@ class BoundaryChannel {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Physical ring slots (next power of two >= capacity; for tests).
   [[nodiscard]] std::size_t slot_count() const { return ring_.size(); }
-  /// Tokens enqueued and not yet delivered. Coordinator/debugger context.
-  [[nodiscard]] std::size_t pending() const {
-    return static_cast<std::size_t>(sent_.load(std::memory_order_acquire) -
-                                    delivered_.load(std::memory_order_acquire));
-  }
-  /// Producer-side: full against the coordinator's `freed_` snapshot (not
-  /// the live consumer index — see the determinism note above).
-  [[nodiscard]] bool full() const {
-    return sent_.load(std::memory_order_relaxed) - freed_ >= capacity_;
-  }
+  /// Tokens enqueued and not yet delivered.
+  [[nodiscard]] std::size_t pending() const { return static_cast<std::size_t>(sent_ - delivered_); }
+  /// Producer-side: `capacity()` tokens await delivery.
+  [[nodiscard]] bool full() const { return sent_ - delivered_ >= capacity_; }
   /// Tokens ever accepted == the producer-side push index sequence.
-  [[nodiscard]] std::uint64_t sent() const { return sent_.load(std::memory_order_relaxed); }
-  /// Tokens delivered into the link so far.
-  [[nodiscard]] std::uint64_t delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t sent() const { return sent_; }
 
   /// Producer worker: enqueues one token. Precondition: !full().
   /// Returns the token's producer-side index (== its eventual push index).
   std::uint64_t send(Value v, std::uint64_t uid);
 
-  /// Producers blocked on a full channel wait here; the coordinator
-  /// notifies at publish after reclaiming slots. Bound to the producer's
-  /// partition.
+  /// Producers blocked on a full channel wait here; the drain that frees
+  /// slots notifies it. Bound to the producer's partition.
   [[nodiscard]] sim::Event& space_avail() { return space_event_; }
 
-  // --- deterministic round protocol (see file comment) ----------------------
-
-  /// Coordinator, between rounds: makes every token sent so far eligible for
-  /// the consumer's eager drain, reclaims consumed slots for the producer,
-  /// and wakes a producer blocked on space. Returns true when a blocked
-  /// producer was woken (progress for the run loop).
-  bool publish(sim::Kernel& kernel);
-
-  /// Consumer shard (or coordinator): delivers eligible tokens — strictly
-  /// below the published limit — into the link while it has room, then wakes
-  /// local data_avail waiters. Returns tokens delivered.
-  std::size_t drain_eligible(sim::Kernel& kernel);
-
-  /// Coordinator: does the channel hold movement the last publish has not
-  /// seen (unpublished sends, or consumed slots not yet reclaimed)?
-  [[nodiscard]] bool has_unpublished() const {
-    return sent_.load(std::memory_order_relaxed) != limit_ ||
-           delivered_.load(std::memory_order_relaxed) != freed_;
-  }
-
-  /// Coordinator: can the consumer's eager drain deliver at least one token
-  /// right now (published backlog and link room)?
-  [[nodiscard]] bool eligible() const {
-    return delivered_.load(std::memory_order_relaxed) != limit_ && link_has_room();
-  }
-
-  /// Coordinator: full drain — publish + deliver everything possible + wake
-  /// both sides. Used at quiescence and on debug stops so the debugger sees
-  /// no token parked invisibly behind a stale snapshot. Returns true when
-  /// any token moved or a blocked producer was woken.
+  /// Coordinator, at the barrier: delivers every pending token the link has
+  /// room for, in channel order, then wakes the link's consumer and a
+  /// producer blocked on space. Returns true when any token moved.
   bool drain(sim::Kernel& kernel);
-
-  // --- raw SPSC surface (two-thread stress tests; not used by the kernel) ---
-  // Synchronizes purely through the acquire/release counters; must not be
-  // mixed with the snapshot protocol above on the same channel instance.
-
-  /// Producer thread: enqueue, bounded by the live consumer index.
-  /// Returns false when full.
-  bool spsc_send(Value v, std::uint64_t uid);
-  /// Consumer thread: dequeue the oldest token. Returns false when empty.
-  bool spsc_take(Value& v, std::uint64_t& uid);
 
  private:
   struct Slot {
@@ -152,22 +89,12 @@ class BoundaryChannel {
     std::uint64_t uid = 0;
   };
 
-  [[nodiscard]] bool link_has_room() const;
-
   Link* link_;
   std::size_t capacity_;
   std::uint64_t mask_;
   std::vector<Slot> ring_;
-  /// Producer-owned (release store per send); read by the coordinator
-  /// between rounds and by the raw-SPSC consumer.
-  std::atomic<std::uint64_t> sent_{0};
-  /// Consumer-owned (release store per delivery); read by the coordinator
-  /// between rounds and by the raw-SPSC producer.
-  std::atomic<std::uint64_t> delivered_{0};
-  /// Coordinator-written snapshots (round-handshake ordered): the consumer
-  /// drains below limit_; the producer's full() measures against freed_.
-  std::uint64_t limit_ = 0;
-  std::uint64_t freed_ = 0;
+  std::uint64_t sent_ = 0;       ///< producer-written, during rounds
+  std::uint64_t delivered_ = 0;  ///< coordinator-written, at barriers
   sim::Event space_event_;
 };
 

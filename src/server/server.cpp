@@ -1272,11 +1272,20 @@ std::span<const DebugServer::Method> DebugServer::methods() {
            return refused("session_create is disabled on this server");
          if (const JsonValue* q = c.params.find("quota"); q != nullptr)
            if (Status st = check_params(*q, kQuotaParams); !st.ok()) return st;
-         const int target = static_cast<int>(c.u64("shard", static_cast<std::uint64_t>(c.shard)));
-         if (target < 0 || target >= srv.config_.shards)
+         // Range checks on the u64 as sent, before any narrowing to int, and
+         // before any rig builds: a kernel interns registry instruments and
+         // starts a thread per worker.
+         if (c.u64("workers", 0) > static_cast<std::uint64_t>(sim::kMaxParallelWorkers))
            return Status::error(ErrCode::kInvalidArgument,
-                                strformat("shard %d out of range (0..%d)", target,
+                                strformat("param workers must be 0..%d (0 = default)",
+                                          sim::kMaxParallelWorkers));
+         const std::uint64_t shard = c.u64("shard", static_cast<std::uint64_t>(c.shard));
+         if (shard >= static_cast<std::uint64_t>(srv.config_.shards))
+           return Status::error(ErrCode::kInvalidArgument,
+                                strformat("shard %llu out of range (0..%d)",
+                                          static_cast<unsigned long long>(shard),
                                           srv.config_.shards - 1));
+         const int target = static_cast<int>(shard);
          if (target != c.shard) {
            if (c.client == nullptr)
              return refused("in-process session_create is pinned to shard 0");

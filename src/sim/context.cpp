@@ -70,10 +70,10 @@ int default_parallel_workers() {
   // the environment within one binary.
   if (const char* env = std::getenv("DFDBG_PARALLEL_WORKERS")) {
     long n = std::atol(env);
-    if (n >= 1 && n <= 256) return static_cast<int>(n);
+    if (n >= 1 && n <= kMaxParallelWorkers) return static_cast<int>(n);
     if (env[0] != '\0')
       panic(__FILE__, __LINE__,
-            strformat("DFDBG_PARALLEL_WORKERS='%s' (expected 1..256)", env));
+            strformat("DFDBG_PARALLEL_WORKERS='%s' (expected 1..%d)", env, kMaxParallelWorkers));
   }
   return 2;
 }

@@ -50,8 +50,13 @@ const char* to_string(ProcessBackend b);
 /// kFibers.
 [[nodiscard]] ProcessBackend default_process_backend();
 
+/// Largest worker-thread count a kParallel kernel accepts, from any source:
+/// the constructor, DFDBG_PARALLEL_WORKERS, or a wire `workers` param.
+inline constexpr int kMaxParallelWorkers = 256;
+
 /// Worker-thread count new kParallel kernels use when none is passed to the
-/// constructor: the DFDBG_PARALLEL_WORKERS environment variable, or 2.
+/// constructor: the DFDBG_PARALLEL_WORKERS environment variable (1..
+/// kMaxParallelWorkers), or 2.
 [[nodiscard]] int default_parallel_workers();
 
 /// Overrides the process-wide default (benchmarks flip this to measure both

@@ -85,14 +85,12 @@ struct BarrierRoundRecord {
   std::uint64_t wall_ns = 0;      ///< workers woken -> barrier flushed
   std::uint64_t drain_ns = 0;     ///< coordinator portion: journal merge + notifies + boundary drains
   std::uint64_t boundary_hwm = 0; ///< max boundary-channel occupancy sampled at the barrier
-  bool elided = false;            ///< no cross-partition effects: coordinator skipped the barrier
   struct PartitionDelta {
     std::uint64_t dispatches = 0; ///< dispatches this shard executed this round
     std::uint64_t work_ns = 0;    ///< worker-measured time draining its ready queue
     std::uint64_t wait_ns = 0;    ///< barrier-wait: blocked on slower shards
-    std::uint64_t eager = 0;      ///< boundary tokens this shard eager-drained this round
     bool stalled = false;         ///< woken with nothing to run (load-imbalance signal)
-    bool skipped = false;         ///< not woken: no local work could progress this round
+    bool skipped = false;         ///< not woken: no ready work this round
   };
   std::vector<PartitionDelta> partitions;  ///< one entry per partition, in order
 };
@@ -106,7 +104,8 @@ class Kernel {
   /// `backend` selects how processes execute (fibers by default; see
   /// context.hpp). Fixed for the kernel's lifetime. `workers` is the
   /// partition/worker-thread count of the parallel backend (0 = the
-  /// default_parallel_workers() resolution; ignored by kFibers).
+  /// default_parallel_workers() resolution; ignored by kFibers), at most
+  /// kMaxParallelWorkers.
   explicit Kernel(ProcessBackend backend = default_process_backend(), int workers = 0);
   ~Kernel();
 
@@ -220,48 +219,21 @@ class Kernel {
     return true;
   }
 
-  /// Parallel backend: registers a function the coordinator invokes at a
-  /// *full* barrier — the global-quiescence fallback (no shard can progress
-  /// at the current virtual time) and the barrier of a debug-stop round —
-  /// after deferred notifies flush, before virtual time advances. Returns
-  /// true when it made progress (delivered tokens, woke a process), which
-  /// triggers another delta round at the same virtual time. The pedf runtime
-  /// registers its full boundary-ring drain here; ordinary rounds move
-  /// boundary tokens through the relaxed-synchrony path (BoundaryHooks)
-  /// instead. Tasks run in registration order; register before the first
-  /// run().
+  /// Parallel backend: registers a function the coordinator invokes at every
+  /// barrier — the end of each round, and the global-quiescence check before
+  /// virtual time advances — after deferred notifies flush. Returns true when
+  /// it made progress (delivered tokens, woke a process), which triggers
+  /// another delta round at the same virtual time. The pedf runtime registers
+  /// its boundary-channel drain here. Tasks run in registration order;
+  /// register before the first run().
   void add_barrier_task(std::function<bool()> task);
-
-  /// Parallel backend: the boundary-transport integration points of the
-  /// relaxed-synchrony round protocol (see pedf/boundary.hpp). All optional;
-  /// the pedf runtime installs them when partition-crossing links exist.
-  struct BoundaryHooks {
-    /// Worker context, during a round: the given partition drains its
-    /// inbound channels' *published* tokens, in link order, waking local
-    /// waiters. Returns tokens delivered.
-    std::function<std::size_t(int partition)> eager_drain;
-    /// Coordinator: does any channel hold movement the last publish has not
-    /// seen (unpublished sends, or consumed slots not yet reclaimed)?
-    std::function<bool()> activity;
-    /// Coordinator: snapshot send indices for the next round's eager drains,
-    /// reclaim consumed slots, wake producers blocked on space. Returns true
-    /// when a blocked producer was woken.
-    std::function<bool()> publish;
-    /// Coordinator: set mask[p] nonzero for partitions whose inbound
-    /// channels can deliver at least one token right now (published backlog
-    /// and link room) — those shards join the round even with empty ready
-    /// queues.
-    std::function<void(std::vector<std::uint8_t>&)> pending;
-  };
-  void set_boundary_hooks(BoundaryHooks hooks) { boundary_hooks_ = std::move(hooks); }
 
   /// Parallel backend: barrier rounds completed so far (0 otherwise).
   [[nodiscard]] std::uint64_t round_count() const { return rounds_; }
 
-  /// Parallel backend: rounds whose coordinator barrier was skipped entirely
-  /// (no cross-partition effects: no boundary traffic, no deferred notifies,
-  /// no debug stop). Counted regardless of obs state.
-  [[nodiscard]] std::uint64_t elided_round_count() const { return elided_rounds_; }
+  /// Always 0: every round ends in the full barrier. Kept only because the
+  /// repository benchmark (perfbench/wide_parallel.cpp) still reads it.
+  [[nodiscard]] std::uint64_t elided_round_count() const { return 0; }
 
   // --- Shard time attribution (parallel backend; docs/OBSERVABILITY.md) ----
 
@@ -281,7 +253,8 @@ class Kernel {
     /// Rounds this shard stayed parked through (sparse wakes). Counted
     /// regardless of obs state, like dispatches.
     std::uint64_t skipped_wakes = 0;
-    /// Boundary tokens this shard eager-drained from its inbound channels.
+    /// Always 0: boundary tokens move only at the barrier. Kept only because
+    /// the repository benchmark (perfbench/wide_parallel.cpp) still reads it.
     std::uint64_t eager_drained = 0;
   };
   [[nodiscard]] ShardTotals shard_totals(int partition) const;
@@ -301,7 +274,7 @@ class Kernel {
   void set_round_record_capacity(std::size_t n);
 
   /// Registers a probe the coordinator samples at each barrier, *before*
-  /// boundary rings drain, returning the current aggregate boundary-channel
+  /// boundary channels drain, returning the current aggregate boundary-channel
   /// occupancy. The pedf runtime installs one reporting the max pending
   /// count across its BoundaryChannels; recorded as the round's
   /// boundary_hwm. Only called while obs::enabled().
@@ -385,20 +358,16 @@ class Kernel {
     obs::Counter* m_dispatches = nullptr;   ///< sim.worker.<i>.dispatch
     std::thread thread;
 
-    // Sparse wakes: the coordinator wakes only shards that can progress this
+    // Sparse wakes: the coordinator wakes only shards with ready work this
     // round; the rest stay parked on their own condition variable. `wake`
     // and `participant` are coordinator-written under round_mu_ (the worker
     // clears `wake` when it takes a round); `skipped_wakes` is
-    // coordinator-only; `round_eager`/`eager_total` are worker-written,
-    // coordinator-read across the round handshake.
+    // coordinator-only.
     std::condition_variable cv;   ///< this worker's round-wake channel
     bool wake = false;            ///< a round is pending for this shard
     bool participant = false;     ///< coordinator scratch: woken this round
-    std::uint64_t round_eager = 0;   ///< boundary tokens eager-drained, this round
-    std::uint64_t eager_total = 0;   ///< cumulative eager-drained tokens
     std::uint64_t skipped_wakes = 0; ///< rounds this shard stayed parked through
     obs::Counter* m_skipped = nullptr; ///< sim.worker.<i>.skipped_wakes
-    obs::Counter* m_eager = nullptr;   ///< sim.worker.<i>.eager_drained
 
     // Shard time attribution. The worker writes the two round-scratch fields
     // before re-parking (ordered before the coordinator's read by round_mu_);
@@ -457,15 +426,15 @@ class Kernel {
   /// Coordinator: flushes deferred notifies in partition order; true when a
   /// waiter was woken.
   bool flush_deferred();
-  /// Coordinator, full barrier: flush_deferred() then the registered barrier
-  /// tasks (pedf's full boundary drain); true when any progress was made.
+  /// Coordinator, barrier: flush_deferred() then the registered barrier
+  /// tasks (pedf's boundary drain); true when any progress was made.
   bool flush_barrier();
   void merge_shard_journals();
   void stop_workers();
   /// Attribution bookkeeping for one completed round: t0 = workers woken,
   /// t1 = workers quiescent, t2 = barrier flushed (all mono_ns).
   void record_round(std::uint64_t t0, std::uint64_t t1, std::uint64_t t2,
-                    std::uint64_t boundary_hwm, bool elided);
+                    std::uint64_t boundary_hwm);
 
   ProcessBackend backend_;
   bool parallel_ = false;
@@ -492,9 +461,7 @@ class Kernel {
   obs::Journal* journal_base_ = nullptr;  ///< journal shards delegate/merge here
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::function<bool()>> barrier_tasks_;
-  BoundaryHooks boundary_hooks_;
   std::uint64_t rounds_ = 0;
-  std::uint64_t elided_rounds_ = 0;
   std::atomic<bool> stop_flag_{false};  ///< some shard requested a debug stop
   std::mutex spawn_mu_;                 ///< serializes mid-run spawns from workers
   // Round handshake: coordinator bumps round_gen_, sets the participating

@@ -58,14 +58,6 @@ class Process {
   /// Number of times this process has been scheduled in.
   [[nodiscard]] std::uint64_t activation_count() const { return activations_; }
 
-  /// Observed wall nanoseconds spent inside this process's dispatches
-  /// (scheduled in -> yielded back), accumulated only on the parallel
-  /// backend while obs::enabled() — 0 on unobserved or sequential runs
-  /// (sequential dispatch skips the clock reads: nothing consumes the
-  /// data there). A measurement, never schedule input; it feeds
-  /// Application::dispatch_time_profile() for time-weighted partitioning.
-  [[nodiscard]] std::uint64_t consumed_wall_ns() const { return consumed_wall_ns_; }
-
  private:
   friend class Kernel;
   Process(Kernel* kernel, ProcessId id, std::string name, std::function<void()> body);
@@ -87,7 +79,6 @@ class Process {
   SimTime wake_time_ = 0;
   SimTime consumed_time_ = 0;
   std::uint64_t activations_ = 0;
-  std::uint64_t consumed_wall_ns_ = 0;  ///< obs-gated; see consumed_wall_ns()
   std::uint64_t wait_seq_ = 0;  ///< tie-break for deterministic timed wakeups
   int shard_ = 0;               ///< parallel backend: owning partition
 

@@ -46,7 +46,6 @@ struct Kernel::SchedMetrics {
   obs::Counter& timed_wakeups;
   obs::Counter& breaks;
   obs::Counter& rounds;
-  obs::Counter& elided;            ///< sim.barrier.elided_rounds
   obs::Histogram& ready_depth;
   obs::Histogram& round_wall_ns;   ///< sim.barrier.round_wall_ns
   obs::Histogram& round_drain_ns;  ///< sim.barrier.drain_ns
@@ -56,7 +55,6 @@ struct Kernel::SchedMetrics {
     return {r.counter("sim.dispatch"),      r.counter("sim.context_switch"),
             r.counter("sim.process_spawn"), r.counter("sim.timed_wakeup"),
             r.counter("sim.debug_break"),   r.counter("sim.barrier.round"),
-            r.counter("sim.barrier.elided_rounds"),
             r.histogram("sim.ready_depth"),
             r.histogram("sim.barrier.round_wall_ns"),
             r.histogram("sim.barrier.drain_ns"),
@@ -137,6 +135,8 @@ const char* to_string(RunResult r) {
 }
 
 Kernel::Kernel(ProcessBackend backend, int workers) : backend_(backend) {
+  DFDBG_CHECK_MSG(workers >= 0 && workers <= kMaxParallelWorkers,
+                  strformat("Kernel: %d workers (expected 0..%d)", workers, kMaxParallelWorkers));
   // Capture the journal visible at construction time (thread override if a
   // hosted session installed one, else the process-wide base): parallel
   // shard journals delegate token-id allocation to it and merge back into
@@ -165,7 +165,6 @@ Kernel::Kernel(ProcessBackend backend, int workers) : backend_(backend) {
     sh->m_idle_ns = &reg.counter(strformat("sim.worker.%d.idle_ns", i));
     sh->m_stalls = &reg.counter(strformat("sim.worker.%d.stalled_rounds", i));
     sh->m_skipped = &reg.counter(strformat("sim.worker.%d.skipped_wakes", i));
-    sh->m_eager = &reg.counter(strformat("sim.worker.%d.eager_drained", i));
     sh->h_round_work = &reg.histogram(strformat("sim.worker.%d.round_work_ns", i));
     shards_.push_back(std::move(sh));
   }
@@ -330,11 +329,6 @@ void Kernel::dispatch(Process* p) {
   // back to the scheduler when it yields.
   count_dispatch(p, 2);
   current_ = p;
-  // No per-fire wall-time accumulation here: the time profile only ever
-  // feeds the parallel backend's partitioner, and two clock reads per
-  // dispatch would tax every observed sequential run for data nothing
-  // consumes (dispatch_parallel pays them instead, amortized by its
-  // heavier handshake).
   p->fiber_started_ = true;
   FiberContext::switch_to(sched_ctx_, *p->fiber_);  // until it yields/terminates
   current_ = nullptr;
@@ -461,38 +455,31 @@ void Kernel::notify(Event& e) {
 // Execution model: every partition ("shard") is a sub-kernel — its own ready
 // queue, timed queue and scheduler anchor — drained to quiescence by a
 // dedicated worker thread. The coordinator (the thread that called run())
-// alternates rounds with (mostly elided) barriers:
+// alternates rounds with barriers:
 //
-//   round:   the coordinator wakes only the shards that can progress — a
-//            non-empty ready queue, or published boundary backlog their
-//            eager drain can deliver (sparse wakes; the rest stay parked
-//            and count a skipped_wake). Workers drain their shards,
-//            interleaving eager drains of their inbound boundary channels
-//            (tokens below the coordinator's published limit, in link
-//            order); processes that wait/advance park as usual; notifies to
-//            events owned by another partition are *deferred* (recorded,
-//            not delivered).
-//   barrier: only when the round produced cross-partition effects —
-//            boundary traffic, deferred notifies, or a debug stop — does
-//            the coordinator merge journal shards, deliver the deferred
-//            notifies in partition order, and publish the boundary channels
-//            (snapshot send indices, reclaim consumed slots, wake blocked
-//            producers). Effect-free rounds skip all of it
-//            (sim.barrier.elided_rounds); their journal records wait in the
-//            bounded shard rings for the next real barrier, time advance or
-//            run exit. Virtual-time advance (which merges journals first),
-//            the registered full boundary drains (barrier tasks) and debug
-//            stops still take a full barrier at global quiescence.
+//   round:   the coordinator wakes only the shards with ready work (sparse
+//            wakes; the rest stay parked and count a skipped_wake). Workers
+//            drain their shards; processes that wait/advance park as usual;
+//            a token pushed on a partition-crossing link goes into the
+//            link's boundary channel; notifies to events owned by another
+//            partition are *deferred* (recorded, not delivered).
+//   barrier: every round ends in one. The coordinator merges the journal
+//            shards in partition order, delivers the deferred notifies in
+//            partition order, then runs the barrier tasks: pedf drains every
+//            boundary channel in link order, delivering all it holds that
+//            its link has room for and waking both ends. Virtual time
+//            advances only at global quiescence (no shard has ready work and
+//            a barrier makes no progress).
 //
 // Determinism: each shard's drain order is a function of its own queue
-// contents; eager-drain eligibility is bounded by the coordinator's
-// *snapshots*, not live producer indices, so the delivered set per round is
-// timing-independent; the coordinator's work happens in fixed (partition,
-// link registration) order; time advances only at global quiescence. Hence
-// the whole schedule — dispatches, token movements, journal merge order — is
-// a pure function of the program and the partition map. With one partition
-// it is the *same* function the fibers backend computes (a single partition
-// has no boundary channels, and delivers every notify at once).
+// contents; no state crosses partitions during a round (channels are only
+// appended to by their producer, and only drained by the coordinator); the
+// coordinator's work happens in fixed (partition, link registration) order;
+// time advances only at global quiescence. Hence the whole schedule —
+// dispatches, token movements, journal merge order — is a pure function of
+// the program and the partition map. With one partition it is the *same*
+// function the fibers backend computes (a single partition has no boundary
+// channels, and delivers every notify at once).
 // ---------------------------------------------------------------------------
 
 Process* Kernel::current_parallel() const {
@@ -546,22 +533,7 @@ void Kernel::worker_main(int shard) {
     const std::uint64_t dispatches_before = s.dispatches;
     const bool prof = obs::enabled();
     const std::uint64_t w0 = prof ? mono_ns() : 0;
-    std::uint64_t eager = 0;
     drain_shard(s);
-    if (boundary_hooks_.eager_drain) {
-      // Eagerly deliver published cross-partition tokens and run whatever
-      // they wake, until neither makes progress. Eligibility is bounded by
-      // the coordinator's snapshot, so this fixpoint — like the drain order
-      // itself — is a pure function of the round's starting state.
-      while (!s.stop_round) {
-        const std::size_t got = boundary_hooks_.eager_drain(s.index);
-        if (got == 0) break;
-        eager += got;
-        drain_shard(s);
-      }
-    }
-    s.round_eager = eager;
-    s.eager_total += eager;
     s.round_work_ns = prof ? mono_ns() - w0 : 0;
     s.round_dispatches = s.dispatches - dispatches_before;
     {
@@ -602,8 +574,7 @@ void Kernel::dispatch_shard(Shard& s, Process* p) {
   p->state_ = ProcessState::kRunning;
   p->activations_++;
   s.dispatches++;
-  const bool prof = obs::enabled();
-  if (prof) {
+  if (obs::enabled()) {
     const SchedMetrics& m = sched(s.obs);
     s.obs.dispatches.add();
     s.obs.switches.add(2);
@@ -620,11 +591,9 @@ void Kernel::dispatch_shard(Shard& s, Process* p) {
     }
   }
   s.current = p;
-  const std::uint64_t f0 = prof ? mono_ns() : 0;
   p->fiber_started_ = true;
   p->resume_anchor_ = &s.sched_ctx;
   FiberContext::switch_to(s.sched_ctx, *p->fiber_);
-  if (prof) p->consumed_wall_ns_ += mono_ns() - f0;
   s.current = nullptr;
 }
 
@@ -741,7 +710,7 @@ bool Kernel::notify_if_waiting_parallel(Event& e) {
 }
 
 void Kernel::record_round(std::uint64_t t0, std::uint64_t t1, std::uint64_t t2,
-                          std::uint64_t boundary_hwm, bool elided) {
+                          std::uint64_t boundary_hwm) {
   const std::uint64_t wall = t2 - t0;
   const std::uint64_t drain = t2 - t1;
   const std::uint64_t span = t1 - t0;  // workers woken -> workers quiescent
@@ -751,16 +720,14 @@ void Kernel::record_round(std::uint64_t t0, std::uint64_t t1, std::uint64_t t2,
   rec.wall_ns = wall;
   rec.drain_ns = drain;
   rec.boundary_hwm = boundary_hwm;
-  rec.elided = elided;
   rec.partitions.reserve(shards_.size());
   for (auto& sh : shards_) {
     BarrierRoundRecord::PartitionDelta d;
     // A skipped shard stayed parked: its round scratch (round_dispatches,
-    // round_work_ns, round_eager) is stale from an earlier round and must
-    // not be read. It did nothing and waited out the whole span.
+    // round_work_ns) is stale from an earlier round and must not be read.
+    // It did nothing and waited out the whole span.
     d.skipped = !sh->participant;
     d.dispatches = d.skipped ? 0 : sh->round_dispatches;
-    d.eager = d.skipped ? 0 : sh->round_eager;
     // Worker and coordinator read the same steady clock from different
     // threads; clamp so work never exceeds the span the coordinator saw.
     d.work_ns = d.skipped ? 0 : std::min(sh->round_work_ns, span);
@@ -777,14 +744,12 @@ void Kernel::record_round(std::uint64_t t0, std::uint64_t t1, std::uint64_t t2,
       sh->m_stalls->add();
     }
     if (d.skipped) sh->m_skipped->add();
-    if (d.eager != 0) sh->m_eager->add(d.eager);
     sh->h_round_work->observe(d.work_ns);
     rec.partitions.push_back(d);
   }
   const SchedMetrics& m = sched(obs_);
   m.round_wall_ns.observe(wall);
   m.round_drain_ns.observe(drain);
-  if (elided) m.elided.add();
   if (boundary_hwm > 0) m.boundary_hwm.set(static_cast<std::int64_t>(boundary_hwm));
   round_records_.push_back(std::move(rec));
   while (round_records_.size() > round_record_capacity_) round_records_.pop_front();
@@ -817,7 +782,6 @@ Kernel::ShardTotals Kernel::shard_totals(int partition) const {
   t.drain_ns = s.drain_ns_total;
   t.idle_ns = s.idle_ns_total;
   t.skipped_wakes = s.skipped_wakes;
-  t.eager_drained = s.eager_total;
   return t;
 }
 
@@ -827,8 +791,8 @@ void Kernel::merge_shard_journals() {
 
 bool Kernel::flush_deferred() {
   bool progress = false;
-  // Partition order: waking a blocked consumer may let a boundary drain
-  // (eager or full) deliver straight into its link.
+  // Partition order, and before the boundary drains: a fixed order, so wakes
+  // reach each ready queue in the same order on every run.
   for (auto& sh : shards_) {
     for (Event* e : sh->deferred_notifies) {
       e->deferred_pending_.store(false, std::memory_order_relaxed);
@@ -842,7 +806,7 @@ bool Kernel::flush_deferred() {
 
 bool Kernel::flush_barrier() {
   bool progress = flush_deferred();
-  // Full boundary drains (registration order == link creation order).
+  // Boundary drains (registration order == link creation order).
   for (auto& task : barrier_tasks_)
     if (task()) progress = true;
   return progress;
@@ -860,26 +824,12 @@ RunResult Kernel::run_parallel(SimTime until) {
   stop_flag_.store(false, std::memory_order_relaxed);
   for (auto& sh : shards_) sh->stop_round = false;
   last_barrier_end_ns_ = 0;  // time stopped in the debugger is not idle
-  // Re-publish the boundary snapshots: the debugger may have drained or
-  // altered links while stopped, and a fresh run's first eligibility mask
-  // must see current channel state.
-  if (boundary_hooks_.publish) boundary_hooks_.publish();
-  std::vector<std::uint8_t> boundary_pending(shards_.size(), 0);
   while (true) {
-    // Pick the round's participants: shards with local ready work, plus
-    // shards whose inbound boundary channels can deliver a published token
-    // (their eager drain is then guaranteed at least one delivery, so a
-    // woken shard always produces effects — no wake can spin forever).
-    // Recomputed from live link/channel state every iteration; everything
-    // else stays parked and counts a skipped wake.
-    if (boundary_hooks_.pending) {
-      std::fill(boundary_pending.begin(), boundary_pending.end(), 0);
-      boundary_hooks_.pending(boundary_pending);
-    }
+    // Sparse wakes: a round wakes only the shards with ready work; the rest
+    // stay parked and count a skipped wake.
     bool any_ready = false;
     for (auto& sh : shards_) {
-      sh->participant =
-          !sh->ready.empty() || boundary_pending[static_cast<std::size_t>(sh->index)] != 0;
+      sh->participant = !sh->ready.empty();
       any_ready |= sh->participant;
     }
     if (any_ready) {
@@ -900,76 +850,29 @@ RunResult Kernel::run_parallel(SimTime until) {
       }
       run_round();
       const std::uint64_t t1 = prof ? mono_ns() : 0;
-      // The probe samples every round — elided ones included — so the
-      // boundary high-water mark cannot under-report across skipped
-      // barriers.
       const std::uint64_t hwm = prof && boundary_probe_ ? boundary_probe_() : 0;
-      const bool stop = stop_flag_.load(std::memory_order_acquire);
-      // Barrier elision: did the round produce cross-partition effects?
-      // Unpublished boundary movement, deferred notifies, or a debug stop.
-      // Effect-free rounds skip the merge/flush/publish entirely; journal
-      // records from purely-local rounds stay in their shard rings (bounded,
-      // like every journal window) until the next real barrier, time
-      // advance or run exit merges them in partition order. Every condition
-      // is a deterministic function of the schedule, so the elision
-      // pattern — and with it the merge schedule — is too.
-      bool effects = stop;
-      if (!effects && boundary_hooks_.activity) effects = boundary_hooks_.activity();
-      if (!effects)
-        for (auto& sh : shards_)
-          if (!sh->deferred_notifies.empty()) {
-            effects = true;
-            break;
-          }
-      // Shard-journal pressure also forces a merge: records parked across
-      // elided rounds must never be evicted from a shard ring that the
-      // per-round merge would have kept (base drop accounting — see
-      // Journal::merge_from — only balances when shards themselves never
-      // drop). Half-full leaves a full round of headroom; at the default
-      // 128Ki capacity this fires far too late to matter for elision.
-      if (!effects)
-        for (auto& sh : shards_)
-          if (sh->journal->size() * 2 >= sh->journal->capacity()) {
-            effects = true;
-            break;
-          }
-      bool elided = false;
-      if (effects) {
-        merge_shard_journals();
-        if (stop) {
-          // Stop rounds take the full barrier — deferred notifies plus the
-          // registered full drains — so the debugger never sees a token
-          // parked invisibly behind a stale channel snapshot.
-          flush_barrier();
-        } else {
-          flush_deferred();
-          if (boundary_hooks_.publish) boundary_hooks_.publish();
-        }
-      } else {
-        elided = true;
-        elided_rounds_++;
-      }
+      // The barrier ends every round, a debug-stop round too: journal shards
+      // merge, deferred notifies land, and every boundary channel drains as
+      // far as its link has room.
+      merge_shard_journals();
+      flush_barrier();
       if (prof) {
         const std::uint64_t t2 = mono_ns();
-        record_round(t0, t1, t2, hwm, elided);
+        record_round(t0, t1, t2, hwm);
         last_barrier_end_ns_ = t2;
       } else {
         last_barrier_end_ns_ = 0;
       }
-      if (stop) {
+      if (stop_flag_.load(std::memory_order_acquire)) {
         stop_flag_.store(false, std::memory_order_relaxed);
         return RunResult::kStopped;
       }
       continue;
     }
-    // No shard can progress; a full barrier flush may still create work
-    // (e.g. boundary tokens parked behind a link that just gained space).
+    // No shard can progress; a barrier may still create work (the debugger
+    // may have altered links or notified events while stopped).
     if (flush_barrier()) continue;
-    // Global quiescence at this virtual time: advance together. Records
-    // parked in shard rings across elided rounds all carry the current time;
-    // merge them before the clock moves, or a later effectful round would
-    // merge them behind another shard's later-time records.
-    merge_shard_journals();
+    // Global quiescence at this virtual time: advance together.
     SimTime t = kMaxSimTime;
     bool has_timed = false;
     for (auto& sh : shards_)

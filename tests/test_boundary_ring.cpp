@@ -1,16 +1,12 @@
-// Tests of the lock-free SPSC BoundaryChannel behind partition-crossing
-// links: the deterministic publish/eager-drain round protocol (coordinator
-// snapshots bound what the consumer may deliver and what the producer may
-// count as freed), ring wraparound far past the physical slot count, uid
-// preservation end to end, and the raw acquire/release SPSC surface under a
-// genuinely concurrent producer/consumer pair (the TSan gate runs that one
-// with -fsanitize=thread; see scripts/check_build.sh).
+// Tests of the BoundaryChannel behind partition-crossing links: the
+// producer's sends and the coordinator's barrier drain, ring wraparound far
+// past the physical slot count, uid preservation end to end, and the logical
+// capacity bound on a non-power-of-two ring.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "dfdbg/common/prng.hpp"
 #include "dfdbg/pedf/boundary.hpp"
@@ -23,11 +19,9 @@ namespace {
 
 Link make_link() { return Link(LinkId(0), "t", TypeDesc(ScalarType::kU32), nullptr, nullptr); }
 
-// --- deterministic round protocol -------------------------------------------
-
-// Randomized single-threaded model check, driven through the same protocol
-// the kernel uses: producer sends until the snapshot says full, coordinator
-// publishes between "rounds", consumer eager-drains below the limit and pops
+// Randomized single-threaded model check, driven the way the kernel drives a
+// channel: the producer sends until the channel is full, the coordinator
+// drains at "barriers" as far as the link has room, and the consumer pops
 // from the link. A shadow FIFO carries every (value, uid) pair; thousands of
 // cycles over an 8-slot channel force many wraps of the physical ring.
 TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
@@ -42,13 +36,13 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
   std::deque<std::pair<std::uint32_t, std::uint64_t>> shadow;  // in flight
   std::uint32_t next_val = 0;
   std::uint64_t next_uid = 1000;
-  std::uint64_t sent = 0, delivered = 0, popped = 0;
+  std::uint64_t sent = 0, popped = 0;
 
   for (int step = 0; step < 20000; ++step) {
-    switch (rng.next_below(4)) {
-      case 0: {  // producer: send if the snapshot allows it
+    switch (rng.next_below(3)) {
+      case 0: {  // producer: send unless capacity() tokens await delivery
         if (ch.full()) {
-          EXPECT_GE(ch.sent() - delivered + l.occupancy(), 0u);
+          EXPECT_EQ(ch.pending(), ch.capacity());
           break;
         }
         const std::uint32_t v = next_val++;
@@ -58,14 +52,13 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
         sent++;
         break;
       }
-      case 1: {  // coordinator: end-of-round publish
-        ch.publish(k);
-        break;
-      }
-      case 2: {  // consumer shard: eager drain below the published limit
-        const std::size_t moved = ch.drain_eligible(k);
-        delivered += moved;
-        EXPECT_EQ(ch.delivered(), delivered);
+      case 1: {  // coordinator: the barrier drain fills the link's free room
+        const std::size_t room = 4 - l.occupancy();
+        const std::size_t before = ch.pending();
+        const bool moved = ch.drain(k);
+        const std::size_t want = before < room ? before : room;
+        EXPECT_EQ(before - ch.pending(), want);
+        EXPECT_EQ(moved, want != 0);
         break;
       }
       default: {  // consumer process: pop delivered tokens off the link
@@ -80,10 +73,10 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
         break;
       }
     }
-    // Conservation: every token is exactly one of queued-in-ring,
+    // Conservation: every token is exactly one of queued-in-channel,
     // delivered-into-link, or popped.
     EXPECT_EQ(ch.pending() + l.occupancy() + popped, sent);
-    EXPECT_LE(ch.sent() - ch.delivered(), ch.slot_count());
+    EXPECT_EQ(ch.sent(), sent);
   }
   // Drain the tail: everything still in flight comes out in order.
   ch.drain(k);
@@ -101,55 +94,9 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
   EXPECT_GT(sent, ch.slot_count() * 100) << "the ring must have wrapped many times";
 }
 
-// The determinism contract itself: tokens sent after a publish are invisible
-// to the consumer until the next publish (the delivered set is bounded by the
-// coordinator's snapshot, not by live producer progress), and slots consumed
-// by the consumer are invisible to the producer's full() until a publish
-// reclaims them.
-TEST(BoundaryRing, SnapshotsBoundVisibilityAndReclaim) {
-  sim::Kernel k;
-  Link l = make_link();  // unbounded link: only the channel limits flow
-  BoundaryChannel ch(l, 4);
-
-  // Sends before any publish: nothing is eligible.
-  ch.send(Value::u32(1), 11);
-  ch.send(Value::u32(2), 12);
-  EXPECT_FALSE(ch.eligible());
-  EXPECT_EQ(ch.drain_eligible(k), 0u);
-  EXPECT_TRUE(ch.has_unpublished());
-
-  ch.publish(k);
-  EXPECT_TRUE(ch.eligible());
-  // A send racing in after the publish is not part of this round's set.
-  ch.send(Value::u32(3), 13);
-  EXPECT_EQ(ch.drain_eligible(k), 2u);
-  EXPECT_EQ(l.occupancy(), 2u);
-  EXPECT_FALSE(ch.eligible()) << "token 3 must wait for the next publish";
-
-  // Fill to the logical capacity: full() measures against freed_, so the
-  // two delivered-but-unreclaimed slots still count.
-  ch.send(Value::u32(4), 14);
-  EXPECT_TRUE(ch.full());
-  ch.publish(k);  // reclaims the two delivered slots, publishes 3 and 4
-  EXPECT_FALSE(ch.full());
-  EXPECT_EQ(ch.drain_eligible(k), 2u);
-  std::vector<std::uint64_t> uids;
-  while (!l.empty()) {
-    uids.push_back(l.token_uid_at(0));
-    l.pop_raw();
-  }
-  EXPECT_EQ(uids, (std::vector<std::uint64_t>{11, 12, 13, 14}));
-  // The last deliveries still await slot reclaim — an "unpublished" effect
-  // the coordinator must see (it keeps the round from eliding) until one
-  // more publish absorbs it.
-  EXPECT_TRUE(ch.has_unpublished());
-  ch.publish(k);
-  EXPECT_FALSE(ch.has_unpublished());
-}
-
-// drain() is the full coordinator drain used at quiescence and debug stops:
-// one call makes everything sent so far visible, regardless of snapshots.
-TEST(BoundaryRing, FullDrainBypassesStaleSnapshots) {
+// One drain delivers everything sent so far into an unbounded link and
+// reports the movement; a second drain has nothing left to move.
+TEST(BoundaryRing, DrainDeliversEverythingSent) {
   sim::Kernel k;
   Link l = make_link();
   BoundaryChannel ch(l, 8);
@@ -157,7 +104,6 @@ TEST(BoundaryRing, FullDrainBypassesStaleSnapshots) {
   EXPECT_TRUE(ch.drain(k));
   EXPECT_EQ(l.occupancy(), 5u);
   EXPECT_EQ(ch.pending(), 0u);
-  EXPECT_FALSE(ch.has_unpublished());
   EXPECT_FALSE(ch.drain(k)) << "a second drain has nothing to move";
 }
 
@@ -175,63 +121,9 @@ TEST(BoundaryRing, NonPowerOfTwoCapacity) {
     ch.send(Value::u32(i), i);
   }
   EXPECT_TRUE(ch.full());
-  ch.publish(k);
-  EXPECT_EQ(ch.drain_eligible(k), 5u);
-}
-
-// --- raw SPSC surface --------------------------------------------------------
-
-// Single-threaded edges of the acquire/release surface: full and empty are
-// reported (not asserted), and order/uids survive wraparound.
-TEST(BoundaryRing, SpscSingleThreadEdges) {
-  Link l = make_link();
-  BoundaryChannel ch(l, 4);
-  Value v;
-  std::uint64_t uid = 0;
-  EXPECT_FALSE(ch.spsc_take(v, uid)) << "empty ring must refuse";
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    for (std::uint32_t i = 0; i < 4; ++i)
-      EXPECT_TRUE(ch.spsc_send(Value::u32(cycle * 4 + i), 900 + cycle * 4 + i));
-    EXPECT_FALSE(ch.spsc_send(Value::u32(0), 0)) << "full ring must refuse";
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(ch.spsc_take(v, uid));
-      EXPECT_EQ(v.as_u64(), static_cast<std::uint64_t>(cycle) * 4 + i);
-      EXPECT_EQ(uid, 900u + static_cast<std::uint64_t>(cycle) * 4 + i);
-    }
-    EXPECT_FALSE(ch.spsc_take(v, uid));
-  }
-}
-
-// Two genuinely concurrent threads hammer the ring through the raw surface —
-// the test the TSan suite builds with -fsanitize=thread to prove the
-// acquire/release counter protocol has no data race. Functionally it also
-// pins lossless in-order delivery under arbitrary interleavings.
-TEST(BoundaryRing, SpscTwoThreadStress) {
-  Link l = make_link();
-  BoundaryChannel ch(l, 16);
-  constexpr std::uint32_t kTokens = 200000;
-  std::thread producer([&] {
-    for (std::uint32_t i = 0; i < kTokens;) {
-      if (ch.spsc_send(Value::u32(i), 1u + i))
-        ++i;
-      else
-        std::this_thread::yield();
-    }
-  });
-  std::uint64_t mismatches = 0;
-  Value v;
-  std::uint64_t uid = 0;
-  for (std::uint32_t i = 0; i < kTokens;) {
-    if (ch.spsc_take(v, uid)) {
-      if (v.as_u64() != i || uid != 1u + i) mismatches++;
-      ++i;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(mismatches, 0u);
-  EXPECT_FALSE(ch.spsc_take(v, uid)) << "no token may be left behind";
+  EXPECT_TRUE(ch.drain(k));
+  EXPECT_EQ(l.occupancy(), 5u);
+  EXPECT_FALSE(ch.full());
 }
 
 }  // namespace

@@ -153,6 +153,33 @@ TEST(FleetVerbs, CreateErrors) {
             std::string::npos);
 }
 
+// `workers` and `shard` are range-checked on the u64 as sent, before any
+// narrowing to int and before any rig builds: 257 workers, or a value that
+// would narrow to a small int, is refused with -32602, no session appears,
+// and the server answers the next request. Nothing here runs a session.
+TEST(FleetVerbs, CreateRefusesOutOfRangeWorkersAndShard) {
+  FleetRig rig;
+  auto refusal = [&](const std::string& extra) {
+    JsonValue doc = rig.parse(rig.server->handle_frame(
+        R"({"jsonrpc":"2.0","id":1,"method":"session_create","params":{"rig":"wide",)"
+        R"("backend":"parallel","pipelines":1,"stages":1,"tokens":4,"spin":1,)"
+        R"("quota":{"journal_capacity":64},)" +
+        extra + "}}"));
+    const JsonValue* e = doc.find("error");
+    EXPECT_NE(e, nullptr) << extra << " was accepted: " << doc.dump();
+    if (e == nullptr) return std::string();
+    EXPECT_EQ(e->find("code")->as_i64(), kErrInvalidParams) << extra;
+    return e->str_or("message");
+  };
+  EXPECT_NE(refusal(R"("workers":257)").find("workers must be 0..256"), std::string::npos);
+  EXPECT_NE(refusal(R"("workers":4294967298)").find("workers must be 0..256"),
+            std::string::npos);
+  EXPECT_NE(refusal(R"("shard":4294967296)").find("out of range"), std::string::npos);
+  JsonValue list = rig.result(R"({"jsonrpc":"2.0","id":2,"method":"session_list"})");
+  EXPECT_EQ(list.u64_or("count", 99), 0u) << list.dump();
+  EXPECT_NE(rig.create(tiny_wide("after")), 0u);
+}
+
 // An unknown method is rejected before any session is resolved: a fleet-only
 // host with nothing attached, or a `session` that names nothing, still
 // answers -32601.

@@ -9,7 +9,6 @@
 //     token ids, per-partition barrier order).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <deque>
@@ -494,7 +493,7 @@ TEST(ShardProfile, PerfettoExportEmptyRingIsMetadataOnly) {
   EXPECT_NE(json.find("\"rounds\":0"), std::string::npos);
 }
 
-// --- relaxed synchrony: eager drains, elision, sparse wakes -------------------
+// --- the barrier protocol under latency modelling ----------------------------
 
 /// Sums a per-shard counter over every partition of a finished wide world.
 template <typename F>
@@ -504,97 +503,73 @@ std::uint64_t sum_shards(const benchutil::WideWorld& w, F get) {
   return total;
 }
 
-// The relaxed-synchrony fast paths actually fire on the scaling shape: tokens
-// cross partitions through eager drains (not just barrier flushes), some
-// rounds complete without any coordinator merge, and shards that cannot
-// progress skip wakes instead of spinning through empty rounds. These are the
-// counters the perf acceptance gate reads, so they must be live — and they
-// are maintained unconditionally (scheduling state, not obs measurements).
-TEST(RelaxedSync, EagerDrainElisionAndSparseWakesFire) {
-  EnabledGuard on(true);
-  JournalGuard jg;
-  // Latency modeling gives rounds their natural granularity: most rounds are
-  // pure local compute between timed wakeups, which is exactly what elision
-  // exists for. (Without latencies the whole run collapses into a handful of
-  // giant rounds that all carry boundary traffic — nothing to elide.)
+/// BM_ParallelLatency's graph under a fixed map, run to completion with the
+/// journal recording. Timed transport latencies break the run into many
+/// small rounds, most of them with ready work on some shards only.
+std::unique_ptr<benchutil::WideWorld> run_latency_wide(int workers) {
   WideGraphConfig cfg;
   cfg.pipelines = 4;
   cfg.stages = 2;
   cfg.tokens = 64;
   cfg.spin = 256;
   cfg.fixed_partitions = true;
-  // The registry instruments are process-global and cumulative; snapshot
-  // before the run so the checks below compare this run's deltas.
-  auto& reg = obs::Registry::global();
-  const std::uint64_t elided0 = reg.counter("sim.barrier.elided_rounds").value();
-  std::uint64_t m_eager = 0, m_skipped = 0;
-  for (int i = 0; i < 4; ++i) {
-    m_eager -= reg.counter(strformat("sim.worker.%d.eager_drained", i)).value();
-    m_skipped -= reg.counter(strformat("sim.worker.%d.skipped_wakes", i)).value();
-  }
-  auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, 4);
+  auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, workers);
   w->app->set_model_latencies(true);
   w->kernel->set_round_record_capacity(1 << 15);  // keep every round: exact sums below
   benchutil::run_wide_world(*w);
-  const std::uint64_t eager =
-      sum_shards(*w, [](const sim::Kernel::ShardTotals& t) { return t.eager_drained; });
-  const std::uint64_t skipped =
-      sum_shards(*w, [](const sim::Kernel::ShardTotals& t) { return t.skipped_wakes; });
-  EXPECT_GT(eager, 0u) << "no token ever crossed a boundary via an eager drain";
-  EXPECT_GT(skipped, 0u) << "every shard was woken for every round";
-  EXPECT_GT(w->kernel->elided_round_count(), 0u) << "every round paid a full merge";
-  // The interned metrics mirror the unconditional totals when obs is on.
-  EXPECT_EQ(reg.counter("sim.barrier.elided_rounds").value() - elided0,
-            w->kernel->elided_round_count());
-  for (int i = 0; i < 4; ++i) {
-    m_eager += reg.counter(strformat("sim.worker.%d.eager_drained", i)).value();
-    m_skipped += reg.counter(strformat("sim.worker.%d.skipped_wakes", i)).value();
-  }
-  EXPECT_EQ(m_eager, eager);
-  EXPECT_EQ(m_skipped, skipped);
-  // Round records carry the new per-round fields: elided rounds appear in the
-  // ring (the boundary_hwm probe runs on them too), skipped partitions are
-  // flagged with zeroed work, and per-partition eager counts sum to the total.
-  const auto& recs = w->kernel->round_records();
-  ASSERT_FALSE(recs.empty());
-  bool saw_elided = false, saw_skipped = false;
-  std::uint64_t rec_eager = 0;
-  for (const sim::BarrierRoundRecord& r : recs) {
-    saw_elided |= r.elided;
-    for (const auto& p : r.partitions) {
-      rec_eager += p.eager;
-      if (p.skipped) {
-        saw_skipped = true;
-        EXPECT_EQ(p.work_ns, 0u);
-        EXPECT_EQ(p.dispatches, 0u);
-        EXPECT_FALSE(p.stalled);
-      }
-    }
-  }
-  EXPECT_TRUE(saw_elided);
-  EXPECT_TRUE(saw_skipped);
-  EXPECT_EQ(rec_eager, eager) << "record ring not evicted at this size";
-  // Elision parks journal records in shard rings, but never across a time
-  // advance: the merged journal stays in virtual-time order.
-  const obs::Journal& j = obs::Journal::global();
-  ASSERT_GT(j.size(), 0u);
-  ASSERT_EQ(j.dropped(), 0u);
-  std::size_t out_of_order = 0;
-  for (std::size_t i = 1; i < j.size(); ++i)
-    if (j.at(i).time < j.at(i - 1).time) out_of_order++;
-  EXPECT_EQ(out_of_order, 0u) << "of " << j.size() << " merged events";
+  return w;
 }
 
-// Relaxing the barriers must not relax correctness: the same checksum and
-// ordered sink sequence as the sequential schedule, at higher worker counts
-// than the FIFO suite (K=8 oversubscribes this host, the stress case).
-TEST(RelaxedSync, DeterministicTranscriptAtK8) {
+// Every round ends in the coordinator's full barrier (docs/KERNEL.md,
+// "Boundary channels and the barrier protocol"). At K = 2, 4 and 8 (8
+// oversubscribes a 4-core host, the stress case): the merged journal is
+// byte-identical run to run and in virtual-time order, the sink checksum
+// holds, and sparse wakes leave shards without ready work parked — counted
+// alike by the kernel, the registry and the round records.
+TEST(BarrierProtocol, LatencyGraphDeterministicOrderedAndSparse) {
   EnabledGuard on(true);
   JournalGuard jg;
-  std::string first = wide_journal_transcript(8);
-  std::string second = wide_journal_transcript(8);
-  EXPECT_GT(first.size(), 0u);
-  EXPECT_EQ(first, second);
+  auto& reg = obs::Registry::global();
+  for (int workers : {2, 4, 8}) {
+    std::string transcript[2];
+    for (std::string& out : transcript) {
+      JournalGuard::restore();
+      // The registry instruments are process-global and cumulative; snapshot
+      // before the run so the checks below compare this run's deltas.
+      std::uint64_t m_skipped = 0;
+      for (int i = 0; i < workers; ++i)
+        m_skipped -= reg.counter(strformat("sim.worker.%d.skipped_wakes", i)).value();
+      auto w = run_latency_wide(workers);
+      EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum) << "K=" << workers;
+
+      const std::uint64_t skipped =
+          sum_shards(*w, [](const sim::Kernel::ShardTotals& t) { return t.skipped_wakes; });
+      EXPECT_GT(skipped, 0u) << "every shard was woken for every round, K=" << workers;
+      for (int i = 0; i < workers; ++i)
+        m_skipped += reg.counter(strformat("sim.worker.%d.skipped_wakes", i)).value();
+      EXPECT_EQ(m_skipped, skipped) << "K=" << workers;
+      std::uint64_t rec_skipped = 0;
+      for (const sim::BarrierRoundRecord& r : w->kernel->round_records())
+        for (const auto& p : r.partitions) {
+          if (!p.skipped) continue;
+          rec_skipped++;
+          EXPECT_EQ(p.work_ns, 0u);
+          EXPECT_EQ(p.dispatches, 0u);
+          EXPECT_FALSE(p.stalled);
+        }
+      EXPECT_EQ(rec_skipped, skipped) << "record ring not evicted at this size, K=" << workers;
+
+      const obs::Journal& j = obs::Journal::global();
+      ASSERT_GT(j.size(), 0u);
+      ASSERT_EQ(j.dropped(), 0u);
+      std::size_t out_of_order = 0;
+      for (std::size_t i = 1; i < j.size(); ++i)
+        if (j.at(i).time < j.at(i - 1).time) out_of_order++;
+      EXPECT_EQ(out_of_order, 0u) << "of " << j.size() << " merged events, K=" << workers;
+      out = j.format_last(j.size());
+    }
+    EXPECT_EQ(transcript[0], transcript[1]) << "K=" << workers;
+  }
 }
 
 // --- host I/O placement -------------------------------------------------------
@@ -748,161 +723,6 @@ TEST(HostIoPlacementDeathTest, TimedSourcesOnOnePeRejectConflictingOverrides) {
         w->app->start();
       },
       "share PE host0");
-}
-
-// --- adaptive partitioner -----------------------------------------------------
-
-/// Builds the skewed wide world (lane p carries 1+p stages) under kParallel.
-std::unique_ptr<benchutil::WideWorld> build_skewed(int workers) {
-  WideGraphConfig cfg;
-  cfg.pipelines = 6;
-  cfg.stages = 1;
-  cfg.stage_skew = 1;
-  cfg.tokens = 32;
-  cfg.spin = 16;
-  return benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, workers);
-}
-
-/// The post-start partition of every stage filter, as one map string.
-std::string partition_map_string(const benchutil::WideWorld& w) {
-  std::string out;
-  for (int p = 0; p < w.cfg.pipelines; ++p)
-    for (int s = 0; s < benchutil::wide_stages(w.cfg, p); ++s) {
-      std::string path = "top.s" + std::to_string(p) + "_" + std::to_string(s);
-      const pedf::Actor* a = w.app->actor_by_path(path);
-      EXPECT_NE(a, nullptr) << path;
-      out += path + "=" + std::to_string(w.app->actor_partition(*a)) + "\n";
-    }
-  return out;
-}
-
-// The adaptive policy is a pure function of (graph, profile, worker count):
-// identical runs produce identical maps, the map differs from the skewed
-// cluster-modulo default, its profile-weighted max load never exceeds the
-// default's, and token order on every link survives the re-placement (the
-// ordered sink sequence is the FIFO witness).
-TEST(AdaptivePartition, DeterministicBalancedAndOrderPreserving) {
-  EnabledGuard on(true);
-  JournalGuard jg;
-  const int workers = 3;
-  // Profiling run under the default cluster-modulo map.
-  std::map<std::string, std::uint64_t> profile;
-  std::string modulo_map;
-  {
-    auto w = build_skewed(workers);
-    benchutil::run_wide_world(*w);
-    profile = w->app->dispatch_profile();
-    modulo_map = partition_map_string(*w);
-  }
-  ASSERT_FALSE(profile.empty());
-
-  auto run_adaptive = [&] {
-    auto w = build_skewed(workers);
-    w->app->set_partition_policy(pedf::Application::PartitionPolicy::kAdaptive);
-    w->app->set_partition_profile(profile);
-    benchutil::run_wide_world(*w);
-    // Re-placement must not break per-link FIFO: the sink checksum pins
-    // every token transformed exactly once, in order, end to end.
-    EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
-    // Host I/O that never takes its PE rides in its link peer's unit.
-    for (int p = 0; p < w->cfg.pipelines; ++p) {
-      const std::string n = std::to_string(p);
-      EXPECT_EQ(partition_of(*w->app, "src" + n), partition_of(*w->app, "top.s" + n + "_0"));
-    }
-    EXPECT_EQ(partition_of(*w->app, "snk"), partition_of(*w->app, "top.merge"));
-    return partition_map_string(*w);
-  };
-  std::string first = run_adaptive();
-  std::string second = run_adaptive();
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first, modulo_map);
-
-  // Profile-weighted max load: adaptive <= cluster-modulo on this skew.
-  auto max_load = [&](const std::string& map) {
-    std::vector<std::uint64_t> load(static_cast<std::size_t>(workers), 0);
-    std::istringstream in(map);
-    std::string line;
-    while (std::getline(in, line)) {
-      auto eq = line.rfind('=');
-      std::string path = line.substr(0, eq);
-      int part = std::stoi(line.substr(eq + 1));
-      auto it = profile.find(path);
-      load[static_cast<std::size_t>(part)] += it != profile.end() ? it->second : 1;
-    }
-    return *std::max_element(load.begin(), load.end());
-  };
-  EXPECT_LE(max_load(first), max_load(modulo_map)) << "adaptive map:\n" << first;
-}
-
-// Time-weighted adaptive placement: when a wall-time profile is installed it
-// takes precedence over activation counts. Activation counts are blind to
-// per-fire cost (every stage fires once per token), so a synthetic time
-// profile that makes one lane's stages expensive must pull the map away from
-// the activation-weighted one — deterministically, and without breaking
-// token order.
-TEST(AdaptivePartition, TimeProfileOverridesActivationCounts) {
-  EnabledGuard on(true);
-  JournalGuard jg;
-  const int workers = 3;
-  std::map<std::string, std::uint64_t> counts;
-  {
-    auto w = build_skewed(workers);
-    benchutil::run_wide_world(*w);
-    counts = w->app->dispatch_profile();
-    // The profiling run also measures wall time per filter (obs was on):
-    // the time profile exists and covers the same placement units.
-    std::map<std::string, std::uint64_t> times = w->app->dispatch_time_profile();
-    ASSERT_FALSE(times.empty());
-    for (const auto& [path, ns] : times) {
-      EXPECT_GT(ns, 0u) << path;
-      EXPECT_EQ(counts.count(path), 1u) << path;
-    }
-  }
-  // Synthetic skew: lane 0's stages dominate wall time, everything else is
-  // cheap. Activation counts say the opposite (lane 0 has the fewest stages).
-  std::map<std::string, std::uint64_t> synthetic;
-  for (const auto& [path, n] : counts)
-    synthetic[path] = path.find("top.s0_") == 0 ? 1000000 : 1;
-
-  auto run_with = [&](const std::map<std::string, std::uint64_t>& time_profile) {
-    auto w = build_skewed(workers);
-    w->app->set_partition_policy(pedf::Application::PartitionPolicy::kAdaptive);
-    w->app->set_partition_profile(counts);
-    if (!time_profile.empty()) w->app->set_partition_time_profile(time_profile);
-    benchutil::run_wide_world(*w);
-    EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
-    return partition_map_string(*w);
-  };
-  const std::string by_counts = run_with({});
-  const std::string by_time = run_with(synthetic);
-  EXPECT_NE(by_time, by_counts) << "time profile was ignored";
-  EXPECT_EQ(by_time, run_with(synthetic)) << "time-weighted placement not deterministic";
-  // Lane 0 is now the heavy unit: its first stage gets the emptiest bin
-  // first under LPT, i.e. it no longer shares a worker by default weighting.
-  EXPECT_NE(by_time.find("top.s0_0="), std::string::npos);
-}
-
-// An unobserved run measures nothing: the time profile is empty and the
-// adaptive policy falls back to activation counts rather than treating
-// every unit as zero-cost.
-TEST(AdaptivePartition, NoTimeProfileWhenObsDisabled) {
-  EnabledGuard off(false);
-  auto w = build_skewed(2);
-  benchutil::run_wide_world(*w);
-  EXPECT_TRUE(w->app->dispatch_time_profile().empty());
-  EXPECT_FALSE(w->app->dispatch_profile().empty());
-}
-
-// Without a profile (or with one worker) the adaptive policy degrades to the
-// cluster-modulo default instead of guessing.
-TEST(AdaptivePartition, EmptyProfileFallsBackToClusterModulo) {
-  auto w = build_skewed(3);
-  w->app->set_partition_policy(pedf::Application::PartitionPolicy::kAdaptive);
-  auto base = build_skewed(3);
-  benchutil::run_wide_world(*w);
-  benchutil::run_wide_world(*base);
-  EXPECT_EQ(partition_map_string(*w), partition_map_string(*base));
-  EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
 }
 
 }  // namespace

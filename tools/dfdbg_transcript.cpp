@@ -6,8 +6,8 @@
 // worker count. The transcript covers every journal event the debugger
 // replays — dispatch records, token pushes/pops with provenance ids, in
 // barrier merge order — so a byte diff is the strongest cheap witness that
-// the relaxed-synchrony fast paths (eager drains, elided barriers, sparse
-// wakes) did not perturb the schedule.
+// the barrier protocol (per-round journal merge, deferred notifies, boundary
+// drains) and sparse wakes kept the schedule a function of the program.
 //
 // Usage: dfdbg-transcript <workers> [seed] [tokens]
 #include <cstdio>
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   using namespace dfdbg;
   if (argc < 2 || argc > 4) return usage(argv[0]);
   const int workers = std::atoi(argv[1]);
-  if (workers < 1) return usage(argv[0]);
+  if (workers < 1 || workers > sim::kMaxParallelWorkers) return usage(argv[0]);
   const std::uint32_t seed = argc > 2 ? static_cast<std::uint32_t>(std::atoll(argv[2])) : 1u;
   const std::size_t tokens = argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 32;
 
